@@ -81,20 +81,14 @@ fn solver_comparison(c: &mut Criterion) {
     group.finish();
 }
 
-/// The decomposed parallel solver against serial SSP on the same built
-/// 512-variable allocation network (the `allocate_scaling/512` instance
-/// minus construction and extraction, which the solver cannot speed up).
-/// `workers/k` requests `k` threads but caps the region count at the
-/// machine's cores, mirroring what `Backend::Auto` does for `LEMRA_THREADS=k`
-/// — a region only earns its cross-region settle traffic with a core of its
-/// own, so forcing more regions than cores measures a path Auto never takes.
-/// `forced_regions/4` pins four regions regardless of cores to keep that
-/// degenerate cost visible. `serial` is the plain SSP baseline each median
-/// is compared against in BENCH_solver.json.
-fn par_solve_scaling(c: &mut Criterion) {
+/// The solve of the built 512-variable allocation network (the
+/// `allocate_scaling/512` instance minus construction and extraction): at
+/// more than 100 000 arcs SSP settles its rounds over the pruned working
+/// set, and cost scaling is the independent reference on the same network.
+fn large_solve(c: &mut Criterion) {
     use lemra_core::build_network;
-    use lemra_netflow::{min_cost_flow_par_with, min_cost_flow_with, SolverWorkspace};
-    let mut group = c.benchmark_group("par_solve");
+    use lemra_netflow::{min_cost_flow_with, SolverWorkspace};
+    let mut group = c.benchmark_group("large_solve");
     let vars = 512usize;
     let table = random_lifetimes(&RandomConfig::scaled(vars, 1));
     let problem =
@@ -102,7 +96,7 @@ fn par_solve_scaling(c: &mut Criterion) {
     let view = build_network(&problem).expect("builds");
     let target = i64::from(problem.registers);
     let mut ws = SolverWorkspace::default();
-    group.bench_function("serial", |b| {
+    group.bench_function("ssp", |b| {
         b.iter(|| {
             min_cost_flow_with(
                 black_box(&view.net),
@@ -114,44 +108,21 @@ fn par_solve_scaling(c: &mut Criterion) {
             .expect("feasible")
         });
     });
-    ws.set_region_hints(Some(view.region_hints.clone()));
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-    for workers in [1usize, 2, 4, 8] {
-        let regions = workers.min(hw);
-        group.bench_with_input(BenchmarkId::new("workers", workers), &regions, |b, &w| {
-            b.iter(|| {
-                min_cost_flow_par_with(
+    group.bench_function("cost_scaling", |b| {
+        b.iter(|| {
+            Backend::CostScaling
+                .solve_with(
                     black_box(&view.net),
                     view.source,
                     view.sink,
                     target,
                     &mut ws,
-                    Some(w),
                 )
                 .expect("feasible")
-            });
-        });
-    }
-    group.bench_function("forced_regions/4", |b| {
-        b.iter(|| {
-            min_cost_flow_par_with(
-                black_box(&view.net),
-                view.source,
-                view.sink,
-                target,
-                &mut ws,
-                Some(4),
-            )
-            .expect("feasible")
         });
     });
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    allocation_scaling,
-    solver_comparison,
-    par_solve_scaling
-);
+criterion_group!(benches, allocation_scaling, solver_comparison, large_solve);
 criterion_main!(benches);

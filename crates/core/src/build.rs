@@ -75,13 +75,6 @@ pub(crate) struct BuiltNetwork {
     /// because every weight is a pure function of (arc index, bits,
     /// preferred) and those are all topology-stable.
     pub tie_bits: u32,
-    /// Region-boundary hints for the parallel solver: the write node of
-    /// every variable's *first* segment. Node numbering follows segment
-    /// order, so cutting the node range at these boundaries keeps each
-    /// variable's chain of segments inside one region and reserves the
-    /// cross-region arcs for hand-offs — the cuts the decomposed settle
-    /// repairs cheapest. Topology-only, like the rest of the view.
-    pub region_hints: Vec<u32>,
 }
 
 impl BuiltNetwork {
@@ -104,7 +97,6 @@ impl BuiltNetwork {
             + cap_bytes(&self.sink_of)
             + cap_bytes(&self.tie_weights)
             + cap_bytes(&self.preferred)
-            + cap_bytes(&self.region_hints)
     }
 }
 
@@ -394,12 +386,6 @@ fn build_with_regions_in(
     let (cost_scale, cost_unit, tie_weights, tie_bits) =
         apply_tie_break(&mut net, &preferred, None);
 
-    let region_hints = segmentation
-        .iter()
-        .filter(|(id, seg)| seg.is_first && id.index() > 0)
-        .map(|(id, _)| write_node[id.index()].index() as u32)
-        .collect();
-
     Ok(BuiltNetwork {
         net,
         s,
@@ -417,7 +403,6 @@ fn build_with_regions_in(
         tie_weights,
         preferred,
         tie_bits,
-        region_hints,
     })
 }
 
@@ -641,9 +626,10 @@ pub struct NetworkView {
     /// Common quantum divided out of every raw cost before scaling (1 when
     /// the perturbation was skipped).
     pub cost_unit: i64,
-    /// Region-boundary hints for the parallel solver
-    /// ([`ResilientSolver::set_region_hints`]): the write node of every
-    /// variable's first segment after the first, in ascending node order.
+    /// Always empty. It held cut positions for the region-parallel solver
+    /// backend, which has been removed; kept so existing readers compile
+    /// (it pairs with the no-op [`ResilientSolver::set_region_hints`]), to
+    /// be removed.
     ///
     /// [`ResilientSolver::set_region_hints`]: lemra_netflow::ResilientSolver::set_region_hints
     pub region_hints: Vec<u32>,
@@ -669,7 +655,7 @@ pub fn build_network(problem: &AllocationProblem) -> Result<NetworkView, CoreErr
         bypass: built.bypass,
         cost_scale: built.cost_scale,
         cost_unit: built.cost_unit,
-        region_hints: built.region_hints,
+        region_hints: Vec::new(),
     })
 }
 

@@ -151,6 +151,7 @@ impl PipelineStats {
             dijkstra_rounds: 0,
             pushed_units: 0,
             incidents: 0,
+            prune_fallbacks: 0,
         },
         warm_solves: 0,
         cold_solves: 0,
@@ -666,10 +667,6 @@ impl PipelineCx {
         let segmentation = self.segment(problem);
         let regions = self.profile(problem, &segmentation);
         let built = self.build(problem, &segmentation, &regions)?;
-        // Variable boundaries in the node numbering are where the parallel
-        // solver should cut regions, if it runs.
-        self.resilient
-            .set_region_hints(Some(built.region_hints.clone()));
         let solution = self
             .cached_solve(&built.net, built.s, built.t, i64::from(problem.registers))
             .map_err(|e| flow_error(problem, e))?;
@@ -831,8 +828,6 @@ impl PipelineCx {
                     .costs_rescaled_per_arc(|i| ratio.get(i).copied().unwrap_or(f64::NAN));
             }
         }
-        self.resilient
-            .set_region_hints(Some(built.region_hints.clone()));
         let incidents_before = self.resilient.incident_count();
         let warm_solves_before = self.reopt.warm_solves();
         let solution = self.resilient.solve_with_fallback(
@@ -997,10 +992,6 @@ pub(crate) fn solve_chain_flow(
     cx.record(Stage::Build, t0);
     cx.record_bytes(Stage::Build, net.heap_bytes());
 
-    // This network's node numbering has nothing to do with any previously
-    // installed allocation-network hints; drop them rather than let the
-    // parallel solver cut at stale boundaries.
-    cx.resilient.set_region_hints(None);
     let sol = cx
         .cached_solve(&net, s, t, i64::from(spec.capacity))
         .map_err(|e| match e {

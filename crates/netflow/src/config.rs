@@ -36,11 +36,6 @@ pub const COLD_ENV: &str = "LEMRA_COLD";
 /// sequence comparisons.
 pub const SIMPLEX_BLOCK_ENV: &str = "LEMRA_SIMPLEX_BLOCK";
 
-/// Environment variable controlling when [`Backend::Auto`] engages the
-/// decomposed parallel solver (`auto` — size threshold, the default;
-/// `1`/`force`/`on` — always; `0`/`off` — never).
-pub const PAR_SOLVE_ENV: &str = "LEMRA_PAR_SOLVE";
-
 /// Environment variable selecting the cross-request allocation cache mode
 /// (`off` — default, no cache; `exact` — replay byte-identical solutions on
 /// exact fingerprint hits; `warm` — additionally adopt retained reoptimizer
@@ -86,36 +81,20 @@ impl std::str::FromStr for CacheMode {
     }
 }
 
-/// When [`Backend::Auto`] hands a solve to the decomposed parallel path
-/// (`par_ssp`). Parsed from [`PAR_SOLVE_ENV`]; a concrete backend choice is
-/// never overridden by this knob.
+/// Former switch for the region-parallel solver backend, which has been
+/// removed: large networks now prune inside the SSP backend. No value has
+/// any effect and nothing reads it from the environment; the type stays so
+/// [`LemraConfig::par_solve`] and the second argument of
+/// [`Backend::select_with`] keep compiling until they are removed together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ParSolve {
-    /// Engage above the arc-count threshold pinned in the selection table.
+    /// The default.
     #[default]
     Auto,
-    /// Engage on every `Auto` solve, regardless of size.
+    /// Formerly: always use the parallel solver.
     Force,
-    /// Never engage; `Auto` selects among the serial backends only.
+    /// Formerly: never use the parallel solver.
     Off,
-}
-
-impl std::str::FromStr for ParSolve {
-    type Err = NetflowError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(ParSolve::Auto),
-            "1" | "force" | "on" => Ok(ParSolve::Force),
-            "0" | "off" => Ok(ParSolve::Off),
-            other => Err(NetflowError::InvalidArc {
-                reason: format!(
-                    "{PAR_SOLVE_ENV}=`{other}` is not a parallel-solve mode \
-                     (expected auto, force/1/on or off/0)"
-                ),
-            }),
-        }
-    }
 }
 
 /// The process-wide configuration snapshot.
@@ -149,7 +128,8 @@ pub struct LemraConfig {
     /// Entering-arc block size for the network-simplex backend; `None`
     /// lets each solve pick `max(⌈√arcs⌉, 10)`.
     pub simplex_block: Option<usize>,
-    /// When [`Backend::Auto`] engages the decomposed parallel solver.
+    /// No effect (see [`ParSolve`]); always [`ParSolve::Auto`] from the
+    /// environment. To be removed.
     pub par_solve: ParSolve,
     /// Cross-request allocation cache mode (default off).
     pub cache: CacheMode,
@@ -193,7 +173,6 @@ impl LemraConfig {
             std::env::var(THREADS_ENV).ok().as_deref(),
             std::env::var(COLD_ENV).ok().as_deref(),
             std::env::var(SIMPLEX_BLOCK_ENV).ok().as_deref(),
-            std::env::var(PAR_SOLVE_ENV).ok().as_deref(),
             std::env::var(CACHE_ENV).ok().as_deref(),
             std::env::var(CACHE_CAP_ENV).ok().as_deref(),
         )
@@ -210,7 +189,6 @@ impl LemraConfig {
         threads: Option<&str>,
         cold: Option<&str>,
         simplex_block: Option<&str>,
-        par_solve: Option<&str>,
         cache: Option<&str>,
         cache_cap: Option<&str>,
     ) -> Result<Self, NetflowError> {
@@ -236,7 +214,6 @@ impl LemraConfig {
                     })
             })
             .transpose()?;
-        let par_solve = par_solve.map_or(Ok(ParSolve::default()), str::parse)?;
         let cache = cache.map_or(Ok(CacheMode::default()), str::parse)?;
         let cache_cap = cache_cap
             .map(|v| {
@@ -253,7 +230,6 @@ impl LemraConfig {
             threads,
             cold,
             simplex_block,
-            par_solve,
             cache,
             cache_cap: cache_cap.unwrap_or(Self::default().cache_cap),
             ..Self::default()
@@ -335,59 +311,27 @@ mod tests {
 
     #[test]
     fn from_vars_parses_each_knob() {
-        let cfg = LemraConfig::from_vars(
-            Some("simplex"),
-            Some("3"),
-            Some("1"),
-            Some("8"),
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let cfg =
+            LemraConfig::from_vars(Some("simplex"), Some("3"), Some("1"), Some("8"), None, None)
+                .unwrap();
         assert_eq!(cfg.backend, Backend::Simplex);
         assert_eq!(cfg.threads, Some(3));
         assert!(cfg.cold);
         assert_eq!(cfg.simplex_block, Some(8));
-        let unset = LemraConfig::from_vars(None, None, None, None, None, None, None).unwrap();
+        let unset = LemraConfig::from_vars(None, None, None, None, None, None).unwrap();
         assert_eq!(unset, LemraConfig::default());
-        let off = LemraConfig::from_vars(None, None, Some("0"), None, None, None, None).unwrap();
+        let off = LemraConfig::from_vars(None, None, Some("0"), None, None, None).unwrap();
         assert!(!off.cold);
     }
 
     #[test]
     fn unknown_backend_is_an_error_listing_valid_names() {
-        let err =
-            LemraConfig::from_vars(Some("simplx"), None, None, None, None, None, None).unwrap_err();
+        let err = LemraConfig::from_vars(Some("simplx"), None, None, None, None, None).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("simplx"), "names the offender: {msg}");
-        for name in [
-            "ssp",
-            "scaling",
-            "cycle",
-            "simplex",
-            "cost_scaling",
-            "par_ssp",
-            "auto",
-        ] {
+        for name in ["ssp", "scaling", "cycle", "simplex", "cost_scaling", "auto"] {
             assert!(msg.contains(name), "lists `{name}`: {msg}");
         }
-    }
-
-    #[test]
-    fn par_solve_parses_all_spellings() {
-        assert_eq!("auto".parse::<ParSolve>().unwrap(), ParSolve::Auto);
-        for force in ["1", "force", "on"] {
-            assert_eq!(force.parse::<ParSolve>().unwrap(), ParSolve::Force);
-        }
-        for off in ["0", "off"] {
-            assert_eq!(off.parse::<ParSolve>().unwrap(), ParSolve::Off);
-        }
-        assert!("yes".parse::<ParSolve>().is_err());
-        let cfg =
-            LemraConfig::from_vars(None, None, None, None, Some("force"), None, None).unwrap();
-        assert_eq!(cfg.par_solve, ParSolve::Force);
-        assert!(LemraConfig::from_vars(None, None, None, None, Some("maybe"), None, None).is_err());
     }
 
     #[test]
@@ -402,34 +346,32 @@ mod tests {
                 assert!(err.contains(name), "lists `{name}`: {err}");
             }
         }
-        let cfg =
-            LemraConfig::from_vars(None, None, None, None, None, Some("warm"), Some("7")).unwrap();
+        let cfg = LemraConfig::from_vars(None, None, None, None, Some("warm"), Some("7")).unwrap();
         assert_eq!(cfg.cache, CacheMode::Warm);
         assert_eq!(cfg.cache_cap, 7);
         assert!(
-            LemraConfig::from_vars(None, None, None, None, None, Some("wram"), None).is_err(),
+            LemraConfig::from_vars(None, None, None, None, Some("wram"), None).is_err(),
             "a typo'd {CACHE_ENV} must fail loudly"
         );
-        assert!(LemraConfig::from_vars(None, None, None, None, None, None, Some("0")).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, None, None, None, Some("many")).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, None, None, Some("0")).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, None, None, Some("many")).is_err());
     }
 
     #[test]
     fn cost_scaling_backend_parses_from_env_vars() {
-        let cfg = LemraConfig::from_vars(Some("cost_scaling"), None, None, None, None, None, None)
-            .unwrap();
+        let cfg =
+            LemraConfig::from_vars(Some("cost_scaling"), None, None, None, None, None).unwrap();
         assert_eq!(cfg.backend, Backend::CostScaling);
         let dashed =
-            LemraConfig::from_vars(Some("cost-scaling"), None, None, None, None, None, None)
-                .unwrap();
+            LemraConfig::from_vars(Some("cost-scaling"), None, None, None, None, None).unwrap();
         assert_eq!(dashed.backend, Backend::CostScaling);
     }
 
     #[test]
     fn malformed_numeric_knobs_are_errors() {
-        assert!(LemraConfig::from_vars(None, Some("zero"), None, None, None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, Some("0"), None, None, None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, Some("-1"), None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, Some("0"), None, None, None).is_err());
+        assert!(LemraConfig::from_vars(None, Some("zero"), None, None, None, None).is_err());
+        assert!(LemraConfig::from_vars(None, Some("0"), None, None, None, None).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, Some("-1"), None, None).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, Some("0"), None, None).is_err());
     }
 }

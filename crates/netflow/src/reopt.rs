@@ -469,8 +469,8 @@ impl State {
     /// has to move; `false` otherwise, and the caller saturates whatever is
     /// still negative so the drain can re-route it.
     fn refine_prices(&mut self) -> bool {
-        // The shared refinement works on a plain potential slice (the
-        // parallel join pass has no `NodeState` array); copy out and back.
+        // The refinement works on a plain potential slice; copy out and
+        // back.
         let n = self.res.node_count();
         let mut pot: Vec<i64> = self.ws.node[..n].iter().map(|st| st.potential).collect();
         let ok = refine_prices_raw(&self.res, &mut pot);
@@ -679,9 +679,8 @@ impl State {
 /// with no node frozen — `pot` is then a valid potential and the current
 /// flow is optimal at its value; `false` otherwise.
 ///
-/// Shared between [`Reoptimizer`]'s warm-start repair and the decomposed
-/// parallel path's join pass, which is why it takes a plain slice rather
-/// than the workspace `NodeState` array.
+/// Takes a plain slice rather than the workspace `NodeState` array so the
+/// warm-start repair can run it on a scratch copy of the potentials.
 pub(crate) fn refine_prices_raw(res: &Residual, pot: &mut [i64]) -> bool {
     // A node lowered this many times sits on or behind a negative
     // cycle; genuine propagation chains re-lower a node only when

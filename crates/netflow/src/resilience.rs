@@ -91,7 +91,6 @@ pub struct ResilientSolver {
     budget: SolveBudget,
     incidents: Vec<SolverIncident>,
     solve_index: u64,
-    region_hints: Option<Vec<u32>>,
 }
 
 impl Default for ResilientSolver {
@@ -124,18 +123,13 @@ impl ResilientSolver {
             budget: SolveBudget::default(),
             incidents: Vec::new(),
             solve_index: 0,
-            region_hints: None,
         }
     }
 
-    /// Installs caller-provided region-boundary hints (sorted node ids at
-    /// which the parallel solver prefers to cut the node range into
-    /// regions, e.g. the first node of each program segment). Forwarded to
-    /// the workspace before every solve; `None` clears them. Non-parallel
-    /// backends ignore the hints entirely.
-    pub fn set_region_hints(&mut self, hints: Option<Vec<u32>>) {
-        self.region_hints = hints;
-    }
+    /// No effect: the hints were cut positions for the region-parallel
+    /// solver backend, which has been removed. Kept so existing callers
+    /// compile; to be removed.
+    pub fn set_region_hints(&mut self, _hints: Option<Vec<u32>>) {}
 
     /// Installs a [`SolveBudget`] applied to **each** attempt (every link
     /// of the chain gets the full budget), returning the previous one.
@@ -235,8 +229,6 @@ impl ResilientSolver {
     ) -> Result<FlowSolution, NetflowError> {
         #[cfg(feature = "fault-inject")]
         crate::fault::FaultPlan::ensure_env_plan();
-
-        ws.set_region_hints(self.region_hints.clone());
 
         let solve_index = self.solve_index;
         self.solve_index += 1;

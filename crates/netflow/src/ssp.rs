@@ -18,6 +18,7 @@
 
 use crate::canon::CacheStamp;
 use crate::graph::{FlowNetwork, NodeId};
+use crate::prune::{pruned_phases, PRUNE_MIN_ARCS};
 use crate::residual::{idx, Residual};
 use crate::workspace::{with_thread_workspace, SolverWorkspace, INF};
 use crate::{FlowSolution, NetflowError};
@@ -78,6 +79,12 @@ pub fn min_cost_flow(
 /// Identical contract; the workspace's buffers are reused across calls,
 /// which removes all per-solve allocation beyond the residual graph itself.
 ///
+/// Networks of 100 000 arcs or more run the pruned exact phases of
+/// `netflow::prune`: each settling round scans a per-node working set of
+/// the cheapest residual arcs, and a price repair plus an O(E) optimality
+/// certificate keep the result exact. Smaller networks run the plain
+/// phases.
+///
 /// # Errors
 ///
 /// Same as [`min_cost_flow`].
@@ -88,6 +95,20 @@ pub fn min_cost_flow_with(
     target: i64,
     ws: &mut SolverWorkspace,
 ) -> Result<FlowSolution, NetflowError> {
+    let prune = net.arc_count() >= PRUNE_MIN_ARCS;
+    min_cost_flow_ssp(net, s, t, target, ws, prune)
+}
+
+/// [`min_cost_flow_with`] with the pruning decision made by the caller
+/// instead of the arc-count gate (the tests force it both ways).
+pub(crate) fn min_cost_flow_ssp(
+    net: &FlowNetwork,
+    s: NodeId,
+    t: NodeId,
+    target: i64,
+    ws: &mut SolverWorkspace,
+    prune: bool,
+) -> Result<FlowSolution, NetflowError> {
     check_endpoints_with(net, s, t, target, ws)?;
 
     // The guard returns the arena to the pool even if the solve panics, so
@@ -96,7 +117,24 @@ pub fn min_cost_flow_with(
     let (res, ws) = guard.parts();
     let (super_s, super_t, required) = transform_into(net, s, t, target, res);
 
-    let pushed = ssp_run(res, super_s, super_t, required, ws)?;
+    let pruned = if prune {
+        pruned_phases(res, super_s, super_t, required, ws)?
+    } else {
+        None
+    };
+    let pushed = match pruned {
+        Some(pushed) => pushed,
+        None => {
+            if prune {
+                // The repair or the certificate failed: re-solve unpruned
+                // from the pristine residual (the regroup dropped the
+                // rollback journal, so this rebuilds it).
+                ws.prune_fallbacks += 1;
+                transform_into(net, s, t, target, res);
+            }
+            ssp_run(res, super_s, super_t, required, ws)?
+        }
+    };
     if pushed < required {
         return Err(NetflowError::Infeasible {
             required,
@@ -262,7 +300,24 @@ pub(crate) fn ssp_phases(
         rounds += 1;
         flow += crate::dinic::blocking_flow_admissible(res, s, t, ws, target - flow);
     }
-    while flow < target {
+    Ok(flow + ssp_rounds(res, s, t, target - flow, ws, backend, rounds)?)
+}
+
+/// The settling rounds of [`ssp_phases`] from valid potentials: moves at
+/// most `limit` more units; `rounds` carries the budget count so far. The
+/// pruned path finishes with these after its repair.
+pub(crate) fn ssp_rounds(
+    res: &mut Residual,
+    s: usize,
+    t: usize,
+    limit: i64,
+    ws: &mut SolverWorkspace,
+    backend: &'static str,
+    mut rounds: u64,
+) -> Result<i64, NetflowError> {
+    let budget = ws.budget;
+    let mut flow = 0i64;
+    while flow < limit {
         budget.check_rounds(backend, "augment", rounds)?;
         rounds += 1;
         let dist_t = dijkstra_settle(res, s, t, ws)?;
@@ -270,7 +325,7 @@ pub(crate) fn ssp_phases(
             break;
         }
         update_potentials(ws, dist_t);
-        let pushed = crate::dinic::blocking_flow_admissible(res, s, t, ws, target - flow);
+        let pushed = crate::dinic::blocking_flow_admissible(res, s, t, ws, limit - flow);
         debug_assert!(pushed > 0, "reachable sink must admit a blocking flow");
         flow += pushed;
     }
@@ -479,6 +534,19 @@ pub(crate) fn dijkstra_settle(
     t: usize,
     ws: &mut SolverWorkspace,
 ) -> Result<i64, NetflowError> {
+    settle_within(res, &res.active_end, s, t, ws)
+}
+
+/// [`dijkstra_settle`] over the slot ranges `first_out[u]..ends[u]`: the
+/// active prefixes (`res.active_end`) for a full round, the kept prefixes
+/// (`res.kept_end`) for a pruned one.
+pub(crate) fn settle_within(
+    res: &Residual,
+    ends: &[u32],
+    s: usize,
+    t: usize,
+    ws: &mut SolverWorkspace,
+) -> Result<i64, NetflowError> {
     ws.begin_round();
     ws.set_dist(s, 0);
     ws.heap.push(0, s as u32);
@@ -499,7 +567,7 @@ pub(crate) fn dijkstra_settle(
         if pu >= INF {
             continue;
         }
-        for sl in &res.slots[res.active_slots(u)] {
+        for sl in &res.slots[res.first_out[u] as usize..ends[u] as usize] {
             if sl.cap <= 0 {
                 continue;
             }

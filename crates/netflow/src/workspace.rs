@@ -15,85 +15,13 @@
 
 use crate::budget::SolveBudget;
 use crate::canon::CacheStamp;
+use crate::prune::PruneScratch;
 use crate::radix::RadixHeap;
 use crate::residual::Residual;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicI64;
-use std::sync::Mutex;
 
 pub(crate) const INF: i64 = i64::MAX / 4;
-
-/// Per-region scratch owned exclusively by one settle worker: its frontier
-/// heap and the seed buffer its cross-region inbox is drained into at the
-/// start of each wave. Regions borrow these disjointly (one `&mut` each out
-/// of [`ParScratch::arenas`]) while the shared read-only state — potentials,
-/// kept adjacency, atomic distances — is borrowed once for everyone.
-#[derive(Debug, Default)]
-pub(crate) struct RegionArena {
-    /// The region's private Dijkstra frontier; reset per wave.
-    pub heap: RadixHeap,
-    /// Nodes handed to this region since its last wave (drained inbox).
-    pub seeds: Vec<u32>,
-}
-
-/// Split-borrowable scratch for the decomposed parallel solve path
-/// (`netflow::decompose`). Lives on the [`SolverWorkspace`] so buffers are
-/// reused across solves like every other arena; a plain `Default` when the
-/// parallel path never runs.
-///
-/// The layout is "flat CSR + per-region index ranges": `bounds` partitions
-/// `0..n` into contiguous regions, `region_of` inverts it, and `arenas[r]`
-/// holds region `r`'s exclusively-owned state so a scoped worker borrows one
-/// `&mut RegionArena` plus shared `&` views of everything else.
-#[derive(Debug, Default)]
-pub(crate) struct ParScratch {
-    /// Shared tentative distances, CAS-min updated by all regions.
-    pub dist: Vec<AtomicI64>,
-    /// Potential scratch for the join-time price repair.
-    pub potential: Vec<i64>,
-    /// Region owning each node (index into `arenas`).
-    pub region_of: Vec<u32>,
-    /// Region end offsets: region `r` owns nodes `bounds[r]..bounds[r + 1]`.
-    pub bounds: Vec<u32>,
-    /// Working-set membership per edge id.
-    pub keep: Vec<bool>,
-    /// CSR row starts of the kept adjacency (edge ids per tail).
-    pub kept_start: Vec<u32>,
-    /// CSR payload of the kept adjacency: stable edge ids.
-    pub kept_edges: Vec<u32>,
-    /// Head node per kept-CSR entry — a sequential-scan copy, so the settle
-    /// and blocking-flow hot loops never chase `slot_of` indirections.
-    pub kept_to: Vec<u32>,
-    /// Cost per kept-CSR entry (immutable over a solve, copied once).
-    pub kept_cost: Vec<i64>,
-    /// Live capacity per kept-CSR entry, patched from the residual's push
-    /// log between rounds and updated in place by the kept blocking flow.
-    pub kept_cap: Vec<i64>,
-    /// Edge id → kept-CSR position (`u32::MAX`: not kept).
-    pub kept_pos: Vec<u32>,
-    /// Blocking-flow DFS node states ([`BF_FRESH`]-family constants).
-    pub level: Vec<i32>,
-    /// Blocking-flow DFS arc cursors (kept-CSR positions).
-    pub iter: Vec<u32>,
-    /// Blocking-flow DFS path: kept-CSR positions of the in-arcs taken.
-    pub path: Vec<u32>,
-    /// Blocking-flow DFS node trail, sink-anchored.
-    pub chain: Vec<u32>,
-    /// Ranking scratch of the working-set builder: `(reduced cost, edge)`.
-    pub rank: Vec<(i64, u32)>,
-    /// Counting-sort row starts for the in-arc (head-side) ranking pass.
-    pub in_start: Vec<u32>,
-    /// Counting-sort cursors for the in-arc ranking pass.
-    pub in_cursor: Vec<u32>,
-    /// Counting-sort payload for the in-arc ranking pass.
-    pub in_items: Vec<(i64, u32)>,
-    /// Per-region exclusively-owned worker state.
-    pub arenas: Vec<RegionArena>,
-    /// Cross-region handoff queues: a relaxation that improves a node owned
-    /// by another region pushes it here instead of into a foreign heap.
-    pub inboxes: Vec<Mutex<Vec<u32>>>,
-}
 
 /// Hot per-node solver state: the potential, the epoch-stamped tentative
 /// distance and the blocking-flow BFS level, packed into one 24-byte record.
@@ -148,6 +76,11 @@ pub struct SolverStats {
     /// aggregators (e.g. the allocation pipeline) fold their incident counts
     /// in here so one struct carries the whole effort/health picture.
     pub incidents: u64,
+    /// Pruned solves (networks of 100 000 arcs or more) whose price repair
+    /// or optimality certificate failed and that were re-solved without
+    /// pruning. Expected to stay 0; a non-zero count flags a working-set
+    /// miss the certificate caught.
+    pub prune_fallbacks: u64,
 }
 
 impl std::ops::Sub for SolverStats {
@@ -157,6 +90,7 @@ impl std::ops::Sub for SolverStats {
             dijkstra_rounds: self.dijkstra_rounds.saturating_sub(rhs.dijkstra_rounds),
             pushed_units: self.pushed_units.saturating_sub(rhs.pushed_units),
             incidents: self.incidents.saturating_sub(rhs.incidents),
+            prune_fallbacks: self.prune_fallbacks.saturating_sub(rhs.prune_fallbacks),
         }
     }
 }
@@ -168,6 +102,7 @@ impl std::ops::Add for SolverStats {
             dijkstra_rounds: self.dijkstra_rounds + rhs.dijkstra_rounds,
             pushed_units: self.pushed_units + rhs.pushed_units,
             incidents: self.incidents + rhs.incidents,
+            prune_fallbacks: self.prune_fallbacks + rhs.prune_fallbacks,
         }
     }
 }
@@ -255,14 +190,11 @@ pub struct SolverWorkspace {
     /// invalidates it; only passing scans are cached (errors are terminal
     /// and re-deriving their message is fine). Survives [`Self::prepare`].
     pub(crate) validate_cache: Option<(CacheStamp, i64)>,
-    /// Scratch of the decomposed parallel solve path; empty until the first
-    /// parallel solve on this workspace.
-    pub(crate) par: ParScratch,
-    /// Build-stage region boundary hints (ascending node indices at which a
-    /// partition cut is structurally cheap, e.g. variable starts in the
-    /// allocation network). Consulted by the parallel path's partitioner;
-    /// `None` falls back to uniform cuts. Survives [`Self::prepare`].
-    pub(crate) region_hints: Option<Vec<u32>>,
+    /// Scratch of the pruned SSP path; empty until the first pruned solve
+    /// on this workspace.
+    pub(crate) prune: PruneScratch,
+    /// Pruned solves re-solved without pruning, cumulative across solves.
+    pub(crate) prune_fallbacks: u64,
 }
 
 impl SolverWorkspace {
@@ -333,13 +265,6 @@ impl SolverWorkspace {
         }
     }
 
-    /// Installs build-stage region boundary hints for the decomposed
-    /// parallel solve path: ascending node indices where a partition cut is
-    /// structurally cheap (few crossing arcs). `None` clears them.
-    pub fn set_region_hints(&mut self, hints: Option<Vec<u32>>) {
-        self.region_hints = hints;
-    }
-
     /// Cumulative effort counters (never reset by [`Self::prepare`]; diff
     /// snapshots to scope them to a solve).
     pub fn stats(&self) -> SolverStats {
@@ -347,6 +272,7 @@ impl SolverWorkspace {
             dijkstra_rounds: self.dijkstra_rounds,
             pushed_units: self.pushed_units,
             incidents: 0,
+            prune_fallbacks: self.prune_fallbacks,
         }
     }
 

@@ -5,8 +5,8 @@
 
 use lemra_netflow::{
     max_flow, min_cost_flow, min_cost_flow_cost_scaling, min_cost_flow_cycle_canceling,
-    min_cost_flow_network_simplex, min_cost_flow_par_with, min_cost_flow_scaling, validate, ArcId,
-    Backend, FlowNetwork, NetflowError, NodeId, Reoptimizer, SolverWorkspace,
+    min_cost_flow_network_simplex, min_cost_flow_scaling, validate, ArcId, Backend, FlowNetwork,
+    NetflowError, NodeId, Reoptimizer,
 };
 use proptest::prelude::*;
 
@@ -312,79 +312,6 @@ proptest! {
                 }
                 (Err(NetflowError::Infeasible { .. }), Err(NetflowError::Infeasible { .. })) => {}
                 (a, b) => prop_assert!(false, "ssp and {name} disagree: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    /// The decomposed parallel solver matches serial SSP at every worker
-    /// count, including the degenerate partitions: one region holding the
-    /// whole network (`Some(1)`) and one region per node
-    /// (`Some(usize::MAX)`, clamped to all-singletons). Same objective and
-    /// feasibility verdict on every net; the workspace is reused across
-    /// worker counts to exercise arena and scratch recycling.
-    #[test]
-    fn par_solve_matches_serial_at_every_worker_count(
-        dag in random_dag(false),
-        target in 0i64..8,
-    ) {
-        let (net, s, t) = build(&dag);
-        let serial = min_cost_flow(&net, s, t, target);
-        let mut ws = SolverWorkspace::default();
-        for workers in [None, Some(1), Some(2), Some(usize::MAX)] {
-            let par = min_cost_flow_par_with(&net, s, t, target, &mut ws, workers);
-            match (&serial, par) {
-                (Ok(a), Ok(b)) => {
-                    validate(&net, s, t, &b).unwrap();
-                    prop_assert_eq!(a.cost, b.cost, "workers {:?}", workers);
-                    prop_assert_eq!(b.value, target);
-                }
-                (Err(NetflowError::Infeasible { required, achieved }), Err(
-                    NetflowError::Infeasible { required: r2, achieved: a2 },
-                )) => {
-                    // The parallel path must report the *exact* shortfall,
-                    // not just the verdict: its serial continuation runs on
-                    // the full residual, never the pruned working set.
-                    prop_assert_eq!(*required, r2);
-                    prop_assert_eq!(*achieved, a2);
-                }
-                (a, b) => prop_assert!(
-                    false,
-                    "serial and par({workers:?}) disagree: {a:?} vs {b:?}"
-                ),
-            }
-        }
-    }
-
-    /// On tie-broken nets (unique optimum by power-of-two cost offsets) the
-    /// parallel solver must reproduce serial SSP's placement arc-for-arc at
-    /// every worker count — the in-process form of the byte-identical
-    /// report guarantee `--par-solve` makes.
-    #[test]
-    fn par_solve_places_identically_when_tie_broken(
-        dag in random_dag(false),
-        target in 1i64..5,
-    ) {
-        let mut net = FlowNetwork::new();
-        let ids = net.add_nodes(dag.nodes);
-        for (i, &(f, t_, _, _, cost)) in dag.arcs.iter().take(24).enumerate() {
-            net.add_arc(ids[f], ids[t_], 1, cost * (1i64 << 25) + (1i64 << i))
-                .expect("valid arc");
-        }
-        let (s, t) = (ids[0], ids[dag.nodes - 1]);
-        let serial = min_cost_flow(&net, s, t, target);
-        let mut ws = SolverWorkspace::default();
-        for workers in [Some(1), Some(3), Some(usize::MAX)] {
-            let par = min_cost_flow_par_with(&net, s, t, target, &mut ws, workers);
-            match (&serial, par) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(
-                    &a.flows, &b.flows,
-                    "par({:?}) placed flow differently", workers
-                ),
-                (Err(NetflowError::Infeasible { .. }), Err(NetflowError::Infeasible { .. })) => {}
-                (a, b) => prop_assert!(
-                    false,
-                    "serial and par({workers:?}) disagree: {a:?} vs {b:?}"
-                ),
             }
         }
     }

@@ -217,6 +217,9 @@ fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         match listener.accept() {
             Ok((stream, _)) => {
                 ServerMetrics::bump(&shared.metrics.conns_opened);
+                // Responses are small request/reply frames: send each at
+                // once instead of letting Nagle wait for the client's ACK.
+                let _ = stream.set_nodelay(true);
                 let shared = Arc::clone(shared);
                 conn_threads.push(std::thread::spawn(move || conn_loop(&shared, stream)));
             }

@@ -214,18 +214,24 @@ impl From<io::Error> for WireError {
 
 /// Encodes one frame.
 ///
+/// Header and payload go out in a single `write_all` from one buffer: two
+/// writes would put a small header segment on the wire first, and Nagle's
+/// algorithm then holds the payload until the peer's delayed ACK (~40 ms)
+/// on a socket without `TCP_NODELAY`.
+///
 /// # Errors
 ///
 /// I/O errors from the writer.
 pub fn write_frame(w: &mut impl Write, code: u16, id: u64, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4..6].copy_from_slice(&VERSION.to_be_bytes());
-    header[6..8].copy_from_slice(&code.to_be_bytes());
-    header[8..16].copy_from_slice(&id.to_be_bytes());
-    header[16..20].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&VERSION.to_be_bytes());
+    frame.extend_from_slice(&code.to_be_bytes());
+    frame.extend_from_slice(&id.to_be_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    debug_assert_eq!(frame.len(), HEADER_LEN);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

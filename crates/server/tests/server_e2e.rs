@@ -73,6 +73,36 @@ fn ping_allocate_and_byte_identical_duplicates() {
     server.join();
 }
 
+/// Back-to-back requests on one connection must not stall on the
+/// transport: a response split across small writes on a socket with
+/// Nagle's algorithm on waits for the client's delayed ACK, ~40 ms a
+/// request, whatever the solve costs.
+#[test]
+fn back_to_back_requests_on_one_connection_do_not_stall() {
+    let mut server = start(|_| {});
+    let mut client = Client::connect(server.addr()).unwrap();
+    // Warm the worker's caches and thread-local workspaces.
+    assert_eq!(
+        client.allocate(FIGURE1, 2, None).unwrap().status,
+        Status::Ok
+    );
+    let mut latencies: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let response = client.allocate(FIGURE1, 2, None).unwrap();
+            assert_eq!(response.status, Status::Ok, "{}", response.payload);
+            t0.elapsed()
+        })
+        .collect();
+    latencies.sort();
+    let p50 = latencies[latencies.len() / 2];
+    assert!(
+        p50 < Duration::from_millis(10),
+        "p50 {p50:?} over 20 back-to-back requests: {latencies:?}"
+    );
+    server.join();
+}
+
 #[test]
 fn program_digest_matches_offline_allocation() {
     let table = |shift: u32| {
