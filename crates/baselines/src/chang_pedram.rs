@@ -18,7 +18,7 @@
 use crate::BaselineError;
 use lemra_core::{Allocation, AllocationProblem};
 use lemra_ir::{DensityProfile, VarId};
-use lemra_netflow::{ArcId, FlowNetwork, LemraConfig};
+use lemra_netflow::{ArcId, Backend, FlowNetwork};
 
 /// Result of the two-phase baseline.
 #[derive(Debug, Clone)]
@@ -132,15 +132,16 @@ pub fn min_switching_register_allocation(
     }
     net.add_arc(s, t, k, 0)?;
 
-    let sol = LemraConfig::get()
-        .backend
-        .solve(&net, s, t, k)
-        .map_err(|e| match e {
-            lemra_netflow::NetflowError::Infeasible { required, achieved } => {
-                BaselineError::Infeasible { required, achieved }
-            }
-            other => BaselineError::Flow(other),
-        })?;
+    // Pinned to SSP rather than the configured backend: phase 1 often has
+    // several equal-switching optima, and phase 2's split (hence the
+    // baseline's energy) depends on which one the solver returns, so the
+    // comparator must not move with `LEMRA_BACKEND`.
+    let sol = Backend::Ssp.solve(&net, s, t, k).map_err(|e| match e {
+        lemra_netflow::NetflowError::Infeasible { required, achieved } => {
+            BaselineError::Infeasible { required, achieved }
+        }
+        other => BaselineError::Flow(other),
+    })?;
 
     // Chains via successor pointers.
     let mut successor: Vec<Option<usize>> = vec![None; n];

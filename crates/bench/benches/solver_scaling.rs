@@ -3,7 +3,7 @@
 //!
 //! Benchmarks the end-to-end allocation (network construction + min-cost
 //! flow + extraction) over random instances of growing size, plus the SSP
-//! solver against the cycle-cancelling reference on the same instance.
+//! solver against the cost-scaling reference on the same instance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lemra_core::{allocate, AllocationProblem};
@@ -62,14 +62,8 @@ fn solver_comparison(c: &mut Criterion) {
     // BENCH_solver.json; keep them stable.
     let backends = [
         ("ssp", Backend::Ssp),
-        ("scaling", Backend::Scaling),
-        ("cycle_cancel", Backend::CycleCancel),
-        ("network_simplex", Backend::Simplex),
         ("cost_scaling", Backend::CostScaling),
     ];
-    // All five backends run at every size, 512 included: minimum-mean
-    // cancellation and block pivoting made the former laggards measurable
-    // at the size where `Auto` would actually consider them.
     for vars in [32usize, 128, 512] {
         let (net, s, t, f) = random_flow(vars, 7);
         for (id, backend) in backends {

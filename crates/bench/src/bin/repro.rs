@@ -12,11 +12,10 @@
 //!
 //! `--timings` additionally prints per-stage pipeline timings and solver
 //! counters to **stderr** (stdout — including `--json` — is byte-identical
-//! with or without the flag). `--backend
-//! <ssp|scaling|cycle|simplex|cost_scaling|auto>` overrides the solver
-//! backend (same values as `LEMRA_BACKEND`, which it takes precedence
-//! over); every backend reaches the same optimal objectives, and
-//! tie-broken sections commit identical allocations.
+//! with or without the flag). `--backend <ssp|cost_scaling|auto>`
+//! overrides the solver backend (same values as `LEMRA_BACKEND`, which it
+//! takes precedence over); every backend reaches the same optimal
+//! objectives, and tie-broken sections commit identical allocations.
 
 use lemra_bench::experiments::{
     run_figure3, run_figure4, run_headline, run_offchip, run_sizing, run_table1, Figure3Result,

@@ -8,16 +8,15 @@
 //! [`SolverWorkspace::set_budget`](crate::SolverWorkspace::set_budget) or
 //! let [`McfSolver::solve_budgeted`](crate::McfSolver::solve_budgeted)
 //! install it for one call) and is checked **cooperatively at phase
-//! boundaries** — once per shortest-path round, per cancellation round, per
-//! simplex pivot block — so the default unlimited budget costs two `Option`
-//! reads per round and zero clock reads on the solver hot path.
+//! boundaries** — once per shortest-path round, per cost-scaling refine
+//! phase, per warm-repair drain round — so the default unlimited budget
+//! costs two `Option` reads per round and zero clock reads on the solver hot
+//! path.
 //!
-//! The three limits are independent and any subset may be set:
+//! The two limits are independent and either may be set:
 //!
-//! * `max_pivots` — network-simplex pivots (the only backend whose unit of
-//!   progress is a pivot).
-//! * `max_rounds` — shortest-path / cancellation / drain rounds for the
-//!   SSP-family backends, cycle cancelling and the reoptimizer.
+//! * `max_rounds` — shortest-path rounds for SSP, refine phases for cost
+//!   scaling and drain rounds for the reoptimizer.
 //! * `deadline` — a wall-clock [`Instant`]; checked only when set, so the
 //!   default never touches the clock.
 
@@ -56,11 +55,7 @@ use std::time::Instant;
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveBudget {
-    /// Maximum network-simplex pivots; `None` leaves the algorithm's own
-    /// `64·arcs·nodes` backstop as the only bound.
-    pub max_pivots: Option<u64>,
-    /// Maximum shortest-path / cancellation / drain rounds; `None` is
-    /// unlimited.
+    /// Maximum shortest-path / refine / drain rounds; `None` is unlimited.
     pub max_rounds: Option<u64>,
     /// Wall-clock deadline; `None` never reads the clock.
     pub deadline: Option<Instant>,
@@ -69,16 +64,9 @@ pub struct SolveBudget {
 impl SolveBudget {
     /// The unlimited budget (identical to `SolveBudget::default()`).
     pub const UNLIMITED: SolveBudget = SolveBudget {
-        max_pivots: None,
         max_rounds: None,
         deadline: None,
     };
-
-    /// This budget with `max_pivots` set.
-    pub fn with_max_pivots(mut self, pivots: u64) -> Self {
-        self.max_pivots = Some(pivots);
-        self
-    }
 
     /// This budget with `max_rounds` set.
     pub fn with_max_rounds(mut self, rounds: u64) -> Self {
@@ -100,7 +88,7 @@ impl SolveBudget {
 
     /// True when no limit is set — solvers use this to skip accounting.
     pub fn is_unlimited(&self) -> bool {
-        self.max_pivots.is_none() && self.max_rounds.is_none() && self.deadline.is_none()
+        self.max_rounds.is_none() && self.deadline.is_none()
     }
 
     /// Checks the round budget and the deadline after `progress` completed
@@ -118,31 +106,6 @@ impl SolveBudget {
         progress: u64,
     ) -> Result<(), NetflowError> {
         if let Some(max) = self.max_rounds {
-            if progress >= max {
-                return Err(NetflowError::BudgetExceeded {
-                    backend,
-                    phase,
-                    progress,
-                });
-            }
-        }
-        self.check_deadline(backend, phase, progress)
-    }
-
-    /// Checks the pivot budget and the deadline after `progress` completed
-    /// pivots of `phase` in `backend`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::check_rounds`], against `max_pivots`.
-    #[inline]
-    pub fn check_pivots(
-        &self,
-        backend: &'static str,
-        phase: &'static str,
-        progress: u64,
-    ) -> Result<(), NetflowError> {
-        if let Some(max) = self.max_pivots {
             if progress >= max {
                 return Err(NetflowError::BudgetExceeded {
                     backend,
@@ -191,7 +154,6 @@ mod tests {
         assert!(b.is_unlimited());
         assert_eq!(b, SolveBudget::UNLIMITED);
         assert!(b.check_rounds("ssp", "augment", u64::MAX).is_ok());
-        assert!(b.check_pivots("simplex", "pivot", u64::MAX).is_ok());
     }
 
     #[test]
@@ -208,28 +170,22 @@ mod tests {
                 progress: 3,
             }
         ));
-        // Rounds don't constrain pivots.
-        assert!(b.check_pivots("simplex", "pivot", 100).is_ok());
-    }
-
-    #[test]
-    fn pivot_limit_trips_at_threshold() {
-        let b = SolveBudget::default().with_max_pivots(10);
-        assert!(b.check_pivots("simplex", "pivot", 9).is_ok());
-        assert!(b.check_pivots("simplex", "pivot", 10).is_err());
-        assert!(b.check_rounds("ssp", "augment", 100).is_ok());
+        // The deadline alone leaves the round count unlimited.
+        let far = Instant::now() + Duration::from_secs(3600);
+        let timed = SolveBudget::default().with_deadline(far);
+        assert!(!timed.is_unlimited());
+        assert!(timed.check_rounds("ssp", "augment", u64::MAX).is_ok());
     }
 
     #[test]
     fn expired_deadline_trips_every_check() {
         let past = Instant::now() - Duration::from_secs(1);
         let b = SolveBudget::default().with_deadline(past);
-        assert!(b.check_rounds("cycle", "cancel", 0).is_err());
-        assert!(b.check_pivots("simplex", "pivot", 0).is_err());
+        assert!(b.check_rounds("cost_scaling", "refine", 0).is_err());
         assert!(b.check_deadline("reopt", "drain", 0).is_err());
         let future = Instant::now() + Duration::from_secs(3600);
         let ok = SolveBudget::default().with_deadline(future);
-        assert!(ok.check_rounds("cycle", "cancel", 0).is_ok());
+        assert!(ok.check_rounds("cost_scaling", "refine", 0).is_ok());
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //!
 //! Parsing is strict: a malformed variable is an error carrying the list of
 //! accepted values, never a silent fallback (a mistyped
-//! `LEMRA_BACKEND=simplx` used to run `Ssp` without a word).
+//! `LEMRA_BACKEND=cost_scalng` used to run `Ssp` without a word).
 
 use crate::solver::Backend;
 use crate::NetflowError;
 use std::sync::OnceLock;
 
 /// Environment variable selecting the min-cost-flow [`Backend`]
-/// (`ssp`, `scaling`, `cycle`, `simplex`, `cost_scaling`, `auto`;
-/// default `ssp`).
+/// (`ssp`, `cost_scaling`, `auto`; default `ssp`).
 pub const BACKEND_ENV: &str = "LEMRA_BACKEND";
 
 /// Environment variable overriding the worker-thread count (`1` forces
@@ -29,12 +28,6 @@ pub const THREADS_ENV: &str = "LEMRA_THREADS";
 /// cold-solve every point (escape hatch for debugging and for timing
 /// comparisons against the warm path).
 pub const COLD_ENV: &str = "LEMRA_COLD";
-
-/// Environment variable overriding the network-simplex entering-arc block
-/// size (positive integer; unset picks `max(⌈√arcs⌉, 10)` per solve).
-/// Block size 1 degenerates to a first-eligible rule, useful for pivot
-/// sequence comparisons.
-pub const SIMPLEX_BLOCK_ENV: &str = "LEMRA_SIMPLEX_BLOCK";
 
 /// Environment variable selecting the cross-request allocation cache mode
 /// (`off` — default, no cache; `exact` — replay byte-identical solutions on
@@ -125,9 +118,6 @@ pub struct LemraConfig {
     /// Whether the `validate` cargo feature (in-solve invariant auditing)
     /// is compiled in — informational, for reports.
     pub validate: bool,
-    /// Entering-arc block size for the network-simplex backend; `None`
-    /// lets each solve pick `max(⌈√arcs⌉, 10)`.
-    pub simplex_block: Option<usize>,
     /// No effect (see [`ParSolve`]); always [`ParSolve::Auto`] from the
     /// environment. To be removed.
     pub par_solve: ParSolve,
@@ -145,7 +135,6 @@ impl Default for LemraConfig {
             cold: false,
             timings: false,
             validate: cfg!(feature = "validate"),
-            simplex_block: None,
             par_solve: ParSolve::Auto,
             cache: CacheMode::Off,
             cache_cap: 128,
@@ -157,8 +146,8 @@ static CONFIG: OnceLock<LemraConfig> = OnceLock::new();
 
 impl LemraConfig {
     /// Builds a configuration from the environment ([`BACKEND_ENV`],
-    /// [`THREADS_ENV`], [`COLD_ENV`], [`SIMPLEX_BLOCK_ENV`]); unset
-    /// variables fall back to the defaults. Timings are flag-only (no env
+    /// [`THREADS_ENV`], [`COLD_ENV`], [`CACHE_ENV`], [`CACHE_CAP_ENV`]);
+    /// unset variables fall back to the defaults. Timings are flag-only (no env
     /// variable), so they default to off.
     ///
     /// # Errors
@@ -172,7 +161,6 @@ impl LemraConfig {
             std::env::var(BACKEND_ENV).ok().as_deref(),
             std::env::var(THREADS_ENV).ok().as_deref(),
             std::env::var(COLD_ENV).ok().as_deref(),
-            std::env::var(SIMPLEX_BLOCK_ENV).ok().as_deref(),
             std::env::var(CACHE_ENV).ok().as_deref(),
             std::env::var(CACHE_CAP_ENV).ok().as_deref(),
         )
@@ -188,7 +176,6 @@ impl LemraConfig {
         backend: Option<&str>,
         threads: Option<&str>,
         cold: Option<&str>,
-        simplex_block: Option<&str>,
         cache: Option<&str>,
         cache_cap: Option<&str>,
     ) -> Result<Self, NetflowError> {
@@ -204,16 +191,6 @@ impl LemraConfig {
             })
             .transpose()?;
         let cold = cold.is_some_and(|v| !v.is_empty() && v != "0");
-        let simplex_block = simplex_block
-            .map(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| NetflowError::InvalidArc {
-                        reason: format!("{SIMPLEX_BLOCK_ENV}=`{v}` is not a positive block size"),
-                    })
-            })
-            .transpose()?;
         let cache = cache.map_or(Ok(CacheMode::default()), str::parse)?;
         let cache_cap = cache_cap
             .map(|v| {
@@ -229,7 +206,6 @@ impl LemraConfig {
             backend,
             threads,
             cold,
-            simplex_block,
             cache,
             cache_cap: cache_cap.unwrap_or(Self::default().cache_cap),
             ..Self::default()
@@ -285,7 +261,6 @@ mod tests {
         assert!(!cfg.cold);
         assert!(!cfg.timings);
         assert_eq!(cfg.threads, None);
-        assert_eq!(cfg.simplex_block, None);
     }
 
     #[test]
@@ -311,26 +286,29 @@ mod tests {
 
     #[test]
     fn from_vars_parses_each_knob() {
-        let cfg =
-            LemraConfig::from_vars(Some("simplex"), Some("3"), Some("1"), Some("8"), None, None)
-                .unwrap();
-        assert_eq!(cfg.backend, Backend::Simplex);
+        let cfg = LemraConfig::from_vars(Some("auto"), Some("3"), Some("1"), None, None).unwrap();
+        assert_eq!(cfg.backend, Backend::Auto);
         assert_eq!(cfg.threads, Some(3));
         assert!(cfg.cold);
-        assert_eq!(cfg.simplex_block, Some(8));
-        let unset = LemraConfig::from_vars(None, None, None, None, None, None).unwrap();
+        let unset = LemraConfig::from_vars(None, None, None, None, None).unwrap();
         assert_eq!(unset, LemraConfig::default());
-        let off = LemraConfig::from_vars(None, None, Some("0"), None, None, None).unwrap();
+        let off = LemraConfig::from_vars(None, None, Some("0"), None, None).unwrap();
         assert!(!off.cold);
     }
 
     #[test]
     fn unknown_backend_is_an_error_listing_valid_names() {
-        let err = LemraConfig::from_vars(Some("simplx"), None, None, None, None, None).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("simplx"), "names the offender: {msg}");
-        for name in ["ssp", "scaling", "cycle", "simplex", "cost_scaling", "auto"] {
-            assert!(msg.contains(name), "lists `{name}`: {msg}");
+        // Typos and the names of removed backends are rejected alike.
+        for bad in ["cost_scalng", "simplex", "cycle", "scaling"] {
+            let err = LemraConfig::from_vars(Some(bad), None, None, None, None).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("`{bad}`")),
+                "names the offender: {msg}"
+            );
+            for name in ["ssp", "cost_scaling", "auto"] {
+                assert!(msg.contains(name), "lists `{name}`: {msg}");
+            }
         }
     }
 
@@ -346,32 +324,29 @@ mod tests {
                 assert!(err.contains(name), "lists `{name}`: {err}");
             }
         }
-        let cfg = LemraConfig::from_vars(None, None, None, None, Some("warm"), Some("7")).unwrap();
+        let cfg = LemraConfig::from_vars(None, None, None, Some("warm"), Some("7")).unwrap();
         assert_eq!(cfg.cache, CacheMode::Warm);
         assert_eq!(cfg.cache_cap, 7);
         assert!(
-            LemraConfig::from_vars(None, None, None, None, Some("wram"), None).is_err(),
+            LemraConfig::from_vars(None, None, None, Some("wram"), None).is_err(),
             "a typo'd {CACHE_ENV} must fail loudly"
         );
-        assert!(LemraConfig::from_vars(None, None, None, None, None, Some("0")).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, None, None, Some("many")).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, None, Some("0")).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, None, Some("many")).is_err());
     }
 
     #[test]
     fn cost_scaling_backend_parses_from_env_vars() {
-        let cfg =
-            LemraConfig::from_vars(Some("cost_scaling"), None, None, None, None, None).unwrap();
+        let cfg = LemraConfig::from_vars(Some("cost_scaling"), None, None, None, None).unwrap();
         assert_eq!(cfg.backend, Backend::CostScaling);
-        let dashed =
-            LemraConfig::from_vars(Some("cost-scaling"), None, None, None, None, None).unwrap();
+        let dashed = LemraConfig::from_vars(Some("cost-scaling"), None, None, None, None).unwrap();
         assert_eq!(dashed.backend, Backend::CostScaling);
     }
 
     #[test]
     fn malformed_numeric_knobs_are_errors() {
-        assert!(LemraConfig::from_vars(None, Some("zero"), None, None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, Some("0"), None, None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, Some("-1"), None, None).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, Some("0"), None, None).is_err());
+        assert!(LemraConfig::from_vars(None, Some("zero"), None, None, None).is_err());
+        assert!(LemraConfig::from_vars(None, Some("0"), None, None, None).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, None, Some("-1")).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Goldberg–Tarjan cost-scaling min-cost flow (push-relabel with ε-scaling).
 //!
-//! The fifth backend: instead of augmenting along shortest paths, maintain a
-//! *feasible flow* whose residual reduced costs are kept ≥ −ε for a shrinking
+//! The second backend, beside SSP: instead of augmenting along shortest
+//! paths, maintain a *feasible flow* whose residual reduced costs are kept ≥ −ε for a shrinking
 //! ε. Costs are scaled by `n + 1`, ε starts at the largest scaled cost and is
 //! divided by [`ALPHA`] per phase; once ε reaches 1 in the scaled domain
 //! (i.e. below `1/n` in the original), ε-optimality implies exact optimality,
@@ -38,10 +38,9 @@
 //! ladder still descends from `cmax` — collapsing it would void the
 //! per-phase relabel bound (see the price-war note in `cost_scaling_run`).
 //!
-//! The solver never reports [`NetflowError::NegativeCycle`]: like cycle
-//! cancelling and the network simplex, it handles negative-cost cycles
-//! natively by saturating them (they appear as negative reduced costs at
-//! ε₀) and charging their cost to the solution.
+//! The solver never reports [`NetflowError::NegativeCycle`]: unlike SSP, it
+//! handles negative-cost cycles natively by saturating them (they appear as
+//! negative reduced costs at ε₀) and charging their cost to the solution.
 
 use crate::dinic::dinic;
 use crate::graph::{FlowNetwork, NodeId};
@@ -60,8 +59,7 @@ const ALPHA: i128 = 16;
 ///
 /// Unlike the SSP-family solvers, negative-cost cycles are handled natively
 /// (their flow is part of the minimum-cost solution), so this backend never
-/// returns [`NetflowError::NegativeCycle`] — the same contract as cycle
-/// cancelling and the network simplex.
+/// returns [`NetflowError::NegativeCycle`].
 ///
 /// # Errors
 ///

@@ -1,8 +1,8 @@
 //! Dinic's max-flow algorithm.
 //!
 //! Used directly for maximum-flow queries (e.g. feasibility probes and the
-//! Chang–Pedram baseline in `lemra-baselines`) and as the feasible-flow
-//! bootstrap of the cycle-cancelling min-cost solver.
+//! Chang–Pedram baseline in `lemra-baselines`) and as the feasibility
+//! check of the cost-scaling min-cost solver.
 
 use crate::graph::{FlowNetwork, NodeId};
 use crate::residual::{idx, Residual};

@@ -482,7 +482,7 @@ mod tests {
         let _serial = serial();
         let plan = FaultPlan::new()
             .fail_at(FaultKind::Budget, 2)
-            .fail_backend_at(FaultKind::Panic, 4, "simplex");
+            .fail_backend_at(FaultKind::Panic, 4, "cost_scaling");
         plan.install();
         // Wrong index: nothing.
         assert_eq!(maybe_inject(1, 0, "ssp"), None);
@@ -493,8 +493,8 @@ mod tests {
         assert_eq!(maybe_inject(2, 0, "ssp"), None);
         // Qualified fault waits for its backend, at any attempt.
         assert_eq!(maybe_inject(4, 0, "ssp"), None);
-        assert_eq!(maybe_inject(4, 1, "simplex"), Some(FaultKind::Panic));
-        assert_eq!(maybe_inject(4, 2, "simplex"), None);
+        assert_eq!(maybe_inject(4, 1, "cost_scaling"), Some(FaultKind::Panic));
+        assert_eq!(maybe_inject(4, 2, "cost_scaling"), None);
         FaultPlan::clear();
         assert_eq!(maybe_inject(2, 0, "ssp"), None);
     }

@@ -358,8 +358,8 @@ impl FlowNetwork {
     ///   (`Σ |cost|·max(capacity, 1)`, the bound on any distance, potential
     ///   or objective the solvers form) does not fit the solvers' `i64`
     ///   arithmetic with its `i64::MAX / 4` sentinel headroom
-    ///   ([`NetflowError::Overflow`]); backends with an `i128` wide path
-    ///   (cycle cancelling) select it themselves below this threshold.
+    ///   ([`NetflowError::Overflow`]); cost scaling keeps its scaled prices
+    ///   in `i128` below this threshold.
     ///
     /// # Errors
     ///

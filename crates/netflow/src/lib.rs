@@ -7,24 +7,18 @@
 //! paper's "forced register" arcs of §5.2) and possibly **negative** costs
 //! (a register placement *saves* memory energy, eq. (4)).
 //!
-//! Five independent solvers are provided:
+//! Two solvers are provided:
 //!
 //! * [`min_cost_flow`] — successive shortest paths with node potentials; the
 //!   production solver, polynomial time, requires the network to be free of
-//!   negative-cost cycles (allocation networks are DAGs, so this holds).
-//! * [`min_cost_flow_cycle_canceling`] — minimum-mean cycle cancelling
-//!   (Howard's policy iteration); the solver of choice for networks with
-//!   negative-cost cycles, and a cross-check elsewhere.
-//! * [`min_cost_flow_scaling`] — a capacity-scaling variant for networks
-//!   with large capacities; a third independent implementation.
-//! * [`min_cost_flow_network_simplex`] — the classical network simplex with
-//!   block-search pivoting and a strongly feasible basis, handling
-//!   negative-cost cycles; a fourth independent implementation.
+//!   negative-cost cycles (allocation networks are DAGs, so this holds). The
+//!   flow value is the register count R, so it needs at most R augmenting
+//!   rounds, and every solve is checked by an O(E) optimality certificate
+//!   before it returns.
 //! * [`min_cost_flow_cost_scaling`] — Goldberg–Tarjan push-relabel with
 //!   ε-scaling (push-lookahead, price refinement and set-relabel
 //!   heuristics); handles negative-cost cycles natively and is the
-//!   auto-selected backend for cyclic networks; a fifth independent
-//!   implementation.
+//!   auto-selected backend for cyclic networks with negative costs.
 //!
 //! Plus [`max_flow`] (Dinic), [`validate`] for auditing any solution, and
 //! [`FlowSolution::decompose_paths`] to extract the register chains.
@@ -41,10 +35,10 @@
 //! once per solve by a counting sort. The shortest-path solvers keep their
 //! per-node scratch state (distances, parent pointers, the heap) in a
 //! [`SolverWorkspace`] reused across augmentations; the plain entry points
-//! keep one workspace per thread, and [`min_cost_flow_with`] /
-//! [`min_cost_flow_scaling_with`] accept an explicit one for sweeps. On DAG
-//! inputs — every network the allocator builds — the initial potentials come
-//! from a single O(V+E) topological relaxation instead of Bellman–Ford;
+//! keep one workspace per thread, and [`min_cost_flow_with`] accepts an
+//! explicit one for sweeps. On DAG inputs — every network the allocator
+//! builds — the initial potentials come from a single O(V+E) topological
+//! relaxation instead of Bellman–Ford;
 //! cyclic networks fall back to deque-based SPFA. Dijkstra's frontier is a
 //! monotone radix heap rather than a binary heap — profiling the 512-variable
 //! allocation showed the solve heap-bound (≈490k pushes and 170k pops per
@@ -58,24 +52,9 @@
 //!
 //! Together these changes take the end-to-end 512-variable allocation
 //! benchmark from 209.3 ms to 54.5 ms (3.8×); the smaller sizes in the
-//! `allocate_scaling` sweep improve 2.2–2.8×, the raw SSP solve 2.3× and the
-//! capacity-scaling solve 3.0× (criterion medians, recorded in
-//! `BENCH_solver.json` at the repository root).
-//!
-//! The two cross-check backends are tuned rather than merely correct.
-//! Cycle cancelling replaces the old fresh O(V·E) Bellman–Ford per cycle
-//! with three cooperating phases over the residual CSR: a greedy bulk
-//! phase that sweeps the cheapest-out-edge policy and cancels its negative
-//! cycles at O(V) a sweep, Howard's minimum-mean policy iteration per SCC
-//! with *eager* cancellation and incremental policy repair (Karp's
-//! recurrence backs the extraction when Howard's round budget trips), and
-//! one whole-graph Bellman–Ford pass whose converged distances are
-//! feasible potentials — an exact certificate of emptiness that costs a
-//! few linear sweeps instead of another SCC + convergence round. The
-//! network simplex picks entering arcs by a resumable block search while
-//! maintaining a strongly feasible basis that relabels only the smaller
-//! subtree per pivot ([`min_cost_flow_network_simplex_with_block`] pins the
-//! block size; `LEMRA_SIMPLEX_BLOCK` tunes the default).
+//! `allocate_scaling` sweep improve 2.2–2.8× and the raw SSP solve 2.3×
+//! (criterion medians, recorded in `BENCH_solver.json` at the repository
+//! root).
 //!
 //! Enabling the `validate` cargo feature arms a per-edge reduced-cost check
 //! inside Dijkstra that turns a violated optimality invariant into
@@ -109,7 +88,6 @@ mod budget;
 mod canon;
 mod config;
 mod cost_scaling;
-mod cycle_cancel;
 mod dinic;
 mod dot;
 #[cfg(feature = "fault-inject")]
@@ -120,8 +98,6 @@ mod radix;
 mod reopt;
 mod residual;
 mod resilience;
-mod scaling;
-mod simplex;
 mod solution;
 mod solver;
 mod ssp;
@@ -131,11 +107,9 @@ pub use batch::{solve_batch, solve_batch_on, BatchProblem};
 pub use budget::SolveBudget;
 pub use canon::{canonicalize, CacheStamp, CanonicalInstance, Fingerprint};
 pub use config::{
-    CacheMode, LemraConfig, ParSolve, BACKEND_ENV, CACHE_CAP_ENV, CACHE_ENV, COLD_ENV,
-    SIMPLEX_BLOCK_ENV, THREADS_ENV,
+    CacheMode, LemraConfig, ParSolve, BACKEND_ENV, CACHE_CAP_ENV, CACHE_ENV, COLD_ENV, THREADS_ENV,
 };
 pub use cost_scaling::{min_cost_flow_cost_scaling, min_cost_flow_cost_scaling_with};
-pub use cycle_cancel::{min_cost_flow_cycle_canceling, min_cost_flow_cycle_canceling_with};
 pub use dinic::max_flow;
 pub use dot::to_dot;
 #[cfg(feature = "fault-inject")]
@@ -146,12 +120,8 @@ pub use fault::{
 pub use graph::{Arc, ArcId, FlowNetwork, NodeId};
 pub use reopt::Reoptimizer;
 pub use resilience::{ResilientSolver, SolverIncident};
-pub use scaling::{min_cost_flow_scaling, min_cost_flow_scaling_with};
-pub use simplex::{min_cost_flow_network_simplex, min_cost_flow_network_simplex_with_block};
 pub use solution::{validate, FlowSolution};
-pub use solver::{
-    Backend, CapacityScaling, CostScalingSolver, CycleCancelling, McfSolver, NetworkSimplex, Ssp,
-};
+pub use solver::{Backend, CostScalingSolver, McfSolver, Ssp};
 pub use ssp::{min_cost_flow, min_cost_flow_with};
 pub use workspace::{thread_solver_stats, SolverStats, SolverWorkspace};
 
@@ -171,8 +141,9 @@ pub enum NetflowError {
         /// Units the network could actually route.
         achieved: i64,
     },
-    /// A negative-cost cycle was found; use
-    /// [`min_cost_flow_cycle_canceling`] instead.
+    /// A negative-cost cycle was found by the SSP solver; use
+    /// [`min_cost_flow_cost_scaling`] (or [`Backend::Auto`], which picks it
+    /// for such networks) instead.
     NegativeCycle,
     /// A flow decomposition found circulating flow not routable from the
     /// source.
@@ -185,19 +156,17 @@ pub enum NetflowError {
         /// Human-readable description of the violated condition.
         reason: String,
     },
-    /// A cooperative [`SolveBudget`] limit (pivots, rounds or the deadline)
+    /// A cooperative [`SolveBudget`] limit (rounds or the deadline)
     /// ran out before the solve converged. The solver left no partial
     /// solution; re-solve with a larger budget or let a
     /// [`ResilientSolver`] fall back to another backend.
     BudgetExceeded {
-        /// The backend that hit the limit (`ssp`, `scaling`, `cycle`,
-        /// `simplex`, `cost_scaling`, `reopt`).
+        /// The backend that hit the limit (`ssp`, `cost_scaling`, `reopt`).
         backend: &'static str,
-        /// The phase the limit tripped in (`augment`, `cancel`, `pivot`,
-        /// `drain`, …).
+        /// The phase the limit tripped in (`augment`, `refine`, `drain`,
+        /// …).
         phase: &'static str,
-        /// Units of progress made before the limit (rounds or pivots,
-        /// depending on the phase).
+        /// Units of progress made before the limit (rounds of the phase).
         progress: u64,
     },
     /// The instance's cost/capacity magnitudes are large enough that solver

@@ -1,5 +1,5 @@
 //! Pruned exact SSP: the successive-shortest-path phases of
-//! [`ssp_phases`](crate::ssp::ssp_phases) settled over a reduced-cost
+//! [`ssp_run`](crate::ssp::ssp_run) settled over a reduced-cost
 //! working set, made exact again by a price repair and checked by an
 //! optimality certificate.
 //!
@@ -88,7 +88,7 @@ pub(crate) struct PruneScratch {
 }
 
 /// The pruned phase loop on a freshly transformed residual: the phases of
-/// [`ssp_phases`](crate::ssp::ssp_phases) with the settling rounds
+/// [`ssp_run`](crate::ssp::ssp_run) with the settling rounds
 /// restricted to the working set, then the repair, the plain rounds that
 /// finish on the full residual, and the certificate.
 ///
@@ -99,7 +99,7 @@ pub(crate) struct PruneScratch {
 /// # Errors
 ///
 /// Budget and negative-cycle errors, exactly as
-/// [`ssp_phases`](crate::ssp::ssp_phases).
+/// [`ssp_run`](crate::ssp::ssp_run).
 pub(crate) fn pruned_phases(
     res: &mut Residual,
     s: usize,
@@ -144,7 +144,7 @@ pub(crate) fn pruned_phases(
     // Everything pushed so far is minimum-cost at its value; the plain
     // rounds route what the working set could not see and deliver the
     // exact achieved value when the instance is infeasible.
-    flow += ssp_rounds(res, s, t, target - flow, ws, "ssp", rounds)?;
+    flow += ssp_rounds(res, s, t, target - flow, ws, rounds)?;
     Ok(certificate_holds(res, &ws.node).then_some(flow))
 }
 
@@ -153,7 +153,7 @@ pub(crate) fn pruned_phases(
 /// potentials. (Nodes the initial potentials left at `INF` are unreachable
 /// from the source, and pushes only ever add residual edges between
 /// reachable nodes, so they stay out of every augmenting path.)
-fn certificate_holds(res: &Residual, node: &[NodeState]) -> bool {
+pub(crate) fn certificate_holds(res: &Residual, node: &[NodeState]) -> bool {
     (0..res.node_count()).all(|u| {
         let pu = node[u].potential;
         pu >= INF
@@ -352,13 +352,21 @@ const MAX_CANCELS: u32 = 256;
 /// are off by; any negative residual cycle the pruning committed (flow a
 /// cheaper unseen detour undercuts) shows up as a cycle in the
 /// label-correcting parent graph and is cancelled in place, preserving the
-/// flow value. Returns `false` when the repair budget trips instead.
-fn repair_certificate(res: &mut Residual, ws: &mut SolverWorkspace) -> bool {
+/// flow value; cancelled units count toward `pushed_units`. The warm
+/// reoptimizer runs the same repair on its retained residual. Returns
+/// `false` when the repair budget trips instead, leaving the potentials as
+/// they were.
+pub(crate) fn repair_certificate(res: &mut Residual, ws: &mut SolverWorkspace) -> bool {
     let n = res.node_count();
-    let SolverWorkspace { node, prune, .. } = ws;
+    let SolverWorkspace {
+        node,
+        prune,
+        pushed_units,
+        ..
+    } = ws;
     prune.pot.clear();
     prune.pot.extend(node[..n].iter().map(|st| st.potential));
-    let ok = converge_prices(res, &mut prune.pot);
+    let ok = converge_prices(res, &mut prune.pot, pushed_units);
     if ok {
         for (st, &p) in node[..n].iter_mut().zip(&prune.pot) {
             st.potential = p;
@@ -525,9 +533,13 @@ fn extract_cycle(
 /// lowering cost) and correction continues in place: the cancellation only
 /// creates new residual edges out of the cycle's own nodes, so re-queueing
 /// those nodes restores the "every violated tail is queued" invariant
-/// without a restart. Returns `true` once the frontier drains; `false`
-/// when [`MAX_CANCELS`] cancellations did not suffice.
-fn converge_prices(res: &mut Residual, pot: &mut [i64]) -> bool {
+/// without a restart. Every cancelled unit is added to `cancelled`.
+/// Returns `true` once the frontier drains — `pot` is then a valid
+/// potential on every residual edge between reachable nodes; `false` when
+/// [`MAX_CANCELS`] cancellations did not suffice or a node diverged, in
+/// which case `pot` is unusable but the residual stays a flow of the same
+/// value.
+fn converge_prices(res: &mut Residual, pot: &mut [i64], cancelled: &mut u64) -> bool {
     let n = res.node_count();
     let cap = n as u32 + 1;
     let mut st = Repair::new(pot);
@@ -559,8 +571,9 @@ fn converge_prices(res: &mut Residual, pot: &mut [i64]) -> bool {
             Relax::Done => {}
             Relax::Diverged => return false,
             Relax::Cycle(cycle) => {
-                if !cancel_cycle(res, &cycle, pot, &mut st, &mut cancels) {
-                    return false;
+                match cancel_cycle(res, &cycle, pot, &mut st, &mut cancels) {
+                    Some(amount) => *cancelled += amount as u64,
+                    None => return false,
                 }
                 // `u`'s remaining out-edges are revisited from the frontier.
                 st.push(u, pot);
@@ -574,18 +587,18 @@ fn converge_prices(res: &mut Residual, pot: &mut [i64]) -> bool {
 /// intact and strictly lowers total cost. The cycle's nodes are severed
 /// from the parent graph (their inbound parent edges may now be saturated)
 /// and re-queued, which also covers the reverse edges the pushes just
-/// opened — each has its tail on the cycle. Returns `false` once
-/// [`MAX_CANCELS`] cancellations have been spent.
+/// opened — each has its tail on the cycle. Returns the units pushed, or
+/// `None` once [`MAX_CANCELS`] cancellations have been spent.
 fn cancel_cycle(
     res: &mut Residual,
     cycle: &[u32],
     pot: &[i64],
     st: &mut Repair,
     cancels: &mut u32,
-) -> bool {
+) -> Option<i64> {
     *cancels += 1;
     if *cancels > MAX_CANCELS {
-        return false;
+        return None;
     }
     debug_assert!(cycle.iter().map(|&e| res.cost_of(e)).sum::<i64>() < 0);
     let amount = cycle
@@ -600,7 +613,7 @@ fn cancel_cycle(
         st.parent[h] = u32::MAX;
         st.push(h, pot);
     }
-    true
+    Some(amount)
 }
 
 #[cfg(test)]

@@ -68,6 +68,7 @@
 
 use crate::budget::SolveBudget;
 use crate::graph::{FlowNetwork, NodeId};
+use crate::prune::repair_certificate;
 use crate::residual::Residual;
 use crate::ssp::{
     check_endpoints, solution_from_residual, ssp_run, transform, update_potentials, Transformed,
@@ -424,7 +425,7 @@ impl State {
         // positive-capacity residual edges between reachable nodes have
         // non-negative reduced cost again.
         self.recheck_all = false;
-        if !self.refine_prices() && !self.cancel_retained_cycles()? {
+        if !self.refine_prices() && !self.cancel_retained_cycles() {
             for e in 0..self.res.slots.len() as u32 {
                 self.saturate_if_negative(e);
             }
@@ -481,36 +482,24 @@ impl State {
     }
 
     /// Fallback for a failed price refinement: cancels every negative
-    /// residual cycle directly on the retained residual, then refines
-    /// again. A cycle push moves flow only around cycles the cost drift
-    /// actually created — unlike saturating each violated edge, which
-    /// converts whole swaths of the graph into excess for the drain to
-    /// re-route (the over-routing a sweep's drained-unit counters used to
-    /// show). Cancellation is free to route through *any* node, so it is
-    /// only sound when the potentials cover all of them — an uncovered
-    /// node would dodge the re-refined certificate; returns `false` (the
-    /// caller saturates instead) in that case or when the re-refinement
-    /// still freezes.
-    ///
-    /// # Errors
-    ///
-    /// [`NetflowError::BudgetExceeded`] from the cancellation pass when the
-    /// workspace carries a budget; the parked potentials are restored before
-    /// the error propagates, so the state stays internally consistent.
-    fn cancel_retained_cycles(&mut self) -> Result<bool, NetflowError> {
-        if self.ws.node.iter().any(|st| st.potential >= INF) {
-            return Ok(false);
+    /// residual cycle directly on the retained residual with the pruned
+    /// solve's label-correcting repair ([`repair_certificate`]), which also
+    /// leaves valid potentials. A cycle push moves flow only around cycles
+    /// the cost drift actually created — unlike saturating each violated
+    /// edge, which converts whole swaths of the graph into excess for the
+    /// drain to re-route (the over-routing a sweep's drained-unit counters
+    /// used to show). Cancelled units count toward `pushed_units`.
+    /// Cancellation is free to route through *any* node, so it is only sound
+    /// when the potentials cover all of them — an uncovered node would dodge
+    /// the certificate; returns `false` (the caller saturates instead) in
+    /// that case or when the repair gives up, leaving the potentials as they
+    /// were.
+    fn cancel_retained_cycles(&mut self) -> bool {
+        let n = self.res.node_count();
+        if self.ws.node[..n].iter().any(|st| st.potential >= INF) {
+            return false;
         }
-        // The cancellation machinery re-prepares the workspace, which
-        // resets potentials; park them across the call. This is a rare
-        // fallback path, so the copy out and back is fine.
-        let saved: Vec<i64> = self.ws.node.iter().map(|st| st.potential).collect();
-        let outcome = crate::cycle_cancel::cancel_all_negative_cycles(&mut self.res, &mut self.ws);
-        for (st, &p) in self.ws.node.iter_mut().zip(&saved) {
-            st.potential = p;
-        }
-        outcome?;
-        Ok(self.refine_prices())
+        repair_certificate(&mut self.res, &mut self.ws)
     }
 
     /// Saturates residual edge `e` if its reduced cost is negative,

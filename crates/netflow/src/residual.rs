@@ -129,10 +129,6 @@ pub(crate) struct Residual {
     /// Kahn's algorithm outright. Cleared by the first push, which may
     /// create a backward (descending) residual edge.
     pub monotone: bool,
-    /// Largest initially-positive slot capacity of the last build — the
-    /// capacity-scaling solver's Δ seed, computed during placement so the
-    /// solver does not rescan the slot array per solve.
-    pub max_build_cap: i64,
     /// Rollback cache identity; `Some` while the journal faithfully records
     /// every live-state mutation since the pristine build.
     built: Option<BuiltMeta>,
@@ -166,7 +162,6 @@ impl Residual {
             cursor2: Vec::new(),
             excess: Vec::new(),
             monotone: false,
-            max_build_cap: 0,
             built: None,
             journal: Vec::new(),
             kept_end: Vec::new(),
@@ -352,18 +347,15 @@ impl Residual {
             };
             slot_of[e as usize] = slot as u32;
         };
-        let mut max_cap = 0i64;
         for (i, arc) in arcs.iter().enumerate() {
             let (u, v) = (arc.from.index(), arc.to.index());
             let rc = arc.capacity - arc.lower_bound;
             let e = (2 * i) as u32;
-            max_cap = max_cap.max(rc);
             place(u, v, rc, arc.cost, e, rc > 0);
             place(v, u, 0, -arc.cost, e + 1, false);
         }
         let mut e = (2 * arcs.len()) as u32;
         for (v, &ex) in excess.iter().enumerate().take(n) {
-            max_cap = max_cap.max(ex.abs());
             if ex > 0 {
                 place(super_s, v, ex, 0, e, true);
                 place(v, super_s, 0, 0, e + 1, false);
@@ -376,7 +368,6 @@ impl Residual {
             e += 2;
         }
         edge_of_arc.extend((0..arcs.len() as u32).map(|i| 2 * i));
-        self.max_build_cap = max_cap;
         self.journal.clear();
         self.built = Some(BuiltMeta {
             stamp,
@@ -393,7 +384,6 @@ impl Residual {
     pub fn reset(&mut self, node_count: usize) {
         self.nodes = node_count;
         self.monotone = false;
-        self.max_build_cap = 0;
         self.built = None;
         self.journal.clear();
         self.edges.clear();
@@ -432,13 +422,6 @@ impl Residual {
         let m = self.edges.len();
         self.built = None;
         self.journal.clear();
-        self.max_build_cap = self
-            .edges
-            .iter()
-            .map(|e| e.initial_cap)
-            .max()
-            .unwrap_or(0)
-            .max(0);
         self.first_out.clear();
         self.first_out.resize(n + 1, 0);
         // The tail of edge `e` is the head of its partner `e ^ 1`.

@@ -74,10 +74,12 @@ impl std::fmt::Display for SolverIncident {
 /// let mut net = FlowNetwork::new();
 /// let (s, t) = (net.add_node(), net.add_node());
 /// net.add_arc(s, t, 4, 3)?;
-/// // Chain: simplex first, SSP anchor second. A zero-pivot budget starves
-/// // simplex, so the anchor completes the solve and one incident is logged.
-/// let mut solver = ResilientSolver::new(Backend::Simplex);
-/// solver.set_budget(SolveBudget::default().with_max_pivots(0));
+/// // Chain: cost scaling first, SSP anchor second. A one-round budget
+/// // starves cost scaling before its first refine phase, while SSP routes
+/// // both units in its first round, so the anchor completes the solve and
+/// // one incident is logged.
+/// let mut solver = ResilientSolver::new(Backend::CostScaling);
+/// solver.set_budget(SolveBudget::default().with_max_rounds(1));
 /// let sol = solver.solve(&net, s, t, 2)?;
 /// assert_eq!(sol.cost, 6);
 /// assert_eq!(solver.incident_count(), 1);
@@ -397,8 +399,8 @@ mod tests {
 
     #[test]
     fn default_chain_appends_ssp_anchor() {
-        let solver = ResilientSolver::new(Backend::Simplex);
-        assert_eq!(solver.chain(), &[Backend::Simplex, Backend::Ssp]);
+        let solver = ResilientSolver::new(Backend::CostScaling);
+        assert_eq!(solver.chain(), &[Backend::CostScaling, Backend::Ssp]);
         // Even an SSP primary gets the anchor: the fresh-workspace retry is
         // what recovers a contained panic.
         let solver = ResilientSolver::new(Backend::Ssp);
@@ -408,33 +410,9 @@ mod tests {
     }
 
     #[test]
-    fn negative_cycle_falls_through_to_capable_backend() {
-        // SSP refuses negative cycles; the chain recovers with cycle
-        // cancelling and logs exactly one incident.
-        let mut net = FlowNetwork::new();
-        let s = net.add_node();
-        let a = net.add_node();
-        let b = net.add_node();
-        let t = net.add_node();
-        net.add_arc(s, a, 1, 0).unwrap();
-        net.add_arc(a, b, 1, -5).unwrap();
-        net.add_arc(b, a, 1, -5).unwrap();
-        net.add_arc(a, t, 1, 0).unwrap();
-        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::CycleCancel]);
-        let sol = solver.solve(&net, s, t, 1).unwrap();
-        assert_eq!(sol.value, 1);
-        assert_eq!(solver.incident_count(), 1);
-        let incident = &solver.incidents()[0];
-        assert_eq!(incident.backend, "ssp");
-        assert_eq!(incident.recovered_with.as_deref(), Some("cycle"));
-        assert!(incident.error.contains("negative-cost cycle"));
-        assert_eq!(incident.solve_index, 0);
-    }
-
-    #[test]
     fn terminal_errors_skip_the_chain() {
         let (net, s, t) = diamond();
-        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::Simplex]);
+        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::CostScaling]);
         // Infeasible: every backend agrees; no incident, immediate error.
         let err = solver.solve(&net, s, t, 99).unwrap_err();
         assert!(matches!(err, NetflowError::Infeasible { .. }));
@@ -448,8 +426,8 @@ mod tests {
     #[test]
     fn exhausted_chain_returns_last_error_and_logs_all_attempts() {
         let (net, s, t) = diamond();
-        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::Scaling]);
-        // A zero-round budget starves both SSP-family links.
+        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::CostScaling]);
+        // A zero-round budget starves both links before any flow moves.
         solver.set_budget(SolveBudget::default().with_max_rounds(0));
         let err = solver.solve(&net, s, t, 2).unwrap_err();
         assert!(matches!(err, NetflowError::BudgetExceeded { .. }));
@@ -465,42 +443,48 @@ mod tests {
     }
 
     #[test]
-    fn budget_starved_primary_recovers_via_unbudgeted_anchor() {
-        // Budget applies per attempt; simplex with max_pivots 0 trips its
-        // own budget while the SSP anchor (rounds-based) completes within
-        // the same budget object.
+    fn budget_starved_primary_recovers_via_anchor() {
+        // Budget applies per attempt; one round starves cost scaling (its
+        // feasibility max-flow is round 0, the first refine phase round 1)
+        // while the SSP anchor routes the single unit in its first round
+        // under the same budget object.
         let (net, s, t) = diamond();
-        let mut solver = ResilientSolver::new(Backend::Simplex);
-        solver.set_budget(SolveBudget::default().with_max_pivots(0));
-        let sol = solver.solve(&net, s, t, 2).unwrap();
-        assert_eq!(sol.cost, 8);
-        assert_eq!(solver.incident_count(), 1);
-        let incident = &solver.incidents()[0];
-        assert_eq!(incident.backend, "simplex");
-        assert_eq!(incident.recovered_with.as_deref(), Some("ssp"));
-    }
-
-    #[test]
-    fn budget_starved_cost_scaling_recovers_via_pivot_backend() {
-        // Cost scaling counts ε-phases against the rounds budget; simplex
-        // budgets pivots instead, so it completes under the same budget
-        // object and absorbs the starved primary.
-        let (net, s, t) = diamond();
-        let mut solver = ResilientSolver::with_chain(vec![Backend::CostScaling, Backend::Simplex]);
-        solver.set_budget(SolveBudget::default().with_max_rounds(0));
-        let sol = solver.solve(&net, s, t, 2).unwrap();
-        assert_eq!(sol.cost, 8);
+        let mut solver = ResilientSolver::new(Backend::CostScaling);
+        solver.set_budget(SolveBudget::default().with_max_rounds(1));
+        let sol = solver.solve(&net, s, t, 1).unwrap();
+        assert_eq!(sol.cost, 2);
         assert_eq!(solver.incident_count(), 1);
         let incident = &solver.incidents()[0];
         assert_eq!(incident.backend, "cost_scaling");
-        assert_eq!(incident.recovered_with.as_deref(), Some("simplex"));
+        assert_eq!(incident.recovered_with.as_deref(), Some("ssp"));
+        assert!(incident.error.contains("refine"), "{}", incident.error);
+    }
+
+    #[test]
+    fn deadline_binds_every_link() {
+        let (net, s, t) = diamond();
+        let mut solver = ResilientSolver::new(Backend::CostScaling);
+        // A deadline already past starves both links.
+        let past = std::time::Instant::now() - std::time::Duration::from_secs(1);
+        solver.set_budget(SolveBudget::default().with_deadline(past));
+        let err = solver.solve(&net, s, t, 2).unwrap_err();
+        assert!(matches!(
+            err,
+            NetflowError::BudgetExceeded { backend: "ssp", .. }
+        ));
+        let names: Vec<_> = solver.incidents().iter().map(|i| &i.backend).collect();
+        assert_eq!(names, ["cost_scaling", "ssp"]);
+        // A generous deadline changes nothing: the primary completes.
+        solver
+            .set_budget(SolveBudget::default().with_timeout(std::time::Duration::from_secs(3600)));
+        assert_eq!(solver.solve(&net, s, t, 2).unwrap().cost, 8);
+        assert_eq!(solver.incident_count(), 2);
     }
 
     #[test]
     fn negative_cycle_recovers_via_cost_scaling_link() {
         // SSP refuses negative cycles; cost scaling handles them natively,
-        // so a chain ending in it recovers just like the cycle-cancelling
-        // chain does.
+        // so a chain ending in it recovers and logs exactly one incident.
         let mut net = FlowNetwork::new();
         let s = net.add_node();
         let a = net.add_node();
@@ -518,6 +502,7 @@ mod tests {
         assert_eq!(incident.backend, "ssp");
         assert_eq!(incident.recovered_with.as_deref(), Some("cost_scaling"));
         assert!(incident.error.contains("negative-cost cycle"));
+        assert_eq!(incident.solve_index, 0);
     }
 
     #[test]
@@ -554,13 +539,13 @@ mod tests {
     fn incidents_display_readably() {
         let incident = SolverIncident {
             solve_index: 7,
-            backend: "simplex".to_owned(),
+            backend: "cost_scaling".to_owned(),
             error: "solve budget exceeded".to_owned(),
             recovered_with: Some("ssp".to_owned()),
         };
         let text = incident.to_string();
         assert!(text.contains("solve #7"));
-        assert!(text.contains("simplex"));
+        assert!(text.contains("cost_scaling"));
         assert!(text.contains("recovered by ssp"));
     }
 }

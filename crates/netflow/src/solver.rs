@@ -1,10 +1,8 @@
-//! The unified solver interface: one trait, five algorithms, one selector.
+//! The unified solver interface: one trait, two algorithms, one selector.
 //!
 //! Every min-cost-flow implementation in this crate — successive shortest
-//! paths ([`Ssp`]), capacity scaling ([`CapacityScaling`]), cycle cancelling
-//! ([`CycleCancelling`]), network simplex ([`NetworkSimplex`]), cost
-//! scaling ([`CostScalingSolver`]) and the
-//! warm-start [`Reoptimizer`] — answers the same question: route exactly
+//! paths ([`Ssp`]), cost scaling ([`CostScalingSolver`]) and the warm-start
+//! [`Reoptimizer`] — answers the same question: route exactly
 //! `target` units from `s` to `t` at minimum cost, honouring lower bounds.
 //! [`McfSolver`] captures that contract so callers can hold *a* solver
 //! instead of hard-coding one of the free functions, and [`Backend`] names
@@ -15,21 +13,14 @@
 //! costs sit on a cyclic graph (the one case the SSP family must refuse —
 //! push-relabel ε-scaling handles negative cycles natively and, per
 //! Király–Kovács, is the consistently strongest general-purpose choice),
-//! capacity scaling when capacities are large enough that bulk
-//! augmentations pay off, plain SSP otherwise — the right default for the
-//! unit-capacity DAGs the allocator builds. Block-pivot network simplex
-//! and minimum-mean cycle cancelling are never auto-selected but stay
-//! within a small factor on every shape, serving as routine cross-check
-//! backends rather than test-only curiosities.
+//! plain SSP otherwise — the right default for the unit-capacity DAGs the
+//! allocator builds, whose flow value R bounds the augmenting rounds.
 
 use crate::budget::SolveBudget;
-use crate::config::{LemraConfig, ParSolve};
+use crate::config::ParSolve;
 use crate::cost_scaling::{min_cost_flow_cost_scaling, min_cost_flow_cost_scaling_with};
-use crate::cycle_cancel::{min_cost_flow_cycle_canceling, min_cost_flow_cycle_canceling_with};
 use crate::graph::{FlowNetwork, NodeId};
 use crate::reopt::Reoptimizer;
-use crate::scaling::{min_cost_flow_scaling, min_cost_flow_scaling_with};
-use crate::simplex::{min_cost_flow_network_simplex, min_cost_flow_network_simplex_budgeted};
 use crate::ssp::{min_cost_flow, min_cost_flow_with};
 use crate::workspace::SolverWorkspace;
 use crate::{FlowSolution, NetflowError};
@@ -39,9 +30,8 @@ use crate::{FlowSolution, NetflowError};
 /// The contract is exactly [`min_cost_flow`](crate::min_cost_flow)'s: an
 /// exact flow of `target` units from `s` to `t`, arc lower bounds honoured,
 /// identical error vocabulary. The workspace parameter lets sweeps reuse
-/// scratch buffers; the network simplex (whose scratch is its basis
-/// arrays, a different shape) and the [`Reoptimizer`] (which retains its
-/// own workspace) ignore it.
+/// scratch buffers; the [`Reoptimizer`] (which retains its own workspace)
+/// ignores it.
 ///
 /// `solve` takes `&mut self` so stateful solvers (the [`Reoptimizer`]) can
 /// retain residual state between calls; the stateless algorithm structs are
@@ -111,84 +101,6 @@ impl McfSolver for Ssp {
     }
 }
 
-/// Capacity-scaling successive shortest paths.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CapacityScaling;
-
-impl McfSolver for CapacityScaling {
-    fn name(&self) -> &'static str {
-        "scaling"
-    }
-
-    fn solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut SolverWorkspace,
-    ) -> Result<FlowSolution, NetflowError> {
-        min_cost_flow_scaling_with(net, s, t, target, ws)
-    }
-}
-
-/// Minimum-mean cycle cancelling (handles negative-cost cycles).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CycleCancelling;
-
-impl McfSolver for CycleCancelling {
-    fn name(&self) -> &'static str {
-        "cycle"
-    }
-
-    fn solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut SolverWorkspace,
-    ) -> Result<FlowSolution, NetflowError> {
-        min_cost_flow_cycle_canceling_with(net, s, t, target, ws)
-    }
-}
-
-/// The classical network simplex (handles negative-cost cycles).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NetworkSimplex;
-
-impl McfSolver for NetworkSimplex {
-    fn name(&self) -> &'static str {
-        "simplex"
-    }
-
-    fn solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        _ws: &mut SolverWorkspace,
-    ) -> Result<FlowSolution, NetflowError> {
-        min_cost_flow_network_simplex(net, s, t, target)
-    }
-
-    /// The simplex ignores the workspace, so the budget is passed straight
-    /// to the pivot loop instead of travelling through `ws`.
-    fn solve_budgeted(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        _ws: &mut SolverWorkspace,
-        budget: SolveBudget,
-    ) -> Result<FlowSolution, NetflowError> {
-        let block = LemraConfig::get().simplex_block.unwrap_or(0);
-        min_cost_flow_network_simplex_budgeted(net, s, t, target, block, budget)
-    }
-}
-
 /// Goldberg–Tarjan cost scaling (push-relabel with ε-scaling; handles
 /// negative-cost cycles).
 ///
@@ -251,13 +163,6 @@ impl McfSolver for Reoptimizer {
     }
 }
 
-/// Capacities at or above this make [`Backend::Auto`] prefer capacity
-/// scaling: Δ-bulk augmentations beat per-distance blocking-flow phases
-/// once single arcs carry thousands of units. On small-capacity networks
-/// the two are a wash (PR 6 medians: 45.0 µs vs 43.6 µs at 512 vars), so
-/// the threshold only needs to catch genuinely capacity-heavy shapes.
-const AUTO_SCALING_CAPACITY: i64 = 1 << 12;
-
 /// A named min-cost-flow algorithm choice, selectable via configuration.
 ///
 /// `Backend` is the data-level counterpart of [`McfSolver`]: it travels
@@ -277,7 +182,7 @@ const AUTO_SCALING_CAPACITY: i64 = 1 << 12;
 /// for backend in Backend::ALL {
 ///     assert_eq!(backend.solve(&net, s, t, 2)?.cost, 6);
 /// }
-/// assert_eq!("scaling".parse::<Backend>()?, Backend::Scaling);
+/// assert_eq!("cost_scaling".parse::<Backend>()?, Backend::CostScaling);
 /// # Ok(())
 /// # }
 /// ```
@@ -286,12 +191,6 @@ pub enum Backend {
     /// Successive shortest paths (the production default).
     #[default]
     Ssp,
-    /// Capacity-scaling SSP.
-    Scaling,
-    /// Negative-cycle cancelling.
-    CycleCancel,
-    /// Network simplex.
-    Simplex,
     /// Goldberg–Tarjan cost scaling (push-relabel with ε-scaling).
     CostScaling,
     /// Pick by network shape at each solve; see [`Backend::select`].
@@ -301,22 +200,13 @@ pub enum Backend {
 impl Backend {
     /// Every concrete algorithm (excludes [`Backend::Auto`], which resolves
     /// to one of these).
-    pub const ALL: [Backend; 5] = [
-        Backend::Ssp,
-        Backend::Scaling,
-        Backend::CycleCancel,
-        Backend::Simplex,
-        Backend::CostScaling,
-    ];
+    pub const ALL: [Backend; 2] = [Backend::Ssp, Backend::CostScaling];
 
-    /// Stable lower-case name (`ssp`, `scaling`, `cycle`, `simplex`,
-    /// `cost_scaling`, `auto`); [`str::parse`] accepts exactly these.
+    /// Stable lower-case name (`ssp`, `cost_scaling`, `auto`);
+    /// [`str::parse`] accepts exactly these.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Ssp => "ssp",
-            Backend::Scaling => "scaling",
-            Backend::CycleCancel => "cycle",
-            Backend::Simplex => "simplex",
             Backend::CostScaling => "cost_scaling",
             Backend::Auto => "auto",
         }
@@ -330,28 +220,14 @@ impl Backend {
     /// | shape | choice | why |
     /// |---|---|---|
     /// | negative costs on a cyclic positive-capacity graph | [`CostScaling`](Backend::CostScaling) | the SSP family must refuse negative cycles (cyclicity is the cheap sound over-approximation); push-relabel ε-scaling saturates them natively and — per Király–Kovács — is the consistently strongest general-purpose algorithm on exactly these dense mixed-sign nets |
-    /// | any capacity ≥ 2¹² | [`Scaling`](Backend::Scaling) | Δ-phase bulk augmentations beat one-path-per-unit SSP |
     /// | otherwise | [`Ssp`](Backend::Ssp) | the unit-capacity DAGs the allocator builds always land here; the blocking-flow rebuild routes many shortest paths per Dijkstra round, and from 100 000 arcs on each round settles a pruned working set |
-    ///
-    /// [`Simplex`](Backend::Simplex) and
-    /// [`CycleCancel`](Backend::CycleCancel) are never auto-selected: they
-    /// win no shape outright but stay within a small factor at every size
-    /// the benches measure, so `LEMRA_BACKEND=simplex` (or `cycle`) is a
-    /// practical whole-sweep cross-check.
     pub fn select(self, net: &FlowNetwork) -> Backend {
         if self != Backend::Auto {
             return self;
         }
-        let mut negative = false;
-        let mut max_capacity = 0i64;
-        for (_, arc) in net.arcs() {
-            negative |= arc.cost < 0;
-            max_capacity = max_capacity.max(arc.capacity);
-        }
+        let negative = net.arcs().any(|(_, arc)| arc.cost < 0);
         if negative && !is_positive_capacity_dag(net) {
             Backend::CostScaling
-        } else if max_capacity >= AUTO_SCALING_CAPACITY {
-            Backend::Scaling
         } else {
             Backend::Ssp
         }
@@ -369,9 +245,6 @@ impl Backend {
     pub fn solver(self, net: &FlowNetwork) -> Box<dyn McfSolver + Send> {
         match self.select(net) {
             Backend::Ssp => Box::new(Ssp),
-            Backend::Scaling => Box::new(CapacityScaling),
-            Backend::CycleCancel => Box::new(CycleCancelling),
-            Backend::Simplex => Box::new(NetworkSimplex),
             Backend::CostScaling => Box::new(CostScalingSolver),
             Backend::Auto => unreachable!("select() resolves Auto"),
         }
@@ -392,16 +265,12 @@ impl Backend {
     ) -> Result<FlowSolution, NetflowError> {
         match self.select(net) {
             Backend::Ssp => min_cost_flow(net, s, t, target),
-            Backend::Scaling => min_cost_flow_scaling(net, s, t, target),
-            Backend::CycleCancel => min_cost_flow_cycle_canceling(net, s, t, target),
-            Backend::Simplex => min_cost_flow_network_simplex(net, s, t, target),
             Backend::CostScaling => min_cost_flow_cost_scaling(net, s, t, target),
             Backend::Auto => unreachable!("select() resolves Auto"),
         }
     }
 
-    /// Solves with this backend and an explicit workspace (ignored by the
-    /// simplex algorithm, whose scratch is its basis arrays).
+    /// Solves with this backend and an explicit workspace.
     ///
     /// # Errors
     ///
@@ -416,14 +285,6 @@ impl Backend {
     ) -> Result<FlowSolution, NetflowError> {
         match self.select(net) {
             Backend::Ssp => min_cost_flow_with(net, s, t, target, ws),
-            Backend::Scaling => min_cost_flow_scaling_with(net, s, t, target, ws),
-            Backend::CycleCancel => min_cost_flow_cycle_canceling_with(net, s, t, target, ws),
-            // Route the workspace-carried budget into the pivot loop so a
-            // budget installed with `ws.set_budget` binds every backend.
-            Backend::Simplex => {
-                let block = LemraConfig::get().simplex_block.unwrap_or(0);
-                min_cost_flow_network_simplex_budgeted(net, s, t, target, block, ws.budget)
-            }
             Backend::CostScaling => min_cost_flow_cost_scaling_with(net, s, t, target, ws),
             Backend::Auto => unreachable!("select() resolves Auto"),
         }
@@ -466,16 +327,10 @@ impl std::str::FromStr for Backend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "ssp" => Ok(Backend::Ssp),
-            "scaling" => Ok(Backend::Scaling),
-            "cycle" | "cycle-cancel" | "cycle_cancel" => Ok(Backend::CycleCancel),
-            "simplex" => Ok(Backend::Simplex),
             "cost_scaling" | "cost-scaling" => Ok(Backend::CostScaling),
             "auto" => Ok(Backend::Auto),
             other => Err(NetflowError::InvalidArc {
-                reason: format!(
-                    "unknown backend `{other}` (expected ssp, scaling, cycle, simplex, \
-                     cost_scaling or auto)"
-                ),
+                reason: format!("unknown backend `{other}` (expected ssp, cost_scaling or auto)"),
             }),
         }
     }
@@ -567,14 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_scaling_for_large_capacities() {
-        let mut net = FlowNetwork::new();
-        let (s, t) = (net.add_node(), net.add_node());
-        net.add_arc(s, t, 1 << 20, 1).unwrap();
-        assert_eq!(Backend::Auto.select(&net), Backend::Scaling);
-    }
-
-    #[test]
     fn auto_picks_cost_scaling_for_negative_cyclic_networks() {
         let mut net = FlowNetwork::new();
         let s = net.add_node();
@@ -586,11 +433,12 @@ mod tests {
         net.add_arc(b, a, 2, -5).unwrap(); // negative cycle a <-> b
         net.add_arc(b, t, 1, 0).unwrap();
         assert_eq!(Backend::Auto.select(&net), Backend::CostScaling);
-        // The selected backend actually solves it, and agrees with the
-        // previous champion for the shape.
+        // The selected backend actually solves it: the unit runs
+        // s -> a -> b -> t and a second lap of the cycle fills a -> b, so
+        // a -> b carries 2 and b -> a carries 1.
         let auto = Backend::Auto.solve(&net, s, t, 1).unwrap();
-        let cycle = Backend::CycleCancel.solve(&net, s, t, 1).unwrap();
-        assert_eq!(auto.cost, cycle.cost);
+        assert_eq!(auto.cost, -15);
+        assert_eq!(auto.flows, vec![1, 2, 1, 1]);
     }
 
     /// Pins the whole [`Backend::Auto`] selection table so a re-tune is a
@@ -608,23 +456,33 @@ mod tests {
         neg_dag.add_arc(a, t, 1, -3).unwrap();
         assert_eq!(Backend::Auto.select(&neg_dag), Backend::Ssp);
 
-        // Capacity exactly at the threshold flips to capacity scaling.
+        // Capacity alone never leaves SSP.
         let mut big = FlowNetwork::new();
         let (s, t) = (big.add_node(), big.add_node());
-        big.add_arc(s, t, AUTO_SCALING_CAPACITY, 1).unwrap();
-        assert_eq!(Backend::Auto.select(&big), Backend::Scaling);
-        let mut small = FlowNetwork::new();
-        let (s, t) = (small.add_node(), small.add_node());
-        small.add_arc(s, t, AUTO_SCALING_CAPACITY - 1, 1).unwrap();
-        assert_eq!(Backend::Auto.select(&small), Backend::Ssp);
+        big.add_arc(s, t, 1 << 40, 1).unwrap();
+        assert_eq!(Backend::Auto.select(&big), Backend::Ssp);
 
-        // Negative costs on a cycle -> cost scaling, and it outranks the
-        // capacity rule.
+        // Non-negative costs on a cycle -> still SSP: no negative cycle can
+        // exist.
+        let mut pos_cyc = FlowNetwork::new();
+        let (a, b) = (pos_cyc.add_node(), pos_cyc.add_node());
+        pos_cyc.add_arc(a, b, 1 << 20, 1).unwrap();
+        pos_cyc.add_arc(b, a, 1 << 20, 0).unwrap();
+        assert_eq!(Backend::Auto.select(&pos_cyc), Backend::Ssp);
+
+        // Negative costs on a cycle -> cost scaling, at any capacity.
         let mut neg_cyc = FlowNetwork::new();
         let (a, b) = (neg_cyc.add_node(), neg_cyc.add_node());
-        neg_cyc.add_arc(a, b, AUTO_SCALING_CAPACITY, -1).unwrap();
-        neg_cyc.add_arc(b, a, AUTO_SCALING_CAPACITY, -1).unwrap();
+        neg_cyc.add_arc(a, b, 1 << 20, -1).unwrap();
+        neg_cyc.add_arc(b, a, 1 << 20, -1).unwrap();
         assert_eq!(Backend::Auto.select(&neg_cyc), Backend::CostScaling);
+
+        // A cycle of zero-capacity arcs cannot carry flow -> SSP.
+        let mut dead_cyc = FlowNetwork::new();
+        let (a, b) = (dead_cyc.add_node(), dead_cyc.add_node());
+        dead_cyc.add_arc(a, b, 1, -1).unwrap();
+        dead_cyc.add_arc(b, a, 0, -1).unwrap();
+        assert_eq!(Backend::Auto.select(&dead_cyc), Backend::Ssp);
 
         // Size alone never leaves SSP: large networks prune inside it, and
         // the no-op `ParSolve` argument changes nothing.
@@ -638,7 +496,10 @@ mod tests {
         assert!(huge.arc_count() >= 100_000);
         for mode in [ParSolve::Auto, ParSolve::Force, ParSolve::Off] {
             assert_eq!(Backend::Auto.select_with(&huge, mode), Backend::Ssp);
-            assert_eq!(Backend::Simplex.select_with(&dag, mode), Backend::Simplex);
+            assert_eq!(
+                Backend::CostScaling.select_with(&dag, mode),
+                Backend::CostScaling
+            );
         }
     }
 
@@ -666,9 +527,15 @@ mod tests {
             assert_eq!(backend.to_string(), backend.name());
         }
         assert_eq!(
-            "  CYCLE-CANCEL ".parse::<Backend>().unwrap(),
-            Backend::CycleCancel
+            "  COST-SCALING ".parse::<Backend>().unwrap(),
+            Backend::CostScaling
         );
         assert!("bogus".parse::<Backend>().is_err());
+        // The removed backends' names are unknown, and the error lists the
+        // accepted ones.
+        for removed in ["simplex", "cycle", "scaling"] {
+            let msg = removed.parse::<Backend>().unwrap_err().to_string();
+            assert!(msg.contains("ssp, cost_scaling or auto"), "{msg}");
+        }
     }
 }

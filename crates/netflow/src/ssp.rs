@@ -18,7 +18,7 @@
 
 use crate::canon::CacheStamp;
 use crate::graph::{FlowNetwork, NodeId};
-use crate::prune::{pruned_phases, PRUNE_MIN_ARCS};
+use crate::prune::{certificate_holds, pruned_phases, PRUNE_MIN_ARCS};
 use crate::residual::{idx, Residual};
 use crate::workspace::{with_thread_workspace, SolverWorkspace, INF};
 use crate::{FlowSolution, NetflowError};
@@ -40,13 +40,15 @@ use crate::{FlowSolution, NetflowError};
 ///   satisfying all lower bounds exists.
 /// * [`NetflowError::NegativeCycle`] if a negative-cost cycle reachable from
 ///   the source is detected; use
-///   [`min_cost_flow_cycle_canceling`](crate::min_cost_flow_cycle_canceling)
+///   [`min_cost_flow_cost_scaling`](crate::min_cost_flow_cost_scaling)
 ///   for such networks.
 /// * [`NetflowError::InvalidArc`] / [`NetflowError::Overflow`] if
 ///   [`FlowNetwork::validate_input`] rejects the instance (bad endpoints,
 ///   self-loops, negative target, overflow-prone magnitudes).
 /// * [`NetflowError::BudgetExceeded`] if a [`SolveBudget`](crate::SolveBudget)
 ///   installed on the workspace runs out before the solve converges.
+/// * [`NetflowError::InvalidSolution`] if the optimality certificate fails
+///   (a solver bug, never a property of the input).
 ///
 /// # Examples
 ///
@@ -81,9 +83,9 @@ pub fn min_cost_flow(
 ///
 /// Networks of 100 000 arcs or more run the pruned exact phases of
 /// `netflow::prune`: each settling round scans a per-node working set of
-/// the cheapest residual arcs, and a price repair plus an O(E) optimality
-/// certificate keep the result exact. Smaller networks run the plain
-/// phases.
+/// the cheapest residual arcs, and a price repair keeps the result exact.
+/// Smaller networks run the plain phases. Either way the answer is checked
+/// by an O(E) optimality certificate before it is returned.
 ///
 /// # Errors
 ///
@@ -132,7 +134,9 @@ pub(crate) fn min_cost_flow_ssp(
                 ws.prune_fallbacks += 1;
                 transform_into(net, s, t, target, res);
             }
-            ssp_run(res, super_s, super_t, required, ws)?
+            let pushed = ssp_run(res, super_s, super_t, required, ws)?;
+            certify(res, ws)?;
+            pushed
         }
     };
     if pushed < required {
@@ -142,6 +146,26 @@ pub(crate) fn min_cost_flow_ssp(
         });
     }
     Ok(solution_from_residual(net, res, target))
+}
+
+/// The optimality certificate of the plain phases (the pruned ones check
+/// their own): every positive-capacity residual edge between reachable
+/// nodes has a non-negative reduced cost under the final potentials, so the
+/// flow is minimum-cost at its value.
+///
+/// # Errors
+///
+/// [`NetflowError::InvalidSolution`] when the certificate fails.
+fn certify(res: &Residual, ws: &SolverWorkspace) -> Result<(), NetflowError> {
+    if certificate_holds(res, &ws.node) {
+        Ok(())
+    } else {
+        Err(NetflowError::InvalidSolution {
+            reason: "SSP optimality certificate failed: a residual edge has negative \
+                     reduced cost under the final potentials"
+                .to_owned(),
+        })
+    }
 }
 
 /// Result of [`transform`]: a finalized residual graph with the synthetic
@@ -269,21 +293,6 @@ pub(crate) fn ssp_run(
     target: i64,
     ws: &mut SolverWorkspace,
 ) -> Result<i64, NetflowError> {
-    ssp_phases(res, s, t, target, ws, "ssp")
-}
-
-/// [`ssp_run`] with an explicit backend label for budget incidents — the
-/// capacity-scaling solver delegates small-Δ instances here (Δ-scaling
-/// degenerates into plain SSP plus pseudo-flow churn when every capacity is
-/// tiny) and its budget errors must still report backend `"scaling"`.
-pub(crate) fn ssp_phases(
-    res: &mut Residual,
-    s: usize,
-    t: usize,
-    target: i64,
-    ws: &mut SolverWorkspace,
-    backend: &'static str,
-) -> Result<i64, NetflowError> {
     ws.prepare(res.node_count());
     initial_potentials(res, s, ws)?;
     let budget = ws.budget;
@@ -296,14 +305,14 @@ pub(crate) fn ssp_phases(
     // finishes the whole solve. It still counts against the round budget, so
     // a zero-round budget trips before any flow moves.
     if flow < target && ws.node[t].potential < INF {
-        budget.check_rounds(backend, "augment", rounds)?;
+        budget.check_rounds("ssp", "augment", rounds)?;
         rounds += 1;
         flow += crate::dinic::blocking_flow_admissible(res, s, t, ws, target - flow);
     }
-    Ok(flow + ssp_rounds(res, s, t, target - flow, ws, backend, rounds)?)
+    Ok(flow + ssp_rounds(res, s, t, target - flow, ws, rounds)?)
 }
 
-/// The settling rounds of [`ssp_phases`] from valid potentials: moves at
+/// The settling rounds of [`ssp_run`] from valid potentials: moves at
 /// most `limit` more units; `rounds` carries the budget count so far. The
 /// pruned path finishes with these after its repair.
 pub(crate) fn ssp_rounds(
@@ -312,13 +321,12 @@ pub(crate) fn ssp_rounds(
     t: usize,
     limit: i64,
     ws: &mut SolverWorkspace,
-    backend: &'static str,
     mut rounds: u64,
 ) -> Result<i64, NetflowError> {
     let budget = ws.budget;
     let mut flow = 0i64;
     while flow < limit {
-        budget.check_rounds(backend, "augment", rounds)?;
+        budget.check_rounds("ssp", "augment", rounds)?;
         rounds += 1;
         let dist_t = dijkstra_settle(res, s, t, ws)?;
         if dist_t >= INF {
@@ -782,6 +790,23 @@ mod tests {
         let sol = min_cost_flow_with(&net2, nodes[0], nodes[19], 3, &mut ws).unwrap();
         assert_eq!(sol.cost, 3 * 19);
         assert_eq!(min_cost_flow_with(&net, s, t, 1, &mut ws).unwrap().cost, 2);
+    }
+
+    #[test]
+    fn certificate_rejects_a_corrupted_potential() {
+        let (net, s, t) = diamond();
+        let mut ws = SolverWorkspace::new();
+        let mut guard = ws.lease_arena();
+        let (res, ws) = guard.parts();
+        let (super_s, super_t, required) = transform_into(&net, s, t, 1, res);
+        assert_eq!(ssp_run(res, super_s, super_t, required, ws).unwrap(), 1);
+        assert_eq!(certify(res, ws), Ok(()));
+        // One unit took s -> a -> t, so b -> t (cost 3) is still open;
+        // raising t's potential past its cost makes that edge negative.
+        ws.node[idx(t)].potential += 100;
+        let err = certify(res, ws).unwrap_err();
+        assert!(matches!(err, NetflowError::InvalidSolution { .. }), "{err}");
+        assert!(err.to_string().contains("certificate"), "{err}");
     }
 
     #[cfg(feature = "validate")]

@@ -108,7 +108,7 @@ impl std::ops::Add for SolverStats {
 }
 
 /// Reusable scratch buffers for [`min_cost_flow`](crate::min_cost_flow) and
-/// [`min_cost_flow_scaling`](crate::min_cost_flow_scaling).
+/// [`min_cost_flow_cost_scaling`](crate::min_cost_flow_cost_scaling).
 ///
 /// Create one per thread and pass it to
 /// [`min_cost_flow_with`](crate::min_cost_flow_with) to amortise allocations
@@ -161,7 +161,7 @@ pub struct SolverWorkspace {
     /// Per-node cursor into the active slot range: the current-arc pointer
     /// of blocking-flow DFS and push-relabel discharge.
     pub(crate) cursor: Vec<u32>,
-    /// Signed node imbalances for the scaling solvers. Wide: saturating
+    /// Signed node imbalances for the cost-scaling solver. Wide: saturating
     /// admissible arcs can pile several near-`i64::MAX` capacities onto one
     /// node before a discharge rebalances it.
     pub(crate) excess: Vec<i128>,
@@ -178,7 +178,8 @@ pub struct SolverWorkspace {
     pub(crate) arena: Residual,
     /// Shortest-path rounds started, cumulative across solves.
     pub(crate) dijkstra_rounds: u64,
-    /// Flow units pushed along augmenting paths, cumulative across solves.
+    /// Flow units pushed along augmenting paths or cancelled cycles,
+    /// cumulative across solves.
     pub(crate) pushed_units: u64,
     /// Cooperative work limits consulted by the solvers at phase boundaries.
     /// Defaults to unlimited; survives [`Self::prepare`] so a budget set once
@@ -231,9 +232,9 @@ impl SolverWorkspace {
         self.indegree.resize(n, 0);
         self.order.clear();
         // `level`, `cursor`, `excess`, `price` and `dist_scratch` are
-        // deliberately *not* sized here: only the blocking-flow and scaling
-        // solvers use them, and they reset exactly the prefix they need per
-        // phase. Touching three i128 and two u32 arrays on every solve
+        // deliberately *not* sized here: only the blocking-flow and
+        // cost-scaling solvers use them, and they reset exactly the prefix
+        // they need per phase. Touching three i128 and two u32 arrays on every solve
         // would tax the common SSP path for nothing.
     }
 

@@ -68,9 +68,10 @@ fn cost_scaling_chain_absorbs_and_recovers_injected_faults() {
     assert_eq!(second.flows, reference.flows);
     assert_eq!(solver.incident_count(), 1);
 
-    // cost_scaling as the recovery link: panic the cycle-cancelling
-    // primary on a negative-cycle network (where the SSP anchor refuses)
-    // and let cost scaling complete the solve.
+    // cost_scaling as the recovery link: panic the SSP primary on a
+    // negative-cycle network (which SSP could not solve anyway) and let
+    // cost scaling complete the solve. The unit runs s -> a -> t and the
+    // a <-> b cycle is saturated: cost -10.
     let mut cyclic = FlowNetwork::new();
     let cs = cyclic.add_node();
     let ca = cyclic.add_node();
@@ -80,20 +81,21 @@ fn cost_scaling_chain_absorbs_and_recovers_injected_faults() {
     cyclic.add_arc(ca, cb, 1, -5).unwrap();
     cyclic.add_arc(cb, ca, 1, -5).unwrap();
     cyclic.add_arc(ca, ct, 1, 0).unwrap();
-    let clean = Backend::CycleCancel.solve(&cyclic, cs, ct, 1).unwrap();
+    let clean = Backend::CostScaling.solve(&cyclic, cs, ct, 1).unwrap();
+    assert_eq!(clean.cost, -10);
     FaultPlan::new()
-        .fail_backend_at(FaultKind::Panic, 0, "cycle")
+        .fail_backend_at(FaultKind::Panic, 0, "ssp")
         .install();
-    let mut solver = ResilientSolver::with_chain(vec![Backend::CycleCancel, Backend::CostScaling]);
+    let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::CostScaling]);
     let sol = solver
         .solve(&cyclic, cs, ct, 1)
         .expect("cost_scaling must complete the negative-cycle solve");
     FaultPlan::clear();
-    assert_eq!(sol.cost, clean.cost);
+    assert_eq!(sol.flows, clean.flows);
     assert_eq!(sol.value, 1);
     assert_eq!(solver.incident_count(), 1);
     let incident = &solver.incidents()[0];
-    assert_eq!(incident.backend, "cycle");
+    assert_eq!(incident.backend, "ssp");
     assert_eq!(incident.recovered_with.as_deref(), Some("cost_scaling"));
     assert!(incident.error.contains("panicked") || incident.error.contains("injected"));
 
