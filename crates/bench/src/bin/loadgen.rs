@@ -20,7 +20,7 @@
 //!   duplicate responses (the CI cache-replay check).
 //! - `program`: replays a `lemra-workloads` whole-program tier over the
 //!   socket and byte-compares the digest against offline
-//!   [`allocate_program_threads`].
+//!   [`allocate_program`].
 //! - `stats`: queries the admin endpoint (point `--server` at the admin
 //!   port) and prints the `STAT` lines for CI to grep.
 //!
@@ -28,7 +28,7 @@
 //! any request exhausted its retries, or any completed request took more
 //! than twice its deadline (the admission-control latency bound).
 
-use lemra_core::{allocate, allocate_program_threads, AllocationReport, BlockChain};
+use lemra_core::{allocate, allocate_program, AllocationReport, BlockChain};
 use lemra_ir::format_block_spec;
 use lemra_netflow::LemraConfig;
 use lemra_server::wire::{
@@ -143,7 +143,7 @@ fn program_case(chain: &BlockChain, timeout_ms: Option<u64>) -> Case {
         eprintln!("loadgen: {e}");
         std::process::exit(2);
     });
-    let offline = allocate_program_threads(chain, 1).unwrap_or_else(|e| {
+    let offline = allocate_program(chain).unwrap_or_else(|e| {
         eprintln!("loadgen: offline allocation failed: {e}");
         std::process::exit(1);
     });

@@ -3,27 +3,25 @@
 //!
 //! ```text
 //! cargo run -p lemra-bench --bin wholeprogram -- --tier 4k
-//! cargo run -p lemra-bench --bin wholeprogram -- --tier 4k --threads 4
 //! cargo run -p lemra-bench --bin wholeprogram -- --tier trace --timings
+//! LEMRA_COLD=1 cargo run -p lemra-bench --bin wholeprogram -- --tier 4k
 //! ```
 //!
-//! Stdout is the digest and is **byte-identical at any thread count** (the
-//! CI `wholeprogram-smoke` job `cmp`s `--threads 1` against `--threads 4`);
+//! Stdout is the digest and is **byte-identical with and without
+//! `LEMRA_COLD=1`**: the warm chain walk commits exactly what a cold solve
+//! of every block does (the CI `wholeprogram-smoke` job `cmp`s the two);
 //! `--timings` adds per-stage timing and peak-byte counters on stderr.
-//! `--threads N` overrides `LEMRA_THREADS` for the Phase-A worker pool.
 
-use lemra_core::{allocate_program_threads, BlockChain};
+use lemra_core::{allocate_program, BlockChain};
 use lemra_netflow::LemraConfig;
 use lemra_workloads::wholeprogram::{loop_nest, min_reg_trace, LoopNestConfig, MinRegTraceConfig};
 
-const USAGE: &str =
-    "usage: wholeprogram [--tier 1k|4k|8k|trace] [--threads N] [--seed S] [--timings]";
+const USAGE: &str = "usage: wholeprogram [--tier 1k|4k|8k|trace] [--seed S] [--timings]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let timings = args.iter().any(|a| a == "--timings");
     let mut tier = "4k".to_owned();
-    let mut threads: Option<usize> = None;
     let mut seed = 42u64;
     let mut iter = args.iter().peekable();
     while let Some(a) = iter.next() {
@@ -34,9 +32,6 @@ fn main() {
         };
         match a.as_str() {
             "--tier" => tier = value("--tier"),
-            "--threads" => {
-                threads = Some(value("--threads").parse().expect("--threads: not a number"));
-            }
             "--seed" => seed = value("--seed").parse().expect("--seed: not a number"),
             "--timings" | "--help" | "-h" => {}
             other => {
@@ -66,10 +61,9 @@ fn main() {
         }
     };
     let total_vars: usize = chain.blocks.iter().map(|b| b.lifetimes.len()).sum();
-    let workers = threads.unwrap_or_else(|| LemraConfig::get().worker_count(chain.blocks.len()));
 
     let t0 = std::time::Instant::now();
-    let program = allocate_program_threads(&chain, workers).unwrap_or_else(|e| {
+    let program = allocate_program(&chain).unwrap_or_else(|e| {
         eprintln!("wholeprogram: {e}");
         std::process::exit(1);
     });
@@ -107,7 +101,7 @@ fn main() {
     // Wall-clock and throughput go to stderr: they vary run to run, stdout
     // must not.
     eprintln!(
-        "e2e: {:.3} ms, {:.1} blocks/s, workers={workers}",
+        "e2e: {:.3} ms, {:.1} blocks/s",
         elapsed.as_secs_f64() * 1e3,
         chain.blocks.len() as f64 / elapsed.as_secs_f64()
     );

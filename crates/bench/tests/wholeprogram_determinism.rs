@@ -1,32 +1,38 @@
-//! Multi-block determinism at whole-program scale: the chain allocation of
-//! a ≥16-block instance must be byte-identical across Phase-A worker
-//! counts, and (under `fault-inject`) an injected per-block solver fault
-//! must be absorbed by the resilience layer without changing a byte.
+//! Multi-block determinism at whole-program scale: the warm chain walk of a
+//! ≥16-block instance must commit exactly what a cold solve of every
+//! boundary-threaded block commits, and (under `fault-inject`) an injected
+//! per-block solver fault must be absorbed by the resilience layer without
+//! changing a byte.
 //!
-//! The backend × worker-count matrix lives with the pipeline
-//! (`lemra-core`'s `chain_is_identical_across_backends_and_worker_counts`);
-//! this test exercises the public API on the real workload generators.
+//! The per-backend check on a hand-built chain lives with the pipeline
+//! (`lemra-core`'s `warm_walk_equals_cold_allocation_of_every_block`); this
+//! test exercises the public API on the real workload generators.
 
-use lemra_core::{allocate_chain_threads, allocate_program_threads, ChainAllocation};
-use lemra_workloads::wholeprogram::{loop_nest, min_reg_trace, LoopNestConfig, MinRegTraceConfig};
+use lemra_core::{allocate, allocate_program, reallocate_memory, AllocationReport, BlockChain};
+use lemra_workloads::wholeprogram::{loop_nest, LoopNestConfig};
+use std::sync::Mutex;
 
-fn digest(chain: &ChainAllocation) -> String {
-    format!(
-        "{:?}|{:?}|{:?}",
-        chain.reports, chain.allocations, chain.problems
-    )
-}
+/// Serializes the tests of this binary: a planted fault plan is
+/// process-global, so a solve in a concurrently running test would trip it.
+static SERIAL: Mutex<()> = Mutex::new(());
 
-#[test]
-fn worker_counts_are_byte_identical_on_both_generators() {
-    let nest = loop_nest(&LoopNestConfig {
+fn nest(seed: u64) -> BlockChain {
+    loop_nest(&LoopNestConfig {
         tiles: 16,
         vars_per_tile: 48,
         accumulators: 6,
         steps: 36,
         registers: 8,
-        seed: 7,
-    });
+        seed,
+    })
+}
+
+#[test]
+fn warm_walk_matches_cold_solves_on_both_generators() {
+    use lemra_workloads::wholeprogram::{min_reg_trace, MinRegTraceConfig};
+
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+
     let trace = min_reg_trace(&MinRegTraceConfig {
         blocks: 16,
         vars_per_block: 32,
@@ -34,50 +40,69 @@ fn worker_counts_are_byte_identical_on_both_generators() {
         registers: 6,
         seed: 7,
     });
-    for (name, chain) in [("loop_nest", &nest), ("min_reg_trace", &trace)] {
-        let reference = digest(&allocate_chain_threads(chain, 1).unwrap());
-        for workers in [2usize, 8] {
-            let got = digest(&allocate_chain_threads(chain, workers).unwrap());
-            assert_eq!(reference, got, "{name} workers={workers}");
+    for (name, chain) in [("loop_nest", &nest(7)), ("min_reg_trace", &trace)] {
+        let program = allocate_program(chain).unwrap();
+        let walk = &program.chain;
+        for (i, problem) in walk.problems.iter().enumerate() {
+            let cold = allocate(problem).unwrap();
+            assert_eq!(
+                format!("{:?}", walk.allocations[i]),
+                format!("{cold:?}"),
+                "{name} block {i}"
+            );
+            assert_eq!(
+                walk.reports[i],
+                AllocationReport::new(problem, &cold),
+                "{name} block {i}"
+            );
+            assert_eq!(
+                program.realloc[i],
+                reallocate_memory(problem, &cold).unwrap(),
+                "{name} block {i} realloc"
+            );
         }
-        // The realloc join is thread-count independent too.
-        let serial = allocate_program_threads(chain, 1).unwrap();
-        let parallel = allocate_program_threads(chain, 8).unwrap();
-        assert_eq!(serial.realloc, parallel.realloc, "{name} realloc join");
     }
 }
 
 /// One planted per-block solver fault must be absorbed by the fallback
 /// chain: the chain still allocates, and every byte matches the uninjected
-/// reference. Phase-A workers solve through the warm path — the
-/// reoptimizer primary backed by the SSP anchor — so the faulted attempt
-/// falls through to the anchor inside whichever worker hits the planted
-/// solve index, and the speculative result is still produced and adopted.
-/// (Workers ≥ 2 only: the serial walk's cold solves run the primary-only
-/// `[Ssp]` chain, whose warm-path absorption `fault_sweep` already covers.)
-/// The plan is process-global, so worker counts are exercised inside this
-/// single test to stay serialized with it.
+/// reference. The walk solves through the warm path — the reoptimizer
+/// primary backed by the SSP anchor — so the faulted attempt falls through
+/// to the anchor, and the reoptimizer's state is dropped. Solve 0 is the
+/// first tile's cold solve; solve 3 is a warm repair, and the blocks after
+/// it rebuild cold state and then re-price it again.
 #[cfg(feature = "fault-inject")]
 #[test]
-fn injected_block_fault_is_absorbed_at_any_worker_count() {
+fn injected_block_fault_is_absorbed_by_the_warm_walk() {
+    use lemra_core::{allocate_program_with, ChainAllocation, PipelineCx};
     use lemra_netflow::{FaultKind, FaultPlan};
 
-    let chain = loop_nest(&LoopNestConfig {
-        tiles: 16,
-        vars_per_tile: 48,
-        accumulators: 6,
-        steps: 36,
-        registers: 8,
-        seed: 11,
-    });
-    let reference = digest(&allocate_chain_threads(&chain, 1).unwrap());
-    for workers in [2usize, 4] {
+    fn digest(chain: &ChainAllocation) -> String {
+        format!(
+            "{:?}|{:?}|{:?}",
+            chain.reports, chain.allocations, chain.problems
+        )
+    }
+
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let chain = nest(11);
+    let reference = allocate_program(&chain).unwrap();
+    for at in [0u64, 3] {
         for kind in [FaultKind::Panic, FaultKind::Budget] {
-            FaultPlan::new().fail_at(kind, 3).install();
-            let got = allocate_chain_threads(&chain, workers)
+            let mut cx = PipelineCx::new();
+            FaultPlan::new().fail_at(kind, at).install();
+            let got = allocate_program_with(&mut cx, &chain)
                 .expect("chain must survive the injected fault");
             FaultPlan::clear();
-            assert_eq!(reference, digest(&got), "{kind:?} workers={workers}");
+            assert_eq!(cx.incident_count(), 1, "{kind:?} at solve {at}");
+            assert_eq!(
+                digest(&reference.chain),
+                digest(&got.chain),
+                "{kind:?} at solve {at}"
+            );
+            assert_eq!(reference.realloc, got.realloc, "{kind:?} at solve {at}");
+            // After the fault, the walk went back to re-pricing.
+            assert!(cx.warm_solves() > 0, "{kind:?} at solve {at}");
         }
     }
 }

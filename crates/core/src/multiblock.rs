@@ -13,31 +13,19 @@
 //! persist, and the code generator renames freely, so alignment carries no
 //! energy cost.
 //!
-//! # The parallel block pipeline
+//! # The warm chain walk
 //!
 //! The boundary threading makes block `i + 1` depend on block `i`'s
-//! committed placements, so the chain looks inherently serial. It is not:
-//! with `LEMRA_THREADS > 1` (or [`allocate_chain_threads`]), every block's
-//! Segment→Profile→Build→Solve pipeline runs concurrently on a worker pool
-//! against a *predicted* boundary. The prediction comes from a pilot: the
-//! first block's problem has no incoming links, so it is solved exactly up
-//! front, and every later boundary is predicted by reading the linked
-//! out-variables' placements off the pilot allocation (falling back to
-//! register-carried for variables the pilot does not know). For the
-//! workload this pipeline exists for — chains of structurally identical
-//! loop tiles — the steady-state boundary repeats the pilot's, so the
-//! prediction is exact. A sequential commit pass then walks the chain in
-//! order,
-//! derives each block's actual carried sets from its predecessor's
-//! committed allocation, and adopts the speculative result iff the
-//! prediction matched (the problems are then identical, and the tie-break
-//! transform makes the optimum unique, so the speculative solve *is* the
-//! serial solve); mispredicted blocks are re-solved inline. Each worker
-//! holds one warm [`PipelineCx`] across all its blocks — structurally
-//! identical blocks (loop tiles, unrolled kernels) re-price one retained
-//! network and repair the previous optimum instead of solving cold — and
-//! shares the process-wide allocation cache with every other worker. The
-//! result is byte-identical to the serial walk at any worker count.
+//! committed placements, so the walk is serial: each block's carried sets
+//! come from its predecessor's allocation, and the block is solved on one
+//! [`PipelineCx`] with [`PipelineCx::allocate_warm`]. When a block has the
+//! same topology as the one before it (loop tiles, unrolled kernels), the
+//! context re-prices the retained network and repairs the previous optimum
+//! instead of solving cold. Any topology change (other lifetimes, or a
+//! boundary that moves a variable between register- and memory-carried)
+//! rebuilds the network at the cost of a cold solve. The tie-break
+//! transform makes every optimum unique, so the bytes equal a cold
+//! [`allocate`](crate::allocate) of each boundary-threaded problem.
 
 use crate::allocator::{Allocation, Placement};
 use crate::pipeline::PipelineCx;
@@ -46,9 +34,6 @@ use crate::realloc::{reallocate_memory_with, MemoryReallocation};
 use crate::report::AllocationReport;
 use crate::CoreError;
 use lemra_ir::VarId;
-use lemra_netflow::LemraConfig;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// A pipeline of blocks with boundary links.
 #[derive(Debug, Clone)]
@@ -126,30 +111,53 @@ pub fn allocate_chain(chain: &BlockChain) -> Result<ChainAllocation, CoreError> 
     allocate_chain_with(&mut PipelineCx::new(), chain)
 }
 
-/// [`allocate_chain`] with an explicit worker count, bypassing the
-/// process-wide `LEMRA_THREADS` snapshot — one process can compare serial
-/// and parallel walks directly (the determinism tests and the
-/// `wholeprogram` driver do). `workers <= 1` is the serial walk.
+/// [`allocate_chain`] with a worker count, kept so existing callers
+/// compile. `workers` is ignored: the walk is serial.
 ///
 /// # Errors
 ///
 /// Same as [`allocate_chain`].
 pub fn allocate_chain_threads(
     chain: &BlockChain,
-    workers: usize,
+    _workers: usize,
 ) -> Result<ChainAllocation, CoreError> {
-    allocate_chain_on(&mut PipelineCx::new(), chain, workers.max(1))
+    allocate_chain(chain)
 }
 
-/// [`allocate_chain`] composed onto an existing [`PipelineCx`] (shared
-/// backend, cumulative per-stage counters across all blocks), with the
-/// worker count from [`LemraConfig`].
+/// [`allocate_chain`] composed onto an existing [`PipelineCx`]: shared
+/// backend, warm state and cumulative per-stage counters across all blocks.
 pub(crate) fn allocate_chain_with(
     cx: &mut PipelineCx,
     chain: &BlockChain,
 ) -> Result<ChainAllocation, CoreError> {
-    let workers = LemraConfig::get().worker_count(chain.blocks.len());
-    allocate_chain_on(cx, chain, workers)
+    validate_chain(chain)?;
+    let n = chain.blocks.len();
+    let mut allocations: Vec<Allocation> = Vec::with_capacity(n);
+    let mut reports = Vec::with_capacity(n);
+    let mut problems = Vec::with_capacity(n);
+    for (i, block) in chain.blocks.iter().enumerate() {
+        let mut problem = block.clone();
+        if i > 0 {
+            problem.carried_in_memory.clear();
+            problem.carried_in_register.clear();
+            let prev: &Allocation = &allocations[i - 1];
+            for &(out, inv) in &chain.links[i - 1] {
+                match last_placement(prev, out) {
+                    Placement::Register(_) => problem.carried_in_register.push(inv),
+                    Placement::Memory => problem.carried_in_memory.push(inv),
+                }
+            }
+        }
+        let allocation = cx.allocate_warm(&problem)?;
+        reports.push(AllocationReport::new(&problem, &allocation));
+        allocations.push(allocation);
+        problems.push(problem);
+    }
+    Ok(ChainAllocation {
+        allocations,
+        reports,
+        problems,
+    })
 }
 
 fn validate_chain(chain: &BlockChain) -> Result<(), CoreError> {
@@ -190,139 +198,8 @@ fn validate_chain(chain: &BlockChain) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Block `i`'s problem under the pilot boundary prediction: each linked
-/// out-variable is assumed placed where the pilot (block 0) allocation
-/// placed the same variable id, register-carried when the pilot does not
-/// know it. Exact whenever the predecessor's boundary repeats the pilot's —
-/// the steady state of a chain of identical tiles.
-fn predicted_problem(chain: &BlockChain, i: usize, pilot: &Allocation) -> AllocationProblem {
-    let pilot_vars = chain.blocks[0].lifetimes.len();
-    let mut problem = chain.blocks[i].clone();
-    if i > 0 {
-        problem.carried_in_memory.clear();
-        problem.carried_in_register.clear();
-        for &(out, inv) in &chain.links[i - 1] {
-            let registered = out.index() >= pilot_vars
-                || matches!(last_placement(pilot, out), Placement::Register(_));
-            if registered {
-                problem.carried_in_register.push(inv);
-            } else {
-                problem.carried_in_memory.push(inv);
-            }
-        }
-    }
-    problem
-}
-
-fn allocate_chain_on(
-    cx: &mut PipelineCx,
-    chain: &BlockChain,
-    workers: usize,
-) -> Result<ChainAllocation, CoreError> {
-    validate_chain(chain)?;
-    let n = chain.blocks.len();
-
-    // Phase A — speculative parallel pipeline. Workers pull blocks off a
-    // shared index and run the full pipeline against the predicted
-    // boundary; results come home over a channel. A worker that fails on a
-    // block (a prediction can even be infeasible when the real boundary is
-    // not) simply yields no speculative result — the commit pass below
-    // re-solves such blocks against the actual boundary, where a real
-    // error surfaces with the serial walk's semantics.
-    let mut speculative: Vec<Option<Allocation>> = (0..n).map(|_| None).collect();
-    let predicted: Vec<AllocationProblem> = if workers > 1 && n > 1 {
-        // The pilot: block 0 has no incoming links, so its problem is
-        // exact and this solve is the serial walk's first solve verbatim.
-        // Every later boundary is predicted off the pilot's placements.
-        let pilot_problem = chain.blocks[0].clone();
-        let pilot = cx.allocate(&pilot_problem)?;
-        let predicted: Vec<AllocationProblem> = (0..n)
-            .map(|i| {
-                if i == 0 {
-                    pilot_problem.clone()
-                } else {
-                    predicted_problem(chain, i, &pilot)
-                }
-            })
-            .collect();
-        speculative[0] = Some(pilot);
-        let next = AtomicUsize::new(1);
-        let (tx, rx) = mpsc::channel::<(usize, Allocation)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(n) {
-                let tx = tx.clone();
-                let next = &next;
-                let predicted = &predicted;
-                let mut worker_cx = cx.fork();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= predicted.len() {
-                        break;
-                    }
-                    // Warm per worker: structurally identical blocks
-                    // re-price one retained network and repair the previous
-                    // optimum — byte-identical to a cold solve by the
-                    // unique-optimum tie-break.
-                    if let Ok(allocation) = worker_cx.allocate_warm(&predicted[i]) {
-                        if tx.send((i, allocation)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for (i, allocation) in rx {
-                speculative[i] = Some(allocation);
-            }
-        });
-        predicted
-    } else {
-        Vec::new()
-    };
-
-    // Phase B — sequential commit. Thread the actual boundary through the
-    // chain; adopt a speculative allocation only when its predicted problem
-    // equals the actual one (then the unique optimum makes the bytes equal
-    // too), otherwise re-solve inline on the joining context.
-    let mut allocations: Vec<Allocation> = Vec::with_capacity(n);
-    let mut reports = Vec::with_capacity(n);
-    let mut problems = Vec::with_capacity(n);
-    for (i, block) in chain.blocks.iter().enumerate() {
-        let mut problem = block.clone();
-        if i > 0 {
-            problem.carried_in_memory.clear();
-            problem.carried_in_register.clear();
-            let prev: &Allocation = &allocations[i - 1];
-            for &(out, inv) in &chain.links[i - 1] {
-                match last_placement(prev, out) {
-                    Placement::Register(_) => problem.carried_in_register.push(inv),
-                    Placement::Memory => problem.carried_in_memory.push(inv),
-                }
-            }
-        }
-        let adopted = speculative.get_mut(i).and_then(Option::take).filter(|_| {
-            let p = &predicted[i];
-            p.carried_in_register == problem.carried_in_register
-                && p.carried_in_memory == problem.carried_in_memory
-        });
-        let allocation = match adopted {
-            Some(speculated) => speculated,
-            None => cx.allocate(&problem)?,
-        };
-        reports.push(AllocationReport::new(&problem, &allocation));
-        allocations.push(allocation);
-        problems.push(problem);
-    }
-    Ok(ChainAllocation {
-        allocations,
-        reports,
-        problems,
-    })
-}
-
 /// A whole-program result: the boundary-threaded chain allocation plus the
-/// second-stage memory re-allocation of every block — the deterministic
-/// chain-flow join the parallel pipeline feeds into.
+/// second-stage memory re-allocation of every block.
 #[derive(Debug, Clone)]
 pub struct ProgramAllocation {
     /// The per-block allocations with boundary threading.
@@ -339,37 +216,36 @@ impl ProgramAllocation {
     }
 }
 
-/// Allocates a whole program: [`allocate_chain`] over every block (parallel
-/// when `LEMRA_THREADS > 1`), then the second-stage memory re-allocation
+/// Allocates a whole program: [`allocate_chain`] over every block, then
+/// the second-stage memory re-allocation
 /// ([`reallocate_memory`](crate::reallocate_memory)) of each block on the
-/// joining context — the serial chain-flow stage that commits the final,
-/// thread-count-independent result.
+/// same context.
 ///
 /// # Errors
 ///
 /// Same as [`allocate_chain`] and
 /// [`reallocate_memory`](crate::reallocate_memory).
 pub fn allocate_program(chain: &BlockChain) -> Result<ProgramAllocation, CoreError> {
-    allocate_program_on(&mut PipelineCx::new(), chain, None)
+    allocate_program_with(&mut PipelineCx::new(), chain)
 }
 
-/// [`allocate_program`] with an explicit Phase-A worker count (see
-/// [`allocate_chain_threads`]).
+/// [`allocate_program`] with a worker count, kept so existing callers
+/// compile. `workers` is ignored: the walk is serial.
 ///
 /// # Errors
 ///
 /// Same as [`allocate_program`].
 pub fn allocate_program_threads(
     chain: &BlockChain,
-    workers: usize,
+    _workers: usize,
 ) -> Result<ProgramAllocation, CoreError> {
-    allocate_program_on(&mut PipelineCx::new(), chain, Some(workers.max(1)))
+    allocate_program(chain)
 }
 
 /// [`allocate_program`] composed onto an existing [`PipelineCx`]: the
-/// allocation server runs each request on its worker's forked context so
-/// per-request solve budgets and incident counters apply, and the
-/// context's cache/backend settings carry across requests.
+/// allocation server runs each request on its worker's long-lived context
+/// so per-request solve budgets and incident counters apply, and the
+/// context's cache/backend settings and warm state carry across requests.
 ///
 /// # Errors
 ///
@@ -377,18 +253,8 @@ pub fn allocate_program_threads(
 pub fn allocate_program_with(
     cx: &mut PipelineCx,
     chain: &BlockChain,
-    workers: usize,
 ) -> Result<ProgramAllocation, CoreError> {
-    allocate_program_on(cx, chain, Some(workers.max(1)))
-}
-
-fn allocate_program_on(
-    cx: &mut PipelineCx,
-    chain: &BlockChain,
-    workers: Option<usize>,
-) -> Result<ProgramAllocation, CoreError> {
-    let workers = workers.unwrap_or_else(|| LemraConfig::get().worker_count(chain.blocks.len()));
-    let chain_allocation = allocate_chain_on(cx, chain, workers)?;
+    let chain_allocation = allocate_chain_with(cx, chain)?;
     let realloc = chain_allocation
         .problems
         .iter()
@@ -493,11 +359,9 @@ mod tests {
     }
 
     /// `n` blocks, each four variables over eight ticks, variable 3
-    /// live-out and linked to variable 0 of the next block. Alternating
-    /// register budgets so some boundaries carry in memory — the parallel
-    /// walk's misprediction/re-solve path gets exercised, not just the
-    /// all-registered fast path.
-    fn long_chain(n: usize) -> BlockChain {
+    /// live-out and linked to variable 0 of the next block, with
+    /// `registers(i)` registers in block `i`.
+    fn long_chain(n: usize, registers: impl Fn(usize) -> u32) -> BlockChain {
         let blocks: Vec<AllocationProblem> = (0..n)
             .map(|i| {
                 let table = LifetimeTable::from_intervals(
@@ -510,65 +374,82 @@ mod tests {
                     ],
                 )
                 .unwrap();
-                let registers = if i % 3 == 2 { 1 } else { 3 };
-                AllocationProblem::new(table, registers)
+                AllocationProblem::new(table, registers(i))
             })
             .collect();
         let links = (0..n - 1).map(|_| vec![(VarId(3), VarId(0))]).collect();
         BlockChain { blocks, links }
     }
 
-    #[test]
-    fn parallel_chain_is_byte_identical_to_serial() {
-        let chain = long_chain(16);
-        let serial = allocate_chain_threads(&chain, 1).unwrap();
-        for workers in [2, 8] {
-            let parallel = allocate_chain_threads(&chain, workers).unwrap();
-            assert_eq!(serial.reports, parallel.reports, "workers={workers}");
-            assert_eq!(
-                format!("{:?}", serial.allocations),
-                format!("{:?}", parallel.allocations),
-                "workers={workers}"
-            );
-            assert_eq!(
-                format!("{:?}", serial.problems),
-                format!("{:?}", parallel.problems),
-                "workers={workers}"
-            );
-        }
+    /// Alternating register budgets: the squeezed blocks leave the linked
+    /// value in memory, so `carried_in_register` changes mid-chain and the
+    /// walk runs both the re-priced path and the rebuild path.
+    fn alternating_chain(n: usize) -> BlockChain {
+        long_chain(n, |i| if i % 3 == 2 { 1 } else { 3 })
     }
 
     #[test]
-    fn chain_is_identical_across_backends_and_worker_counts() {
+    fn warm_walk_equals_cold_allocation_of_every_block() {
         use lemra_netflow::Backend;
-        let chain = long_chain(16);
-        let reference = allocate_chain_on(&mut PipelineCx::new(), &chain, 1).unwrap();
-        for backend in Backend::ALL {
-            for workers in [1usize, 2, 8] {
-                let mut cx = PipelineCx::with_backend(backend);
-                let got = allocate_chain_on(&mut cx, &chain, workers).unwrap();
+        let chain = alternating_chain(16);
+        for backend in [Backend::Ssp, Backend::CostScaling] {
+            let mut cx = PipelineCx::with_backend(backend);
+            let walk = allocate_chain_with(&mut cx, &chain).unwrap();
+            let carried: Vec<&Vec<VarId>> = walk
+                .problems
+                .iter()
+                .map(|p| &p.carried_in_register)
+                .collect();
+            assert!(carried.windows(2).any(|w| w[0] == w[1]), "no covered block");
+            assert!(carried.windows(2).any(|w| w[0] != w[1]), "no rebuild");
+            assert!(cx.warm_solves() > 0, "{backend:?}: no block re-priced");
+            for (i, problem) in walk.problems.iter().enumerate() {
+                let cold = PipelineCx::with_backend(backend).allocate(problem).unwrap();
                 assert_eq!(
-                    reference.reports, got.reports,
-                    "{backend:?} workers={workers}"
+                    walk.reports[i],
+                    AllocationReport::new(problem, &cold),
+                    "{backend:?} block {i}"
                 );
                 assert_eq!(
-                    format!("{:?}", reference.allocations),
-                    format!("{:?}", got.allocations),
-                    "{backend:?} workers={workers}"
+                    format!("{:?}", walk.allocations[i]),
+                    format!("{cold:?}"),
+                    "{backend:?} block {i}"
                 );
             }
         }
     }
 
     #[test]
+    fn identical_tiles_solve_cold_once() {
+        let mut chain = long_chain(8, |_| 3);
+        // Block 0 enters with the boundary every later tile sees, so all
+        // eight tiles share one topology.
+        chain.blocks[0].carried_in_register = vec![VarId(0)];
+        let mut cx = PipelineCx::new();
+        let walk = allocate_chain_with(&mut cx, &chain).unwrap();
+        assert!(walk
+            .problems
+            .iter()
+            .all(|p| p.carried_in_register == [VarId(0)]));
+        assert_eq!((cx.cold_solves(), cx.warm_solves()), (1, 7));
+    }
+
+    #[test]
     fn program_allocation_reallocs_every_block() {
-        let chain = long_chain(6);
-        let serial = allocate_program_threads(&chain, 1).unwrap();
-        let parallel = allocate_program_threads(&chain, 4).unwrap();
-        assert_eq!(serial.realloc.len(), 6);
-        assert_eq!(serial.chain.reports, parallel.chain.reports);
-        assert_eq!(serial.realloc, parallel.realloc);
-        assert!(serial.total_switching() >= 0.0);
+        let chain = alternating_chain(6);
+        let program = allocate_program(&chain).unwrap();
+        assert_eq!(program.realloc.len(), 6);
+        for (i, (problem, allocation)) in program
+            .chain
+            .problems
+            .iter()
+            .zip(&program.chain.allocations)
+            .enumerate()
+        {
+            let realloc = crate::reallocate_memory(problem, allocation).unwrap();
+            assert_eq!(program.realloc[i], realloc, "block {i}");
+        }
+        assert!(program.total_switching() >= 0.0);
     }
 
     #[test]

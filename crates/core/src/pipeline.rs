@@ -356,13 +356,10 @@ impl PipelineCx {
     }
 
     /// A fresh context with this one's configuration (backend, cold
-    /// override, timings, cache mode) but none of its state — what the
-    /// parallel block pipeline hands each worker thread, so speculative
-    /// per-block solves run under exactly the settings the joining context
-    /// would have used. The worker's counters flush to the process-wide
-    /// registry when it drops, like any other timed context. The
-    /// allocation server forks one context per worker thread the same way
-    /// (and re-forks after containing a panicked request).
+    /// override, timings, cache mode) but none of its state. The allocation
+    /// server forks one context per worker thread (and re-forks after
+    /// containing a panicked request); each fork's counters flush to the
+    /// process-wide registry when it drops, like any other timed context.
     pub fn fork(&self) -> Self {
         Self::configured(
             self.backend,
@@ -702,6 +699,11 @@ impl PipelineCx {
             self.record(Stage::Build, t0);
             self.record_bytes(Stage::Build, bytes);
         } else {
+            // A new topology: the reoptimizer's retained potentials describe
+            // another network, so a rescale hint would be wasted work. The
+            // old network goes first, so the new one reuses its memory.
+            self.prev_basis = None;
+            self.cache = None;
             let segmentation = self.segment(problem);
             let regions = self.profile(problem, &segmentation);
             let built = self.build(problem, &segmentation, &regions)?;

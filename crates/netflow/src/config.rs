@@ -24,9 +24,9 @@ pub const BACKEND_ENV: &str = "LEMRA_BACKEND";
 /// serial execution; useful for debugging and timing comparisons).
 pub const THREADS_ENV: &str = "LEMRA_THREADS";
 
-/// Environment variable: set `LEMRA_COLD=1` to make sweep drivers
-/// cold-solve every point (escape hatch for debugging and for timing
-/// comparisons against the warm path).
+/// Environment variable: set `LEMRA_COLD=1` to make sweep drivers and the
+/// multi-block chain walk cold-solve every point (escape hatch for
+/// debugging and for timing comparisons against the warm path).
 pub const COLD_ENV: &str = "LEMRA_COLD";
 
 /// Environment variable selecting the cross-request allocation cache mode

@@ -6,8 +6,9 @@
 //! value `F`. Re-solving each point from scratch discards the two artefacts
 //! the previous point worked hardest to produce: the optimal residual graph
 //! and the node potentials certifying its optimality. A [`Reoptimizer`]
-//! keeps both, diffs each incoming network against a snapshot of the last
-//! one solved, and repairs optimality instead of rebuilding it:
+//! keeps both, diffs each incoming network against the last one solved —
+//! whose arcs the retained residual graph still holds — and repairs
+//! optimality instead of rebuilding it:
 //!
 //! 1. **Apply deltas in place.** Cost changes rewrite the forward/backward
 //!    residual edge pair. Capacity changes adjust residual headroom; if the
@@ -71,10 +72,11 @@ use crate::graph::{FlowNetwork, NodeId};
 use crate::prune::repair_certificate;
 use crate::residual::Residual;
 use crate::ssp::{
-    check_endpoints, solution_from_residual, ssp_run, transform, update_potentials, Transformed,
+    check_endpoints, solution_from_residual, ssp_run, transform_into, update_potentials,
 };
 use crate::workspace::{SolverWorkspace, INF};
 use crate::{FlowSolution, NetflowError};
+use std::cell::RefCell;
 
 /// Warm-start solver for sweeps of related min-cost-flow problems.
 ///
@@ -93,6 +95,29 @@ pub struct Reoptimizer {
     budget: SolveBudget,
 }
 
+impl Drop for Reoptimizer {
+    fn drop(&mut self) {
+        if let Some(state) = self.state.take() {
+            // During thread teardown the spare slot may already be gone;
+            // the buffers are then simply freed.
+            let _ = SPARE.try_with(|spare| {
+                if let Ok(mut spare) = spare.try_borrow_mut() {
+                    *spare = Some(state);
+                }
+            });
+        }
+    }
+}
+
+thread_local! {
+    /// The buffers of the last warm reoptimizer dropped on this thread. The
+    /// first cold solve of a fresh reoptimizer rebuilds into them, so a
+    /// short-lived owner (one chain walk, one server request) does not pay
+    /// to fault its residual graph and workspace back in from the operating
+    /// system every time.
+    static SPARE: RefCell<Option<State>> = const { RefCell::new(None) };
+}
+
 /// Everything retained from the last successful solve.
 #[derive(Debug)]
 struct State {
@@ -100,8 +125,11 @@ struct State {
     res: Residual,
     /// Workspace whose `potential` certifies `res`'s optimality.
     ws: SolverWorkspace,
-    /// The network as last solved; diffed against each incoming network.
-    snapshot: FlowNetwork,
+    /// Nonzero lower bounds of the network last solved, `(arc, bound)` in
+    /// arc order. Every other arc field of that network is read back from
+    /// `res` (see [`Residual::arc_state`]), which is what each incoming
+    /// network is diffed against; no copy of the network is kept.
+    lower_bounds: Vec<(u32, i64)>,
     s: usize,
     t: usize,
     target: i64,
@@ -217,19 +245,22 @@ impl Reoptimizer {
         target: i64,
     ) -> Result<FlowSolution, NetflowError> {
         self.cold_solves += 1;
-        // Reuse the previous workspace's buffers; drop the rest of the state
-        // so an error below cannot leave a stale snapshot behind.
-        let mut ws = match self.state.take() {
-            Some(state) => state.ws,
-            None => SolverWorkspace::new(),
+        // Rebuild into the previous state's buffers, so a cold solve after a
+        // topology change costs what a plain solve does. The state is taken
+        // out first: an error below cannot leave stale state behind.
+        let (mut res, mut ws, mut lower_bounds) = match self.state.take() {
+            Some(state) => (state.res, state.ws, state.lower_bounds),
+            None => match SPARE.with(|spare| spare.borrow_mut().take()) {
+                Some(state) => {
+                    let mut ws = state.ws;
+                    ws.clear_stats();
+                    (state.res, ws, state.lower_bounds)
+                }
+                None => Default::default(),
+            },
         };
         ws.budget = self.budget;
-        let Transformed {
-            mut res,
-            super_s,
-            super_t,
-            required,
-        } = transform(net, s, t, target);
+        let (super_s, super_t, required) = transform_into(net, s, t, target, &mut res);
         let pushed = ssp_run(&mut res, super_s, super_t, required, &mut ws)?;
         if pushed < required {
             return Err(NetflowError::Infeasible {
@@ -238,10 +269,17 @@ impl Reoptimizer {
             });
         }
         let sol = solution_from_residual(net, &res, target);
+        lower_bounds.clear();
+        lower_bounds.extend(
+            (0u32..)
+                .zip(net.arcs_slice())
+                .filter(|(_, arc)| arc.lower_bound != 0)
+                .map(|(i, arc)| (i, arc.lower_bound)),
+        );
         self.state = Some(State {
             res,
             ws,
-            snapshot: net.clone(),
+            lower_bounds,
             s: s.index(),
             t: t.index(),
             target,
@@ -278,7 +316,7 @@ impl Reoptimizer {
     /// costs do not all move by one factor — e.g. an operating-point change
     /// that derates memory-access terms but leaves register terms alone.
     /// `ratio_of(i)` is the expected cost ratio of arc `i` (indices of the
-    /// snapshot network, i.e. the network last solved). A potential tracks
+    /// network last solved). A potential tracks
     /// the magnitude of the costs around its node, so each node is scaled
     /// by the |cost|-weighted blend of its incident arcs' ratios; nodes
     /// with no weighted incident arc — and the flow transform's super
@@ -290,20 +328,21 @@ impl Reoptimizer {
         let Some(state) = self.state.as_mut() else {
             return;
         };
-        let n = state.snapshot.node_count();
+        let n = state.network_nodes();
         let mut weight = vec![0.0f64; n];
         let mut scaled = vec![0.0f64; n];
         let (mut total_w, mut total_s) = (0.0f64, 0.0f64);
-        for (id, arc) in state.snapshot.arcs() {
-            let r = ratio_of(id.index());
+        for (i, &e) in state.res.edge_of_arc.iter().enumerate() {
+            let r = ratio_of(i);
             if !r.is_finite() || r <= 0.0 {
                 continue;
             }
-            let w = arc.cost.unsigned_abs() as f64;
+            let (from, to, cost, _) = state.res.arc_state(e);
+            let w = cost.unsigned_abs() as f64;
             if w == 0.0 {
                 continue;
             }
-            for v in [arc.from.index(), arc.to.index()] {
+            for v in [from, to] {
                 weight[v] += w;
                 scaled[v] += w * r;
             }
@@ -330,6 +369,12 @@ impl Reoptimizer {
 }
 
 impl State {
+    /// Node count of the network last solved (the residual graph appends
+    /// the transform's super-source and super-sink).
+    fn network_nodes(&self) -> usize {
+        self.res.node_count() - 2
+    }
+
     /// Attempts to repair the retained optimum for `net`. `Ok(Fallback)`
     /// requests a cold solve; `Err` is only produced by the `validate`
     /// feature's invariant checks.
@@ -340,19 +385,24 @@ impl State {
         t: NodeId,
         target: i64,
     ) -> Result<Warm, NetflowError> {
-        if net.node_count() != self.snapshot.node_count()
-            || net.arc_count() != self.snapshot.arc_count()
+        if net.node_count() != self.network_nodes()
+            || net.arc_count() != self.res.edge_of_arc.len()
             || s.index() != self.s
             || t.index() != self.t
         {
             return Ok(Warm::Fallback);
         }
         self.touched.clear();
-        for ((_, old), (id, new)) in self.snapshot.arcs().zip(net.arcs()) {
-            if old.from != new.from || old.to != new.to || old.lower_bound != new.lower_bound {
+        let mut lower_bounds = self.lower_bounds.iter().peekable();
+        for ((id, new), &e) in net.arcs().zip(&self.res.edge_of_arc) {
+            let lower = lower_bounds
+                .next_if(|&&(arc, _)| arc as usize == id.index())
+                .map_or(0, |&(_, bound)| bound);
+            let (from, to, cost, headroom) = self.res.arc_state(e);
+            if from != new.from.index() || to != new.to.index() || lower != new.lower_bound {
                 return Ok(Warm::Fallback);
             }
-            if old.cost != new.cost || old.capacity != new.capacity {
+            if cost != new.cost || headroom != new.capacity - lower {
                 // A delta incident to a node the initial-potential pass
                 // proved unreachable has no trustworthy reduced cost.
                 if self.ws.node[new.from.index()].potential >= INF
@@ -379,16 +429,16 @@ impl State {
         self.excess.clear();
         self.excess.resize(self.res.node_count(), 0);
         for &i in &self.touched {
-            let old = self.snapshot.arc(crate::ArcId(i));
             let new = net.arc(crate::ArcId(i));
             let e = self.res.edge_of_arc[i as usize];
-            if old.cost != new.cost {
+            let (_, _, old_cost, old_headroom) = self.res.arc_state(e);
+            if old_cost != new.cost {
                 self.res.set_cost_of(e, new.cost);
                 self.res.set_cost_of(e ^ 1, -new.cost);
             }
-            if old.capacity != new.capacity {
-                // Residual capacities are in the lower-bound-reduced space.
-                let headroom = new.capacity - new.lower_bound;
+            // Residual capacities are in the lower-bound-reduced space.
+            let headroom = new.capacity - new.lower_bound;
+            if old_headroom != headroom {
                 let flow = self.res.flow_on(e);
                 if headroom >= flow {
                     self.res.set_cap_of(e, headroom - flow);
@@ -426,7 +476,7 @@ impl State {
         // non-negative reduced cost again.
         self.recheck_all = false;
         if !self.refine_prices() && !self.cancel_retained_cycles() {
-            for e in 0..self.res.slots.len() as u32 {
+            for e in 0..self.res.edge_count() as u32 {
                 self.saturate_if_negative(e);
             }
         }
@@ -449,7 +499,6 @@ impl State {
         }
 
         self.target = target;
-        self.snapshot.clone_from(net);
         let sol = solution_from_residual(net, &self.res, target);
         #[cfg(feature = "validate")]
         self.audit()?;

@@ -478,6 +478,12 @@ impl Residual {
         !self.first_out.is_empty()
     }
 
+    /// Number of live edges (and slots). The slot arrays only grow, so
+    /// after a rebuild into a larger arena they can be longer than this.
+    pub fn edge_count(&self) -> usize {
+        self.first_out[self.nodes] as usize
+    }
+
     /// Slot range of node `u`'s outgoing edges (active or not). Forward
     /// scans only ever need [`Residual::active_slots`]; the full range
     /// serves *backward* traversals (a dormant forward slot's partner can
@@ -515,6 +521,22 @@ impl Residual {
     #[inline]
     pub fn tail(&self, e: u32) -> usize {
         self.slots[self.slot_of[(e ^ 1) as usize] as usize].to as usize
+    }
+
+    /// `(tail, head, cost, headroom)` of forward edge `e`: the arc it was
+    /// built from, as last priced, with its capacity above the lower bound.
+    /// Pushes only move capacity between `e` and `e ^ 1`, so their sum is
+    /// that headroom whatever flow the edge carries.
+    #[inline]
+    pub fn arc_state(&self, e: u32) -> (usize, usize, i64, i64) {
+        let fwd = &self.slots[self.slot_of[e as usize] as usize];
+        let back = &self.slots[self.slot_of[(e ^ 1) as usize] as usize];
+        (
+            back.to as usize,
+            fwd.to as usize,
+            fwd.cost,
+            fwd.cap + back.cap,
+        )
     }
 
     /// Live residual capacity of edge `e`. Requires [`Residual::finalize`].

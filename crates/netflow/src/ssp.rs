@@ -168,39 +168,14 @@ fn certify(res: &Residual, ws: &SolverWorkspace) -> Result<(), NetflowError> {
     }
 }
 
-/// Result of [`transform`]: a finalized residual graph with the synthetic
-/// super-source/super-sink appended and the units that must reach the
-/// super-sink for the original problem to be feasible.
-pub(crate) struct Transformed {
-    /// Finalized residual graph (network arcs plus supply edges).
-    pub res: Residual,
-    /// Super-source node index (`net.node_count()`).
-    pub super_s: usize,
-    /// Super-sink node index (`net.node_count() + 1`).
-    pub super_t: usize,
-    /// Total excess the solve must route from `super_s` to `super_t`.
-    pub required: i64,
-}
-
-/// Excess/deficit transformation shared by the SSP-family solvers: every
+/// Excess/deficit transformation shared by the SSP-family solvers, built
+/// into a caller-provided [`Residual`] arena (its buffers are reused): every
 /// lower bound `l` on arc `(u, v)` pre-routes `l` units, leaving `v` with
 /// excess `+l` and `u` with deficit `-l`. The requirement "exactly `target`
 /// units from `s` to `t`" is a virtual arc `t -> s` with lower bound =
-/// capacity = `target`.
-pub(crate) fn transform(net: &FlowNetwork, s: NodeId, t: NodeId, target: i64) -> Transformed {
-    let mut res = Residual::default();
-    let (super_s, super_t, required) = transform_into(net, s, t, target, &mut res);
-    Transformed {
-        res,
-        super_s,
-        super_t,
-        required,
-    }
-}
-
-/// [`transform`] into a caller-provided [`Residual`] arena (its buffers are
-/// reused; see [`Residual::rebuild_from_network`]). Returns
-/// `(super_s, super_t, required)`.
+/// capacity = `target`. Returns `(super_s, super_t, required)`: the
+/// synthetic super-source and super-sink appended after the network's
+/// nodes, and the total excess the solve must route between them.
 pub(crate) fn transform_into(
     net: &FlowNetwork,
     s: NodeId,

@@ -277,6 +277,14 @@ impl SolverWorkspace {
         }
     }
 
+    /// Zeroes the cumulative effort counters, for a workspace whose buffers
+    /// pass to a new owner.
+    pub(crate) fn clear_stats(&mut self) {
+        self.dijkstra_rounds = 0;
+        self.pushed_units = 0;
+        self.prune_fallbacks = 0;
+    }
+
     /// Installs a [`SolveBudget`] that every subsequent solve on this
     /// workspace checks cooperatively, returning the previous budget so
     /// callers can scope a budget to one call and restore the old one after.

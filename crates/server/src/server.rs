@@ -445,9 +445,10 @@ fn run_request(cx: &mut PipelineCx, job: &Job) -> (Status, String) {
             format_allocation(req, &allocation, &report)
         }),
         ParsedRequest::Program(req) => {
-            // Serial inner walk: the digest is thread-count-independent,
-            // and cross-request parallelism already comes from the pool.
-            allocate_program_with(cx, &req.chain, 1).map(|program| format_program_digest(&program))
+            // The worker's context retains one network, the last block's, so
+            // a program repeating that topology starts warm; the unique
+            // optimum keeps every digest independent of earlier requests.
+            allocate_program_with(cx, &req.chain).map(|program| format_program_digest(&program))
         }
     };
     cx.set_solve_budget(prev_budget);

@@ -388,7 +388,7 @@ pub struct AllocateRequest {
 /// A parsed `program` request.
 #[derive(Debug, Clone)]
 pub struct ProgramRequest {
-    /// The block chain, ready for `allocate_program_threads`.
+    /// The block chain, ready for `allocate_program`.
     pub chain: BlockChain,
     /// Client-supplied deadline; `None` uses the server default.
     pub timeout_ms: Option<u64>,
@@ -869,7 +869,7 @@ pub fn format_allocation(
 
 /// Renders a `program` response payload: the same per-block digest lines
 /// the `wholeprogram` driver prints, preceded by a `program` header. The
-/// load generator computes this offline from `allocate_program_threads`
+/// load generator computes this offline from `allocate_program`
 /// and byte-compares it against the server's response.
 pub fn format_program_digest(program: &ProgramAllocation) -> String {
     let mut out = String::new();

@@ -128,6 +128,44 @@ fn program_digest_matches_offline_allocation() {
     server.join();
 }
 
+/// A worker's context outlives its requests and keeps the last program's
+/// network for re-pricing. Interleaving allocations and two programs over
+/// the same tile topology (different register budgets, so the second
+/// program re-prices the first one's network) on a single worker must
+/// still answer every program exactly as a fresh offline walk does.
+#[test]
+fn warm_worker_context_never_changes_a_later_response() {
+    use lemra_workloads::wholeprogram::{loop_nest, LoopNestConfig};
+
+    let nest = |registers: u32| {
+        loop_nest(&LoopNestConfig {
+            tiles: 4,
+            vars_per_tile: 24,
+            accumulators: 4,
+            steps: 20,
+            registers,
+            seed: 3,
+        })
+    };
+    let mut server = start(|cfg| cfg.workers = 1);
+    let mut client = Client::connect(server.addr()).unwrap();
+    for registers in [6, 5] {
+        let allocated = client.allocate(FIGURE1, 2, None).unwrap();
+        assert_eq!(allocated.status, Status::Ok, "{}", allocated.payload);
+        let chain = nest(registers);
+        let payload = format_program_payload(&chain, None).unwrap();
+        let response = client.program(&payload).unwrap();
+        assert_eq!(response.status, Status::Ok, "{}", response.payload);
+        let offline = allocate_program_threads(&chain, 1).unwrap();
+        assert_eq!(
+            response.payload,
+            format_program_digest(&offline),
+            "registers={registers}"
+        );
+    }
+    server.join();
+}
+
 #[test]
 fn malformed_payloads_get_typed_rejections() {
     let mut server = start(|_| {});

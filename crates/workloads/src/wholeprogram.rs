@@ -203,7 +203,9 @@ pub fn min_reg_trace(cfg: &MinRegTraceConfig) -> BlockChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lemra_core::{allocate_chain_threads, allocate_program_threads};
+    use lemra_core::{
+        allocate, allocate_program, allocate_program_with, AllocationReport, PipelineCx,
+    };
 
     #[test]
     fn loop_nest_tiers_have_advertised_scale() {
@@ -224,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn small_nest_allocates_parallel_equals_serial() {
+    fn small_nest_reprices_one_network_per_tile() {
         let cfg = LoopNestConfig {
             tiles: 6,
             vars_per_tile: 24,
@@ -234,9 +236,15 @@ mod tests {
             seed: 9,
         };
         let chain = loop_nest(&cfg);
-        let serial = allocate_chain_threads(&chain, 1).unwrap();
-        let parallel = allocate_chain_threads(&chain, 4).unwrap();
-        assert_eq!(serial.reports, parallel.reports);
+        let mut cx = PipelineCx::new();
+        let program = allocate_program_with(&mut cx, &chain).unwrap();
+        // One cold solve for the first tile; every later tile re-prices the
+        // retained network. A silent fall-back to cold solves fails here.
+        assert_eq!((cx.cold_solves(), cx.warm_solves()), (1, 5));
+        for (problem, report) in program.chain.problems.iter().zip(&program.chain.reports) {
+            let cold = allocate(problem).unwrap();
+            assert_eq!(*report, AllocationReport::new(problem, &cold));
+        }
     }
 
     #[test]
@@ -249,7 +257,7 @@ mod tests {
             seed: 2,
         };
         let chain = min_reg_trace(&cfg);
-        let program = allocate_program_threads(&chain, 2).unwrap();
+        let program = allocate_program(&chain).unwrap();
         assert_eq!(program.realloc.len(), 9);
         // At least one squeezed block forces a memory carry somewhere.
         let memory_carries: usize = program
