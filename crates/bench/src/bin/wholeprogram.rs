@@ -4,13 +4,14 @@
 //! ```text
 //! cargo run -p lemra-bench --bin wholeprogram -- --tier 4k
 //! cargo run -p lemra-bench --bin wholeprogram -- --tier trace --timings
-//! LEMRA_COLD=1 cargo run -p lemra-bench --bin wholeprogram -- --tier 4k
 //! ```
 //!
-//! Stdout is the digest and is **byte-identical with and without
-//! `LEMRA_COLD=1`**: the warm chain walk commits exactly what a cold solve
-//! of every block does (the CI `wholeprogram-smoke` job `cmp`s the two);
-//! `--timings` adds per-stage timing and peak-byte counters on stderr.
+//! Stdout is the digest. The warm chain walk commits exactly what a cold
+//! solve of every block does (the `wholeprogram_determinism` tests check
+//! this), so at the default seed the block lines of the 4k and trace tiers
+//! equal the committed `ledger/golden/program_{4k,trace}.digest` (the CI
+//! `wholeprogram-smoke` job compares them); `--timings` adds per-stage
+//! timing and peak-byte counters on stderr.
 
 use lemra_core::{allocate_program, BlockChain};
 use lemra_netflow::LemraConfig;

@@ -204,7 +204,7 @@ pub struct Table1Row {
 /// with supply scaling per [`VoltageSchedule::paper`].
 ///
 /// The three rows are a parameter sweep, so they run through one
-/// [`SweepAllocator`] (set `LEMRA_COLD=1` to force independent solves).
+/// [`SweepAllocator`].
 ///
 /// # Panics
 ///
@@ -310,7 +310,7 @@ pub struct SizingRow {
 ///
 /// The eight sizes sweep one [`SweepAllocator`]: only the flow value and
 /// the geometry-derived arc costs move between points, so every solve
-/// after the first warm-starts (set `LEMRA_COLD=1` to force cold solves).
+/// after the first warm-starts.
 ///
 /// # Panics
 ///
@@ -359,7 +359,7 @@ pub struct HeadlineRow {
 /// [`par_map`](crate::parallel::par_map) threads; rows come back grouped in
 /// workload order, byte-identical to the serial sweep (`LEMRA_THREADS=1`).
 /// Within a workload the activity- and static-model solves share one
-/// [`SweepAllocator`] (disable with `LEMRA_COLD=1`).
+/// [`SweepAllocator`].
 ///
 /// # Panics
 ///

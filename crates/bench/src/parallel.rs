@@ -5,11 +5,10 @@
 //! the allocator, sharing nothing. [`par_map`] fans such items out over
 //! scoped threads and returns results **in input order**, so the produced
 //! rows are byte-identical to a serial `map` — scheduling can never leak
-//! into committed outputs. The worker count honours the same
+//! into committed outputs. The worker count honours the
 //! [`LemraConfig`](lemra_netflow::LemraConfig) thread setting
-//! ([`LEMRA_THREADS`](lemra_netflow::THREADS_ENV)) as
-//! [`lemra_netflow::solve_batch`]; `LEMRA_THREADS=1` forces the serial path
-//! on the calling thread.
+//! ([`LEMRA_THREADS`](lemra_netflow::THREADS_ENV)); `LEMRA_THREADS=1`
+//! forces the serial path on the calling thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;

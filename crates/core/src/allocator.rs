@@ -203,6 +203,9 @@ impl Allocation {
 /// * [`CoreError::TooFewRegisters`] if forced segments (restricted memory
 ///   access times, §5.2) need more simultaneous registers than `R`.
 /// * [`CoreError::Flow`] for internal solver failures.
+/// * [`CoreError::InvalidAllocation`] if the result fails the structural
+///   audit of [`validate`](crate::validate), which every allocation passes
+///   through before it returns.
 ///
 /// # Examples
 ///
@@ -326,9 +329,8 @@ pub(crate) fn extract_allocation(
 /// topology-stable ones.
 ///
 /// Every call returns exactly what [`allocate`] would: the solver repairs
-/// the optimal basis, not an approximation of it. With the `validate`
-/// feature the warm objective is additionally asserted against an
-/// independent cold solve at every point.
+/// the optimal basis, not an approximation of it, and certifies its
+/// optimality before answering.
 ///
 /// # Examples
 ///
@@ -357,8 +359,7 @@ pub struct SweepAllocator {
 
 impl SweepAllocator {
     /// A sweep allocator with no retained state. Honours the process-wide
-    /// [`LemraConfig`](lemra_netflow::LemraConfig) — backend choice, and the
-    /// [`COLD_ENV`](lemra_netflow::COLD_ENV) cold-sweep override.
+    /// [`LemraConfig`](lemra_netflow::LemraConfig) backend choice.
     pub fn new() -> Self {
         Self {
             cx: PipelineCx::new(),
@@ -380,10 +381,7 @@ impl SweepAllocator {
         self.cx.warm_solves()
     }
 
-    /// Solves that (re)built solver state from scratch (including every
-    /// solve when [`COLD_ENV`](lemra_netflow::COLD_ENV) forces the cold
-    /// path — those don't touch the reoptimizer at all and count as
-    /// neither).
+    /// Solves that (re)built solver state from scratch.
     pub fn cold_solves(&self) -> u64 {
         self.cx.cold_solves()
     }

@@ -85,7 +85,7 @@ pub use build::{build_network, NetworkView};
 pub use cache::{cache_stats, clear_cache, CacheStats};
 pub use codegen::{storage_plan, Operand, StorageInstr, StoragePlan};
 pub use events::{trace_var, MemAccess, VarTrace};
-pub use lemra_netflow::{CacheMode, CACHE_CAP_ENV, CACHE_ENV, COLD_ENV};
+pub use lemra_netflow::{CacheMode, CACHE_CAP_ENV, CACHE_ENV};
 pub use modules::{partition_memory_modules, SleepPartition};
 pub use multiblock::{
     allocate_chain, allocate_chain_threads, allocate_program, allocate_program_threads,

@@ -9,11 +9,11 @@
 //! lifetimes are segmented (§5.2), the maximum-density regions are profiled
 //! (§5.1/§7), the flow network is emitted, a min-cost flow of the target
 //! value is solved, the flow is bound back to domain objects (register
-//! chains, placements, addresses), and the result is structurally audited
-//! (under the `validate` feature). [`PipelineCx`] runs those stages with one
-//! owned context: the configured [`Backend`], the warm-start
-//! [`Reoptimizer`] and its retained network for sweeps, and per-stage
-//! timing/flow counters. The free functions ([`allocate`](crate::allocate),
+//! chains, placements, addresses), and the result is structurally audited.
+//! [`PipelineCx`] runs those stages with one owned context: the configured
+//! [`Backend`], the warm-start [`Reoptimizer`] and its retained network for
+//! sweeps, and per-stage timing/flow counters. The free functions
+//! ([`allocate`](crate::allocate),
 //! [`assign_memory_tiers`](crate::assign_memory_tiers),
 //! [`reallocate_memory`](crate::reallocate_memory),
 //! [`allocate_chain`](crate::allocate_chain),
@@ -63,8 +63,7 @@ pub enum Stage {
     /// Binding the flow back to domain objects: path decomposition into
     /// chains, placements, left-edge addresses.
     Bind,
-    /// Structural audit of the bound result (`validate` feature only;
-    /// otherwise a no-op recorded at zero cost).
+    /// Structural audit of the bound result ([`validate`](crate::validate)).
     Validate,
 }
 
@@ -242,7 +241,6 @@ impl RetainedNetwork {
 #[derive(Debug)]
 pub struct PipelineCx {
     backend: Backend,
-    force_cold: bool,
     timings_on: bool,
     reopt: Reoptimizer,
     resilient: ResilientSolver,
@@ -284,7 +282,7 @@ impl Drop for PipelineCx {
         // Sweep state outlives the context: donate the reoptimizer to its
         // structural class so the next sweep over the same topology starts
         // warm. The adopter's own snapshot diff re-verifies compatibility.
-        if self.cache_mode == CacheMode::Warm && !self.force_cold && self.reopt.is_warm() {
+        if self.cache_mode == CacheMode::Warm && self.reopt.is_warm() {
             if let Some(class) = self.warm_class {
                 crate::cache::donate_warm(class, std::mem::take(&mut self.reopt));
             }
@@ -300,17 +298,17 @@ impl Drop for PipelineCx {
 
 impl PipelineCx {
     /// A context configured from the process-wide [`LemraConfig`] snapshot
-    /// (backend, cold-sweep override, timings).
+    /// (backend, timings, cache mode).
     pub fn new() -> Self {
         let cfg = LemraConfig::get();
-        Self::configured(cfg.backend, cfg.cold, cfg.timings, cfg.cache)
+        Self::configured(cfg.backend, cfg.timings, cfg.cache)
     }
 
     /// A context with an explicit backend; everything else from
     /// [`LemraConfig`].
     pub fn with_backend(backend: Backend) -> Self {
         let cfg = LemraConfig::get();
-        Self::configured(backend, cfg.cold, cfg.timings, cfg.cache)
+        Self::configured(backend, cfg.timings, cfg.cache)
     }
 
     /// A context with an explicit cross-request cache mode; everything else
@@ -318,24 +316,18 @@ impl PipelineCx {
     /// mutating the process-wide config snapshot.
     pub fn with_cache_mode(mode: CacheMode) -> Self {
         let cfg = LemraConfig::get();
-        Self::configured(cfg.backend, cfg.cold, cfg.timings, mode)
+        Self::configured(cfg.backend, cfg.timings, mode)
     }
 
     /// A context with both an explicit backend and cache mode.
     pub fn with_backend_cache(backend: Backend, mode: CacheMode) -> Self {
         let cfg = LemraConfig::get();
-        Self::configured(backend, cfg.cold, cfg.timings, mode)
+        Self::configured(backend, cfg.timings, mode)
     }
 
-    fn configured(
-        backend: Backend,
-        force_cold: bool,
-        timings_on: bool,
-        cache_mode: CacheMode,
-    ) -> Self {
+    fn configured(backend: Backend, timings_on: bool, cache_mode: CacheMode) -> Self {
         Self {
             backend,
-            force_cold,
             timings_on,
             reopt: Reoptimizer::new(),
             resilient: ResilientSolver::new(backend),
@@ -355,18 +347,13 @@ impl PipelineCx {
         self.backend
     }
 
-    /// A fresh context with this one's configuration (backend, cold
-    /// override, timings, cache mode) but none of its state. The allocation
-    /// server forks one context per worker thread (and re-forks after
-    /// containing a panicked request); each fork's counters flush to the
-    /// process-wide registry when it drops, like any other timed context.
+    /// A fresh context with this one's configuration (backend, timings,
+    /// cache mode) but none of its state. The allocation server forks one
+    /// context per worker thread (and re-forks after containing a panicked
+    /// request); each fork's counters flush to the process-wide registry
+    /// when it drops, like any other timed context.
     pub fn fork(&self) -> Self {
-        Self::configured(
-            self.backend,
-            self.force_cold,
-            self.timings_on,
-            self.cache_mode,
-        )
+        Self::configured(self.backend, self.timings_on, self.cache_mode)
     }
 
     /// This context's accumulated stage timings and solver counters (all
@@ -514,27 +501,22 @@ impl PipelineCx {
         solution
     }
 
-    /// Validate stage: structural audit under the `validate` feature; a
-    /// no-op otherwise.
-    #[cfg_attr(not(feature = "validate"), allow(unused_variables))]
+    /// Validate stage: structural audit of the bound result.
     pub(crate) fn validate(
         &mut self,
         problem: &AllocationProblem,
         allocation: &Allocation,
     ) -> Result<(), CoreError> {
-        #[cfg(feature = "validate")]
-        {
-            let t0 = self.clock();
-            crate::validate(problem, allocation)?;
-            self.record(Stage::Validate, t0);
-        }
+        let t0 = self.clock();
+        crate::validate(problem, allocation)?;
+        self.record(Stage::Validate, t0);
         Ok(())
     }
 
     /// Canon stage: canonicalize the built instance for the cross-request
-    /// cache. `None` (and zero recorded cost) when caching is off or the
-    /// cold override is set — the default path is byte-identical to the
-    /// pre-cache pipeline by construction.
+    /// cache. `None` (and zero recorded cost) when caching is off — the
+    /// default path is byte-identical to the pre-cache pipeline by
+    /// construction.
     ///
     /// The result is memoized under the network's identity [`CacheStamp`]:
     /// re-solving the same unmutated network object (repeated requests over
@@ -548,7 +530,7 @@ impl PipelineCx {
         t: NodeId,
         target: i64,
     ) -> Option<Arc<CanonicalInstance>> {
-        if self.cache_mode == CacheMode::Off || self.force_cold {
+        if self.cache_mode == CacheMode::Off {
             return None;
         }
         let t0 = self.clock();
@@ -678,16 +660,12 @@ impl PipelineCx {
     /// over topology-identical problems re-price the retained network in
     /// place and repair the previous optimum instead of re-solving —
     /// [`SweepAllocator`](crate::SweepAllocator)'s engine. Points whose
-    /// topology changes, and every point when [`LemraConfig::cold`] is set,
-    /// silently fall back to the cold pipeline.
+    /// topology changes silently fall back to a cold solve.
     ///
     /// # Errors
     ///
     /// Same as [`allocate`](crate::allocate).
     pub fn allocate_warm(&mut self, problem: &AllocationProblem) -> Result<Allocation, CoreError> {
-        if self.force_cold {
-            return self.allocate(problem);
-        }
         // Re-price the retained network in place when the topology carries
         // over from the previous point; rebuild (and recache) otherwise.
         let covered = self.cache.as_ref().is_some_and(|c| c.covers(problem));
@@ -849,18 +827,6 @@ impl PipelineCx {
             self.prev_basis = None;
         }
         let solution = solution.map_err(|e| flow_error(problem, e))?;
-        #[cfg(feature = "validate")]
-        {
-            let cold = self
-                .backend
-                .solve(&built.net, built.s, built.t, target)
-                .map_err(|e| flow_error(problem, e))?;
-            assert_eq!(
-                solution.cost, cold.cost,
-                "warm-start objective diverged from cold solve"
-            );
-            assert_eq!(solution.value, cold.value);
-        }
         if let Some((stats, warm, cold)) = reopt_before {
             self.stats.solver = self.stats.solver + (self.reopt.stats() - stats);
             self.stats.solver.incidents += self.resilient.incident_count() - incidents_before;

@@ -1,12 +1,10 @@
 //! Process-wide runtime configuration, read once.
 //!
-//! The knobs that used to be scattered env reads — `LEMRA_THREADS` in the
-//! batch solver *and again* in the bench drivers, `LEMRA_COLD` per
-//! `SweepAllocator`, the backend choice nowhere at all — live in one
-//! [`LemraConfig`], parsed from the environment exactly once per process
-//! (or installed explicitly by a binary's flag parser before first use).
-//! Every consumer reads the same snapshot, so a sweep driver and the batch
-//! solver can never disagree about the thread count mid-run.
+//! The runtime knobs — backend, worker threads, cache mode and capacity,
+//! timings — live in one [`LemraConfig`], parsed from the environment
+//! exactly once per process (or installed explicitly by a binary's flag
+//! parser before first use). Every consumer reads the same snapshot, so two
+//! parallel drivers can never disagree about the thread count mid-run.
 //!
 //! Parsing is strict: a malformed variable is an error carrying the list of
 //! accepted values, never a silent fallback (a mistyped
@@ -23,11 +21,6 @@ pub const BACKEND_ENV: &str = "LEMRA_BACKEND";
 /// Environment variable overriding the worker-thread count (`1` forces
 /// serial execution; useful for debugging and timing comparisons).
 pub const THREADS_ENV: &str = "LEMRA_THREADS";
-
-/// Environment variable: set `LEMRA_COLD=1` to make sweep drivers and the
-/// multi-block chain walk cold-solve every point (escape hatch for
-/// debugging and for timing comparisons against the warm path).
-pub const COLD_ENV: &str = "LEMRA_COLD";
 
 /// Environment variable selecting the cross-request allocation cache mode
 /// (`off` — default, no cache; `exact` — replay byte-identical solutions on
@@ -108,16 +101,11 @@ pub enum ParSolve {
 pub struct LemraConfig {
     /// Min-cost-flow algorithm the pipeline solve stages use.
     pub backend: Backend,
-    /// Worker-thread cap for batched solves and parallel sweeps; `None`
-    /// means one per item up to the machine's parallelism.
+    /// Worker-thread cap for parallel sweeps; `None` means one per item up
+    /// to the machine's parallelism.
     pub threads: Option<usize>,
-    /// Force sweep drivers to cold-solve every point (no warm-start reuse).
-    pub cold: bool,
     /// Collect and report per-stage timings and solver counters.
     pub timings: bool,
-    /// Whether the `validate` cargo feature (in-solve invariant auditing)
-    /// is compiled in — informational, for reports.
-    pub validate: bool,
     /// No effect (see [`ParSolve`]); always [`ParSolve::Auto`] from the
     /// environment. To be removed.
     pub par_solve: ParSolve,
@@ -132,9 +120,7 @@ impl Default for LemraConfig {
         Self {
             backend: Backend::Ssp,
             threads: None,
-            cold: false,
             timings: false,
-            validate: cfg!(feature = "validate"),
             par_solve: ParSolve::Auto,
             cache: CacheMode::Off,
             cache_cap: 128,
@@ -146,7 +132,7 @@ static CONFIG: OnceLock<LemraConfig> = OnceLock::new();
 
 impl LemraConfig {
     /// Builds a configuration from the environment ([`BACKEND_ENV`],
-    /// [`THREADS_ENV`], [`COLD_ENV`], [`CACHE_ENV`], [`CACHE_CAP_ENV`]);
+    /// [`THREADS_ENV`], [`CACHE_ENV`], [`CACHE_CAP_ENV`]);
     /// unset variables fall back to the defaults. Timings are flag-only (no env
     /// variable), so they default to off.
     ///
@@ -160,7 +146,6 @@ impl LemraConfig {
         Self::from_vars(
             std::env::var(BACKEND_ENV).ok().as_deref(),
             std::env::var(THREADS_ENV).ok().as_deref(),
-            std::env::var(COLD_ENV).ok().as_deref(),
             std::env::var(CACHE_ENV).ok().as_deref(),
             std::env::var(CACHE_CAP_ENV).ok().as_deref(),
         )
@@ -175,7 +160,6 @@ impl LemraConfig {
     pub fn from_vars(
         backend: Option<&str>,
         threads: Option<&str>,
-        cold: Option<&str>,
         cache: Option<&str>,
         cache_cap: Option<&str>,
     ) -> Result<Self, NetflowError> {
@@ -190,7 +174,6 @@ impl LemraConfig {
                     })
             })
             .transpose()?;
-        let cold = cold.is_some_and(|v| !v.is_empty() && v != "0");
         let cache = cache.map_or(Ok(CacheMode::default()), str::parse)?;
         let cache_cap = cache_cap
             .map(|v| {
@@ -205,7 +188,6 @@ impl LemraConfig {
         Ok(Self {
             backend,
             threads,
-            cold,
             cache,
             cache_cap: cache_cap.unwrap_or(Self::default().cache_cap),
             ..Self::default()
@@ -258,7 +240,6 @@ mod tests {
     fn default_is_ssp_warm_untimed() {
         let cfg = LemraConfig::default();
         assert_eq!(cfg.backend, Backend::Ssp);
-        assert!(!cfg.cold);
         assert!(!cfg.timings);
         assert_eq!(cfg.threads, None);
     }
@@ -286,21 +267,18 @@ mod tests {
 
     #[test]
     fn from_vars_parses_each_knob() {
-        let cfg = LemraConfig::from_vars(Some("auto"), Some("3"), Some("1"), None, None).unwrap();
+        let cfg = LemraConfig::from_vars(Some("auto"), Some("3"), None, None).unwrap();
         assert_eq!(cfg.backend, Backend::Auto);
         assert_eq!(cfg.threads, Some(3));
-        assert!(cfg.cold);
-        let unset = LemraConfig::from_vars(None, None, None, None, None).unwrap();
+        let unset = LemraConfig::from_vars(None, None, None, None).unwrap();
         assert_eq!(unset, LemraConfig::default());
-        let off = LemraConfig::from_vars(None, None, Some("0"), None, None).unwrap();
-        assert!(!off.cold);
     }
 
     #[test]
     fn unknown_backend_is_an_error_listing_valid_names() {
         // Typos and the names of removed backends are rejected alike.
         for bad in ["cost_scalng", "simplex", "cycle", "scaling"] {
-            let err = LemraConfig::from_vars(Some(bad), None, None, None, None).unwrap_err();
+            let err = LemraConfig::from_vars(Some(bad), None, None, None).unwrap_err();
             let msg = err.to_string();
             assert!(
                 msg.contains(&format!("`{bad}`")),
@@ -324,29 +302,29 @@ mod tests {
                 assert!(err.contains(name), "lists `{name}`: {err}");
             }
         }
-        let cfg = LemraConfig::from_vars(None, None, None, Some("warm"), Some("7")).unwrap();
+        let cfg = LemraConfig::from_vars(None, None, Some("warm"), Some("7")).unwrap();
         assert_eq!(cfg.cache, CacheMode::Warm);
         assert_eq!(cfg.cache_cap, 7);
         assert!(
-            LemraConfig::from_vars(None, None, None, Some("wram"), None).is_err(),
+            LemraConfig::from_vars(None, None, Some("wram"), None).is_err(),
             "a typo'd {CACHE_ENV} must fail loudly"
         );
-        assert!(LemraConfig::from_vars(None, None, None, None, Some("0")).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, None, Some("many")).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, Some("0")).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, Some("many")).is_err());
     }
 
     #[test]
     fn cost_scaling_backend_parses_from_env_vars() {
-        let cfg = LemraConfig::from_vars(Some("cost_scaling"), None, None, None, None).unwrap();
+        let cfg = LemraConfig::from_vars(Some("cost_scaling"), None, None, None).unwrap();
         assert_eq!(cfg.backend, Backend::CostScaling);
-        let dashed = LemraConfig::from_vars(Some("cost-scaling"), None, None, None, None).unwrap();
+        let dashed = LemraConfig::from_vars(Some("cost-scaling"), None, None, None).unwrap();
         assert_eq!(dashed.backend, Backend::CostScaling);
     }
 
     #[test]
     fn malformed_numeric_knobs_are_errors() {
-        assert!(LemraConfig::from_vars(None, Some("zero"), None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, Some("0"), None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, None, Some("-1")).is_err());
+        assert!(LemraConfig::from_vars(None, Some("zero"), None, None).is_err());
+        assert!(LemraConfig::from_vars(None, Some("0"), None, None).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, Some("-1")).is_err());
     }
 }

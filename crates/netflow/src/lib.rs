@@ -43,21 +43,19 @@
 //! monotone radix heap rather than a binary heap — profiling the 512-variable
 //! allocation showed the solve heap-bound (≈490k pushes and 170k pops per
 //! solve), and bucketed O(1) pushes are what the counting favours.
-//! Independent solves batch across threads with [`solve_batch`].
 //! On networks of 100 000 arcs or more, [`min_cost_flow_with`] settles each
 //! Dijkstra round over a per-node working set of the cheapest residual
 //! arcs instead of the full residual, then repairs the potentials over the
 //! full residual and checks an O(E) optimality certificate before
 //! returning, so the answer stays exact.
 //!
-//! Together these changes take the end-to-end 512-variable allocation
-//! benchmark from 209.3 ms to 54.5 ms (3.8×); the smaller sizes in the
-//! `allocate_scaling` sweep improve 2.2–2.8× and the raw SSP solve 2.3×
-//! (criterion medians, recorded in `BENCH_solver.json` at the repository
-//! root).
+//! The end-to-end cost of one 512-variable allocation is measured by the
+//! `block_512` workload of the performance ledger (`ledger/` at the
+//! repository root), with its Solve layer broken out.
 //!
-//! Enabling the `validate` cargo feature arms a per-edge reduced-cost check
-//! inside Dijkstra that turns a violated optimality invariant into
+//! Every SSP solve and every [`Reoptimizer`] solve, warm or cold, checks
+//! the reduced-cost optimality certificate over the final residual graph
+//! before it returns, and reports a violation as
 //! [`NetflowError::InvalidSolution`] instead of a silently suboptimal flow.
 //!
 //! # Examples
@@ -83,7 +81,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod budget;
 mod canon;
 mod config;
@@ -103,11 +100,10 @@ mod solver;
 mod ssp;
 mod workspace;
 
-pub use batch::{solve_batch, solve_batch_on, BatchProblem};
 pub use budget::SolveBudget;
 pub use canon::{canonicalize, CacheStamp, CanonicalInstance, Fingerprint};
 pub use config::{
-    CacheMode, LemraConfig, ParSolve, BACKEND_ENV, CACHE_CAP_ENV, CACHE_ENV, COLD_ENV, THREADS_ENV,
+    CacheMode, LemraConfig, ParSolve, BACKEND_ENV, CACHE_CAP_ENV, CACHE_ENV, THREADS_ENV,
 };
 pub use cost_scaling::{min_cost_flow_cost_scaling, min_cost_flow_cost_scaling_with};
 pub use dinic::max_flow;
@@ -121,7 +117,7 @@ pub use graph::{Arc, ArcId, FlowNetwork, NodeId};
 pub use reopt::Reoptimizer;
 pub use resilience::{ResilientSolver, SolverIncident};
 pub use solution::{validate, FlowSolution};
-pub use solver::{Backend, CostScalingSolver, McfSolver, Ssp};
+pub use solver::{Backend, McfSolver};
 pub use ssp::{min_cost_flow, min_cost_flow_with};
 pub use workspace::{thread_solver_stats, SolverStats, SolverWorkspace};
 

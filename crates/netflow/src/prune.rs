@@ -124,7 +124,7 @@ pub(crate) fn pruned_phases(
     while flow < target {
         budget.check_rounds("ssp", "augment", rounds)?;
         rounds += 1;
-        let dist_t = settle_within(res, &res.kept_end, s, t, ws)?;
+        let dist_t = settle_within(res, &res.kept_end, s, t, ws);
         if dist_t >= INF {
             break;
         }

@@ -46,6 +46,13 @@
 //! point is infeasible — the cold solve then produces the authoritative
 //! error).
 //!
+//! **Certificate.** Every answer, warm or cold, is checked before it
+//! returns: each positive-capacity residual edge between covered nodes must
+//! have a non-negative reduced cost under the retained potentials, an O(E)
+//! pass. A violation is [`NetflowError::InvalidSolution`], which a
+//! [`ResilientSolver`](crate::ResilientSolver) absorbs as an incident and
+//! answers with a cold solve.
+//!
 //! # Examples
 //!
 //! ```
@@ -72,7 +79,7 @@ use crate::graph::{FlowNetwork, NodeId};
 use crate::prune::repair_certificate;
 use crate::residual::Residual;
 use crate::ssp::{
-    check_endpoints, solution_from_residual, ssp_run, transform_into, update_potentials,
+    certify, check_endpoints, solution_from_residual, ssp_run, transform_into, update_potentials,
 };
 use crate::workspace::{SolverWorkspace, INF};
 use crate::{FlowSolution, NetflowError};
@@ -165,8 +172,10 @@ impl Reoptimizer {
     ///
     /// Same as [`min_cost_flow`](crate::min_cost_flow); infeasibility and
     /// negative-cycle errors are always diagnosed by a cold solve, so the
-    /// error values are identical to the cold path's. After an error the
-    /// retained state is dropped and the next call starts cold.
+    /// error values are identical to the cold path's. Warm and cold answers
+    /// alike return [`NetflowError::InvalidSolution`] when the retained
+    /// potentials fail the reduced-cost optimality certificate. After an
+    /// error the retained state is dropped and the next call starts cold.
     pub fn solve(
         &mut self,
         net: &FlowNetwork,
@@ -177,7 +186,13 @@ impl Reoptimizer {
         check_endpoints(net, s, t, target)?;
         if let Some(state) = self.state.as_mut() {
             state.ws.budget = self.budget;
-            match state.try_warm(net, s, t, target) {
+            let warm = state.try_warm(net, s, t, target).and_then(|warm| {
+                if matches!(warm, Warm::Done(_)) {
+                    certify(&state.res, &state.ws)?;
+                }
+                Ok(warm)
+            });
+            match warm {
                 Ok(Warm::Done(sol)) => {
                     self.warm_solves += 1;
                     return Ok(sol);
@@ -262,6 +277,7 @@ impl Reoptimizer {
         ws.budget = self.budget;
         let (super_s, super_t, required) = transform_into(net, s, t, target, &mut res);
         let pushed = ssp_run(&mut res, super_s, super_t, required, &mut ws)?;
+        certify(&res, &ws)?;
         if pushed < required {
             return Err(NetflowError::Infeasible {
                 required,
@@ -376,8 +392,7 @@ impl State {
     }
 
     /// Attempts to repair the retained optimum for `net`. `Ok(Fallback)`
-    /// requests a cold solve; `Err` is only produced by the `validate`
-    /// feature's invariant checks.
+    /// requests a cold solve; `Err` is only produced by the solve budget.
     fn try_warm(
         &mut self,
         net: &FlowNetwork,
@@ -499,10 +514,7 @@ impl State {
         }
 
         self.target = target;
-        let sol = solution_from_residual(net, &self.res, target);
-        #[cfg(feature = "validate")]
-        self.audit()?;
-        Ok(Warm::Done(sol))
+        Ok(Warm::Done(solution_from_residual(net, &self.res, target)))
     }
 
     /// Queue-driven Bellman–Ford relaxation restoring the reduced-cost
@@ -603,7 +615,7 @@ impl State {
             if balanced {
                 return Ok(true);
             }
-            let Some((sink, dist)) = self.drain_round()? else {
+            let Some((sink, dist)) = self.drain_round() else {
                 return Ok(false);
             };
             update_potentials(&mut self.ws, dist);
@@ -624,14 +636,14 @@ impl State {
     /// One Dijkstra round from the pre-seeded excess frontier, stopping at
     /// the first settled deficit node. Returns `(node, distance)`, or `None`
     /// if no deficit is reachable.
-    fn drain_round(&mut self) -> Result<Option<(usize, i64)>, NetflowError> {
+    fn drain_round(&mut self) -> Option<(usize, i64)> {
         while let Some((d, u)) = self.ws.heap.pop() {
             let u = u as usize;
             if d > self.ws.dist_of(u) {
                 continue;
             }
             if self.excess[u] < 0 {
-                return Ok(Some((u, d)));
+                return Some((u, d));
             }
             let pu = self.ws.node[u].potential;
             if pu >= INF {
@@ -650,16 +662,6 @@ impl State {
                     continue;
                 }
                 let reduced = self.res.slots[slot].cost + pu - self.ws.node[v].potential;
-                #[cfg(feature = "validate")]
-                if reduced < 0 {
-                    return Err(NetflowError::InvalidSolution {
-                        reason: format!(
-                            "negative reduced cost {reduced} on residual edge {} \
-                             ({u} -> {v}) after delta application",
-                            self.res.slots[slot].edge
-                        ),
-                    });
-                }
                 debug_assert!(reduced >= 0, "negative reduced cost in drain");
                 let nd = d + reduced;
                 if nd < self.ws.dist_of(v) {
@@ -670,37 +672,7 @@ impl State {
                 }
             }
         }
-        Ok(None)
-    }
-
-    /// Full reduced-cost optimality audit of the retained residual graph —
-    /// the invariant every warm solve must re-establish.
-    #[cfg(feature = "validate")]
-    fn audit(&self) -> Result<(), NetflowError> {
-        for u in 0..self.res.node_count() {
-            let pu = self.ws.node[u].potential;
-            if pu >= INF {
-                continue;
-            }
-            for slot in self.res.active_slots(u) {
-                if self.res.slots[slot].cap <= 0 {
-                    continue;
-                }
-                let v = self.res.slots[slot].to as usize;
-                if self.ws.node[v].potential >= INF {
-                    continue;
-                }
-                let reduced = self.res.slots[slot].cost + pu - self.ws.node[v].potential;
-                if reduced < 0 {
-                    return Err(NetflowError::InvalidSolution {
-                        reason: format!(
-                            "warm solve left negative reduced cost {reduced} on edge {u} -> {v}"
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(())
+        None
     }
 }
 
@@ -870,6 +842,40 @@ mod tests {
         let second = reopt.solve(&net, s, t, 2).unwrap();
         assert_eq!(first.flows, second.flows);
         assert_eq!(reopt.warm_solves(), 1);
+    }
+
+    /// Raises `v`'s retained potential far past every incident cost, so any
+    /// open residual edge into `v` gets a negative reduced cost.
+    fn corrupt_potential(reopt: &mut Reoptimizer, v: NodeId) {
+        let state = reopt.state.as_mut().expect("a solve retained state");
+        state.ws.node[v.index()].potential += 100;
+    }
+
+    #[test]
+    fn corrupted_retained_state_fails_the_certificate() {
+        // At F = 2 both units take s -> a -> t, so the bypass s -> t stays
+        // open. Re-solving the identical problem repairs nothing, so the
+        // corrupted potential reaches the certificate as it is.
+        let (net, s, t, ..) = sweep_net();
+        let mut reopt = Reoptimizer::new();
+        reopt.solve(&net, s, t, 2).unwrap();
+        corrupt_potential(&mut reopt, t);
+        let err = reopt.solve(&net, s, t, 2).unwrap_err();
+        assert!(matches!(err, NetflowError::InvalidSolution { .. }), "{err}");
+        assert!(!reopt.is_warm(), "a failed certificate drops the state");
+
+        // Through the fallback chain: one incident, and the answer is the
+        // cold SSP optimum.
+        reopt.solve(&net, s, t, 2).unwrap();
+        corrupt_potential(&mut reopt, t);
+        let mut chain = crate::ResilientSolver::new(crate::Backend::Ssp);
+        let sol = chain
+            .solve_with_fallback(&mut reopt, &net, s, t, 2)
+            .unwrap();
+        let cold = min_cost_flow(&net, s, t, 2).unwrap();
+        assert_eq!(chain.incident_count(), 1);
+        assert_eq!(chain.incidents()[0].backend, "reopt");
+        assert_eq!((sol.cost, &sol.flows), (cold.cost, &cold.flows));
     }
 
     #[test]

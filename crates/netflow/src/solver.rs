@@ -1,13 +1,14 @@
 //! The unified solver interface: one trait, two algorithms, one selector.
 //!
 //! Every min-cost-flow implementation in this crate — successive shortest
-//! paths ([`Ssp`]), cost scaling ([`CostScalingSolver`]) and the warm-start
-//! [`Reoptimizer`] — answers the same question: route exactly
-//! `target` units from `s` to `t` at minimum cost, honouring lower bounds.
-//! [`McfSolver`] captures that contract so callers can hold *a* solver
-//! instead of hard-coding one of the free functions, and [`Backend`] names
-//! the algorithms as data so the choice can travel through configuration
-//! (`LEMRA_BACKEND`, CLI flags) instead of through call sites.
+//! paths, cost scaling, the warm-start [`Reoptimizer`] and the
+//! [`ResilientSolver`](crate::ResilientSolver) fallback chain — answers the
+//! same question: route exactly `target` units from `s` to `t` at minimum
+//! cost, honouring lower bounds. [`McfSolver`] captures that contract for
+//! the stateful solvers, so a fallback chain can take any of them as its
+//! primary, and [`Backend`] names the algorithms as data so the choice can
+//! travel through configuration (`LEMRA_BACKEND`, CLI flags) instead of
+//! through call sites.
 //!
 //! [`Backend::Auto`] picks by network shape: cost scaling when negative
 //! costs sit on a cyclic graph (the one case the SSP family must refuse —
@@ -34,8 +35,7 @@ use crate::{FlowSolution, NetflowError};
 /// ignores it.
 ///
 /// `solve` takes `&mut self` so stateful solvers (the [`Reoptimizer`]) can
-/// retain residual state between calls; the stateless algorithm structs are
-/// zero-sized and free to construct per call.
+/// retain residual state between calls.
 pub trait McfSolver {
     /// Stable lower-case name of the algorithm (for reports and logs).
     fn name(&self) -> &'static str;
@@ -77,52 +77,6 @@ pub trait McfSolver {
         let result = self.solve(net, s, t, target, ws);
         ws.set_budget(previous);
         result
-    }
-}
-
-/// Successive shortest paths with node potentials (the production solver).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Ssp;
-
-impl McfSolver for Ssp {
-    fn name(&self) -> &'static str {
-        "ssp"
-    }
-
-    fn solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut SolverWorkspace,
-    ) -> Result<FlowSolution, NetflowError> {
-        min_cost_flow_with(net, s, t, target, ws)
-    }
-}
-
-/// Goldberg–Tarjan cost scaling (push-relabel with ε-scaling; handles
-/// negative-cost cycles).
-///
-/// Named with the `Solver` suffix to keep the type distinct from
-/// [`Backend::CostScaling`] in glob imports.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CostScalingSolver;
-
-impl McfSolver for CostScalingSolver {
-    fn name(&self) -> &'static str {
-        "cost_scaling"
-    }
-
-    fn solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut SolverWorkspace,
-    ) -> Result<FlowSolution, NetflowError> {
-        min_cost_flow_cost_scaling_with(net, s, t, target, ws)
     }
 }
 
@@ -238,16 +192,6 @@ impl Backend {
     /// compile; to be removed together with [`ParSolve`].
     pub fn select_with(self, net: &FlowNetwork, _par_solve: ParSolve) -> Backend {
         self.select(net)
-    }
-
-    /// The algorithm as a boxed [`McfSolver`] (resolving [`Backend::Auto`]
-    /// against `net` first) — for callers that store the solver.
-    pub fn solver(self, net: &FlowNetwork) -> Box<dyn McfSolver + Send> {
-        match self.select(net) {
-            Backend::Ssp => Box::new(Ssp),
-            Backend::CostScaling => Box::new(CostScalingSolver),
-            Backend::Auto => unreachable!("select() resolves Auto"),
-        }
     }
 
     /// Solves with this backend, reusing the calling thread's shared
@@ -397,9 +341,6 @@ mod tests {
                 8,
                 "{backend} (with workspace)"
             );
-            let mut solver = backend.solver(&net);
-            assert_eq!(solver.solve(&net, s, t, 2, &mut ws).unwrap().cost, 8);
-            assert_eq!(solver.name(), backend.name());
         }
     }
 

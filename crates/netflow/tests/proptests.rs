@@ -194,9 +194,8 @@ proptest! {
     /// Warm-start reoptimisation over a randomized delta sequence: after
     /// every batch of cost/capacity/target deltas, the [`Reoptimizer`]'s
     /// objective and feasibility verdict must match an independent cold
-    /// solve, and its flow must validate. Under the `validate` feature this
-    /// also re-checks reduced-cost optimality after every delta batch
-    /// (inside the warm solver's Dijkstra rounds and final audit).
+    /// solve, and its flow must validate. The reoptimizer itself checks
+    /// reduced-cost optimality after every delta batch before it answers.
     #[test]
     fn warm_start_matches_cold_over_delta_sequences(
         dag in random_dag(false),

@@ -99,7 +99,6 @@ fn run() -> Result<(), String> {
         .with_style(style)
         .with_register_energy(kind);
     let allocation = allocate(&problem).map_err(|e| e.to_string())?;
-    lemra::core::validate(&problem, &allocation).map_err(|e| e.to_string())?;
 
     print!("{}", render_allocation(&problem, &allocation, &names));
     let report = AllocationReport::new(&problem, &allocation);
