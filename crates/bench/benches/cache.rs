@@ -4,14 +4,14 @@
 //! synthesis runs, design-space sweeps revisiting operating points).
 //!
 //! `cache_solve` isolates the Solve stage on the built 512-variable
-//! allocation network (the `par_solve` baseline instance): `cold` is the
-//! plain fallback-chain solve, `exact_hit` is canonicalization + table
-//! lookup + permutation replay + re-validation of a resident entry, and
-//! `warm_hit` perturbs one arc cost per iteration so every request is a
-//! class hit that adopts, repairs and donates back the previous request's
-//! reoptimizer. `cache_redundant_traffic` measures the end-to-end
-//! allocation trace (24 requests over 8 distinct operating points) with
-//! the cache off vs exact mode.
+//! allocation network: `cold` is the plain fallback-chain solve,
+//! `exact_hit` is the `O(E)` instance key + table lookup + replay +
+//! re-validation of a resident entry, and `warm_hit` perturbs one arc cost
+//! per iteration so every request is a class hit that adopts, repairs and
+//! donates back the previous request's reoptimizer.
+//! `cache_redundant_traffic` measures the end-to-end allocation trace (24
+//! requests over 8 distinct operating points) with the cache off vs exact
+//! mode.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lemra_core::{build_network, clear_cache, AllocationProblem, CacheMode, PipelineCx};

@@ -1,15 +1,15 @@
-//! Cross-request allocation cache, keyed by canonical instance
-//! fingerprints (see `lemra_netflow::canonicalize`).
+//! Cross-request allocation cache, keyed by the content fingerprints of
+//! the built network (see `lemra_netflow::instance_key`).
 //!
 //! Two tables behind one process-wide lock:
 //!
-//! * **Exact** — full [`Fingerprint`] → the optimal flow in canonical arc
-//!   order. A hit replays the flow through the requesting instance's own
-//!   permutation and re-validates it against the live network, so the
-//!   returned solution is byte-identical to what a cold solve of that
-//!   instance would produce (the tie-break transform makes the optimum
-//!   unique) and a fingerprint collision can never smuggle in a wrong
-//!   answer.
+//! * **Exact** — exact [`Fingerprint`] → the optimal flow in arc creation
+//!   order. The allocator's build is deterministic, so an equal key means
+//!   the same network arc for arc and the flow replays unchanged. A hit is
+//!   re-validated against the live network, so the returned solution is
+//!   byte-identical to what a cold solve of that instance would produce
+//!   (the tie-break transform makes the optimum unique) and a fingerprint
+//!   collision can never smuggle in a wrong answer.
 //! * **Warm** — structural-class [`Fingerprint`] → a checked-out/returned
 //!   [`Reoptimizer`]. Adoption *removes* the slot (no aliased solver
 //!   state); the adopter donates it back after solving, now certifying the
@@ -29,10 +29,10 @@
 //! 128-bit key, and a panic inside a replay (fault injection) cannot
 //! poison the cache mid-solve.
 
-use lemra_netflow::{CacheStamp, CanonicalInstance, Fingerprint, LemraConfig, Reoptimizer};
+use lemra_netflow::{Fingerprint, LemraConfig, Reoptimizer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Live counters of the process-wide allocation cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,7 +55,7 @@ pub struct CacheStats {
 }
 
 struct ExactEntry {
-    /// Optimal flow per arc, in canonical arc order.
+    /// Optimal flow per arc, in creation order.
     flows: Vec<i64>,
     /// Units routed (the solve target).
     value: i64,
@@ -69,21 +69,10 @@ struct WarmSlot {
     seq: u64,
 }
 
-struct CanonSlot {
-    canon: Arc<CanonicalInstance>,
-    access: u64,
-    seq: u64,
-}
-
 #[derive(Default)]
 struct Inner {
     exact: HashMap<u128, ExactEntry>,
     warm: HashMap<u128, WarmSlot>,
-    /// Canonical instances memoized under the *identity* stamp (plus flow
-    /// target): re-solving the same unmutated network object skips the
-    /// O(E log E) canonicalization outright. Any mutation bumps the
-    /// network's version and misses here by construction.
-    canon: HashMap<(CacheStamp, i64), CanonSlot>,
     /// Monotone insertion counter, the FIFO eviction tiebreak.
     seq: u64,
 }
@@ -130,7 +119,7 @@ fn evict_to_cap<V>(map: &mut HashMap<u128, V>, access_of: impl Fn(&V) -> (u64, u
     false
 }
 
-/// Looks up the exact table; returns the canonical-order flow and the
+/// Looks up the exact table; returns the creation-order flow and the
 /// routed value, bumping the entry's access count. The caller replays and
 /// re-validates before counting this as a hit.
 pub(crate) fn lookup_exact(fp: Fingerprint) -> Option<(Vec<i64>, i64)> {
@@ -205,46 +194,6 @@ pub(crate) fn donate_warm(class: Fingerprint, reopt: Reoptimizer) {
     });
 }
 
-/// Looks up the canon memo by identity stamp + target, bumping access.
-pub(crate) fn lookup_canon(stamp: CacheStamp, target: i64) -> Option<Arc<CanonicalInstance>> {
-    with(|inner| {
-        let slot = inner.canon.get_mut(&(stamp, target))?;
-        slot.access += 1;
-        Some(Arc::clone(&slot.canon))
-    })
-}
-
-/// Memoizes a canonical instance under its identity stamp, evicting under
-/// the same least-access/FIFO policy as the other tables.
-pub(crate) fn insert_canon(stamp: CacheStamp, target: i64, canon: Arc<CanonicalInstance>) {
-    with(|inner| {
-        if inner.canon.contains_key(&(stamp, target)) {
-            return;
-        }
-        if inner.canon.len() >= cap() {
-            let victim = inner
-                .canon
-                .iter()
-                .min_by_key(|(_, s)| (s.access, s.seq))
-                .map(|(&k, _)| k);
-            if let Some(k) = victim {
-                inner.canon.remove(&k);
-                EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.seq += 1;
-        let seq = inner.seq;
-        inner.canon.insert(
-            (stamp, target),
-            CanonSlot {
-                canon,
-                access: 0,
-                seq,
-            },
-        );
-    });
-}
-
 pub(crate) fn note_exact_hit() {
     EXACT_HITS.fetch_add(1, Ordering::Relaxed);
 }
@@ -278,7 +227,6 @@ pub fn clear_cache() {
     with(|inner| {
         inner.exact.clear();
         inner.warm.clear();
-        inner.canon.clear();
         inner.seq = 0;
     });
     EXACT_HITS.store(0, Ordering::Relaxed);

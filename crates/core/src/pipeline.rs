@@ -35,11 +35,11 @@ use crate::CoreError;
 use lemra_energy::RegisterEnergyKind;
 use lemra_ir::{Tick, TickRange, VarId};
 use lemra_netflow::{
-    canonicalize, thread_solver_stats, Backend, CacheMode, CacheStamp, CanonicalInstance,
-    FlowNetwork, FlowSolution, LemraConfig, NetflowError, NodeId, Reoptimizer, ResilientSolver,
-    SolveBudget, SolverIncident, SolverStats,
+    instance_key, thread_solver_stats, Backend, CacheMode, FlowNetwork, FlowSolution, InstanceKey,
+    LemraConfig, NetflowError, NodeId, Reoptimizer, ResilientSolver, SolveBudget, SolverIncident,
+    SolverStats,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One stage of the allocation pipeline.
@@ -54,9 +54,9 @@ pub enum Stage {
     /// Flow-network construction (§5.1), including re-pricing a retained
     /// network on warm sweep points.
     Build,
-    /// Canonicalization of the built instance (content fingerprints +
-    /// cross-request cache lookups); skipped (zero-cost) when
-    /// [`LemraConfig::cache`] is off.
+    /// Content key of the built instance for the cross-request cache
+    /// ([`instance_key`]); skipped (zero-cost) when [`LemraConfig::cache`]
+    /// is off.
     Canon,
     /// The min-cost-flow solve itself.
     Solve,
@@ -513,35 +513,24 @@ impl PipelineCx {
         Ok(())
     }
 
-    /// Canon stage: canonicalize the built instance for the cross-request
-    /// cache. `None` (and zero recorded cost) when caching is off — the
-    /// default path is byte-identical to the pre-cache pipeline by
-    /// construction.
-    ///
-    /// The result is memoized under the network's identity [`CacheStamp`]:
-    /// re-solving the same unmutated network object (repeated requests over
-    /// a shared built instance, the redundant-traffic shape) skips the
-    /// `O(E log E)` canonicalization entirely. Any mutation bumps the
-    /// network's version, so a stale memo entry can never be returned.
+    /// Canon stage: the cross-request cache key of the built instance, one
+    /// `O(E)` fold over its arcs in creation order ([`instance_key`]).
+    /// `None` (and zero recorded cost) when caching is off — the default
+    /// path is byte-identical to the pre-cache pipeline by construction.
     fn canon_stage(
         &mut self,
         net: &FlowNetwork,
         s: NodeId,
         t: NodeId,
         target: i64,
-    ) -> Option<Arc<CanonicalInstance>> {
+    ) -> Option<InstanceKey> {
         if self.cache_mode == CacheMode::Off {
             return None;
         }
         let t0 = self.clock();
-        let stamp = CacheStamp::of(net, s, t);
-        let canon = crate::cache::lookup_canon(stamp, target).unwrap_or_else(|| {
-            let canon = Arc::new(canonicalize(net, s, t, target));
-            crate::cache::insert_canon(stamp, target, Arc::clone(&canon));
-            canon
-        });
+        let key = instance_key(net, s, t, target);
         self.record(Stage::Canon, t0);
-        Some(canon)
+        Some(key)
     }
 
     /// Solve stage with the cross-request cache in front: exact hits replay
@@ -567,18 +556,18 @@ impl PipelineCx {
         t: NodeId,
         target: i64,
     ) -> Result<FlowSolution, NetflowError> {
-        let Some(canon) = self.canon_stage(net, s, t, target) else {
+        let Some(key) = self.canon_stage(net, s, t, target) else {
             return self.solve(net, s, t, target);
         };
-        if let Some((flows, value)) = crate::cache::lookup_exact(canon.fingerprint) {
-            if let Some(sol) = replay_exact(net, s, t, &canon, &flows, value) {
+        if let Some((flows, value)) = crate::cache::lookup_exact(key.exact) {
+            if let Some(sol) = replay_exact(net, s, t, flows, value) {
                 self.exact_hits += 1;
                 crate::cache::note_exact_hit();
                 return Ok(sol);
             }
         }
         let solution = if self.cache_mode == CacheMode::Warm {
-            let mut reopt = crate::cache::adopt_warm(canon.class).unwrap_or_default();
+            let mut reopt = crate::cache::adopt_warm(key.class).unwrap_or_default();
             let adopted = reopt.is_warm();
             let warm_before = reopt.warm_solves();
             let t0 = self.clock();
@@ -618,18 +607,14 @@ impl PipelineCx {
             } else {
                 crate::cache::note_miss();
             }
-            crate::cache::donate_warm(canon.class, reopt);
+            crate::cache::donate_warm(key.class, reopt);
             self.record(Stage::Solve, t0);
             result?
         } else {
             crate::cache::note_miss();
             self.solve(net, s, t, target)?
         };
-        crate::cache::insert_exact(
-            canon.fingerprint,
-            canon.to_canonical_order(&solution.flows),
-            solution.value,
-        );
+        crate::cache::insert_exact(key.exact, solution.flows.clone(), solution.value);
         Ok(solution)
     }
 
@@ -696,27 +681,23 @@ impl PipelineCx {
             });
         }
 
-        let canon = {
-            // Detach the retained network for the stage call: `canon_stage`
-            // needs `&mut self` for its clock while borrowing the net.
-            let retained = self.cache.take().expect("cache populated above");
-            let built = &retained.built;
-            let canon =
-                self.canon_stage(&built.net, built.s, built.t, i64::from(problem.registers));
-            self.cache = Some(retained);
-            if let Some(c) = &canon {
-                // The Drop donation key: this context's reoptimizer state
-                // certifies (an instance of) this structural class.
-                self.warm_class = Some(c.class);
-            }
-            canon
+        let key = if self.cache_mode == CacheMode::Off {
+            None
+        } else {
+            let t0 = self.clock();
+            let built = &self.cache.as_ref().expect("cache populated above").built;
+            let key = instance_key(&built.net, built.s, built.t, i64::from(problem.registers));
+            self.record(Stage::Canon, t0);
+            // The Drop donation key: this context's reoptimizer state
+            // certifies (an instance of) this structural class.
+            self.warm_class = Some(key.class);
+            Some(key)
         };
-        if let Some(c) = &canon {
+        if let Some(key) = key {
             let mut replayed = None;
-            if let Some((flows, value)) = crate::cache::lookup_exact(c.fingerprint) {
-                let cache = self.cache.as_ref().expect("cache populated above");
-                let built = &cache.built;
-                replayed = replay_exact(&built.net, built.s, built.t, c, &flows, value);
+            if let Some((flows, value)) = crate::cache::lookup_exact(key.exact) {
+                let built = &self.cache.as_ref().expect("cache populated above").built;
+                replayed = replay_exact(&built.net, built.s, built.t, flows, value);
             }
             if let Some(solution) = replayed {
                 // Exact hit: skip the solve entirely. The reoptimizer and
@@ -740,7 +721,7 @@ impl PipelineCx {
             // sweep state of its own starts from the class's donated
             // reoptimizer (intra-sweep warmth always wins over adoption).
             if self.cache_mode == CacheMode::Warm && !self.reopt.is_warm() {
-                if let Some(adopted) = crate::cache::adopt_warm(c.class) {
+                if let Some(adopted) = crate::cache::adopt_warm(key.class) {
                     self.reopt = adopted;
                     self.adopted_pending = true;
                 }
@@ -833,18 +814,14 @@ impl PipelineCx {
             self.stats.warm_solves += self.reopt.warm_solves() - warm;
             self.stats.cold_solves += self.reopt.cold_solves() - cold;
         }
-        if let Some(c) = &canon {
+        if let Some(key) = key {
             if self.adopted_pending && self.reopt.warm_solves() > warm_solves_before {
                 self.warm_hits += 1;
                 crate::cache::note_warm_hit();
             } else {
                 crate::cache::note_miss();
             }
-            crate::cache::insert_exact(
-                c.fingerprint,
-                c.to_canonical_order(&solution.flows),
-                solution.value,
-            );
+            crate::cache::insert_exact(key.exact, solution.flows.clone(), solution.value);
         }
         self.adopted_pending = false;
         self.record(Stage::Solve, t0);
@@ -1048,21 +1025,20 @@ impl lemra_netflow::McfSolver for InjectOnAdopted<'_> {
     }
 }
 
-/// Replays a cached canonical-order flow onto `net` through `canon`'s
-/// permutation and re-validates the result against the live network, so a
-/// fingerprint collision (or corrupted entry) degrades to a miss, never to
-/// a wrong answer. Panics inside the replay — the fault-injection hook, or
-/// a permutation/length bug — are contained here and also degrade to a
-/// miss, which sends the caller down the ordinary cold path.
+/// Replays a cached creation-order flow onto `net` and re-validates the
+/// result against the live network, so a fingerprint collision (or
+/// corrupted entry) degrades to a miss, never to a wrong answer. Panics
+/// inside the replay — the fault-injection hook, or a cost-recompute bug —
+/// are contained here and also degrade to a miss, which sends the caller
+/// down the ordinary cold path.
 fn replay_exact(
     net: &FlowNetwork,
     s: NodeId,
     t: NodeId,
-    canon: &CanonicalInstance,
-    canonical_flows: &[i64],
+    flows: Vec<i64>,
     value: i64,
 ) -> Option<FlowSolution> {
-    if canonical_flows.len() != canon.arc_count() {
+    if flows.len() != net.arc_count() {
         return None;
     }
     let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1070,7 +1046,6 @@ fn replay_exact(
         if lemra_netflow::maybe_inject_cache() {
             panic!("injected fault: cache-hit replay");
         }
-        let flows = canon.from_canonical_order(canonical_flows);
         let mut sol = FlowSolution {
             flows,
             value,
@@ -1270,6 +1245,38 @@ mod tests {
             assert_eq!(b.placements(), cold.placements());
             assert_eq!(b.flow_cost(), cold.flow_cost());
         }
+    }
+
+    #[test]
+    fn refreshed_network_keys_like_a_fresh_build() {
+        // The exact key folds arcs in creation order, so it relies on
+        // `refresh` re-pricing the retained network into exactly what a
+        // fresh build of the same point emits.
+        use lemra_energy::EnergyModel;
+        let table = LifetimeTable::from_intervals(
+            15,
+            vec![
+                (1, vec![6], false),
+                (2, vec![9, 12], false),
+                (7, vec![15], false),
+            ],
+        )
+        .unwrap();
+        let point = |volts: f64| {
+            AllocationProblem::new(table.clone(), 2)
+                .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts))
+        };
+        let (p1, p2) = (point(3.1), point(2.2));
+        let mut sweep = PipelineCx::with_cache_mode(CacheMode::Exact);
+        sweep.allocate_warm(&p1).unwrap();
+        let repriced = sweep.allocate_warm(&p2).unwrap();
+        assert_eq!(sweep.cache_exact_hits(), 0);
+        let mut cx = PipelineCx::with_cache_mode(CacheMode::Exact);
+        let fresh = cx.allocate(&p2).unwrap();
+        assert_eq!(cx.cache_exact_hits(), 1, "the fresh build must hit");
+        assert_eq!(fresh.placements(), repriced.placements());
+        assert_eq!(fresh.chains(), repriced.chains());
+        assert_eq!(fresh.flow_cost(), repriced.flow_cost());
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //! only in a few arc costs, capacities or the flow value — [`Reoptimizer`]
 //! retains the optimal residual graph and potentials between calls and
 //! repairs optimality from the deltas instead of re-solving from scratch.
+//! [`instance_key`] folds a built network, in arc creation order, into the
+//! exact and structural-class [`Fingerprint`]s that key `lemra-core`'s
+//! cross-request allocation cache.
 //!
 //! # Solver performance
 //!
@@ -101,7 +104,7 @@ mod ssp;
 mod workspace;
 
 pub use budget::SolveBudget;
-pub use canon::{canonicalize, CacheStamp, CanonicalInstance, Fingerprint};
+pub use canon::{instance_key, Fingerprint, InstanceKey};
 pub use config::{
     CacheMode, LemraConfig, ParSolve, BACKEND_ENV, CACHE_CAP_ENV, CACHE_ENV, THREADS_ENV,
 };

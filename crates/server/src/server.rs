@@ -221,6 +221,7 @@ fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 // once instead of letting Nagle wait for the client's ACK.
                 let _ = stream.set_nodelay(true);
                 let shared = Arc::clone(shared);
+                reap_finished(&mut conn_threads);
                 conn_threads.push(std::thread::spawn(move || conn_loop(&shared, stream)));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -232,6 +233,14 @@ fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     for t in conn_threads {
         let _ = t.join();
     }
+}
+
+/// Drops the handles of connection threads that have already exited, so
+/// the listener holds one handle per live connection rather than one per
+/// connection ever accepted. Nothing is lost by not joining them: shutdown
+/// discards connection-thread results too.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    handles.retain(|h| !h.is_finished());
 }
 
 fn conn_loop(shared: &Shared, stream: TcpStream) {
@@ -508,4 +517,33 @@ fn serve_admin(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn reaping_drops_only_finished_connection_threads() {
+        let (release, held) = mpsc::channel::<()>();
+        let live = std::thread::spawn(move || {
+            let _ = held.recv();
+        });
+        let done = std::thread::spawn(|| {});
+        while !done.is_finished() {
+            std::thread::yield_now();
+        }
+        let mut handles = vec![done, live];
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "the exited thread's handle is dropped");
+        assert!(
+            !handles[0].is_finished(),
+            "the live thread's handle is kept"
+        );
+        release.send(()).unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
 }
