@@ -16,9 +16,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lemra_core::{build_network, clear_cache, AllocationProblem, CacheMode, PipelineCx};
 use lemra_energy::EnergyModel;
+use lemra_netflow::LemraConfig;
 use lemra_workloads::random::{random_lifetimes, random_patterns, RandomConfig};
 use lemra_workloads::rsp::{rsp, RspConfig};
 use std::hint::black_box;
+
+/// A context with the configured backend and an explicit cache mode.
+fn cx_in(mode: CacheMode) -> PipelineCx {
+    PipelineCx::with_backend_cache(LemraConfig::get().backend, mode)
+}
 
 /// One Solve stage of the same built instance, three ways. A fresh context
 /// per iteration keeps the measurement honest: nothing is reused across
@@ -35,7 +41,7 @@ fn solve_paths(c: &mut Criterion) {
     clear_cache();
     group.bench_function(BenchmarkId::from_parameter("cold"), |b| {
         b.iter(|| {
-            let mut cx = PipelineCx::with_cache_mode(CacheMode::Off);
+            let mut cx = cx_in(CacheMode::Off);
             cx.cached_solve(black_box(&view.net), view.source, view.sink, target)
                 .expect("feasible")
         });
@@ -43,12 +49,12 @@ fn solve_paths(c: &mut Criterion) {
 
     // Seed the entry once; every timed iteration is then an exact hit.
     clear_cache();
-    PipelineCx::with_cache_mode(CacheMode::Exact)
+    cx_in(CacheMode::Exact)
         .cached_solve(&view.net, view.source, view.sink, target)
         .expect("feasible");
     group.bench_function(BenchmarkId::from_parameter("exact_hit"), |b| {
         b.iter(|| {
-            let mut cx = PipelineCx::with_cache_mode(CacheMode::Exact);
+            let mut cx = cx_in(CacheMode::Exact);
             let sol = cx
                 .cached_solve(black_box(&view.net), view.source, view.sink, target)
                 .expect("feasible");
@@ -61,7 +67,7 @@ fn solve_paths(c: &mut Criterion) {
     // new (no replays) while the structural class — and the donated
     // reoptimizer — is shared, so each request is a warm adoption.
     clear_cache();
-    PipelineCx::with_cache_mode(CacheMode::Warm)
+    cx_in(CacheMode::Warm)
         .cached_solve(&view.net, view.source, view.sink, target)
         .expect("feasible");
     let (arc, base_cost) = view
@@ -75,7 +81,7 @@ fn solve_paths(c: &mut Criterion) {
         b.iter(|| {
             tick += 1;
             view.net.set_arc_cost(arc, base_cost - tick);
-            let mut cx = PipelineCx::with_cache_mode(CacheMode::Warm);
+            let mut cx = cx_in(CacheMode::Warm);
             let sol = cx
                 .cached_solve(black_box(&view.net), view.source, view.sink, target)
                 .expect("feasible");
@@ -113,7 +119,7 @@ fn redundant_traffic(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &points, |b, points| {
             b.iter(|| {
                 for p in points {
-                    let mut cx = PipelineCx::with_cache_mode(mode);
+                    let mut cx = cx_in(mode);
                     black_box(cx.allocate(black_box(p)).expect("feasible"));
                 }
             });

@@ -1,11 +1,11 @@
 //! Warm-start sweep scaling: a Table-1-shaped parameter sweep (fixed
 //! lifetimes, memory supply voltage stepped across twenty-four points)
-//! solved once per point from scratch (`cold`) and once through a
-//! [`SweepAllocator`] that repairs the previous optimum from the arc-cost
-//! deltas (`warm`). The medians land in `BENCH_solver.json`.
+//! solved once per point from scratch (`cold`) and once through one
+//! [`PipelineCx::allocate_warm`] context that repairs the previous optimum
+//! from the arc-cost deltas (`warm`). The medians land in `BENCH_solver.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lemra_core::{allocate, AllocationProblem, SweepAllocator};
+use lemra_core::{allocate, AllocationProblem, PipelineCx};
 use lemra_energy::{EnergyModel, RegisterEnergyKind};
 use lemra_workloads::random::{random_lifetimes, random_patterns, RandomConfig};
 use std::hint::black_box;
@@ -46,9 +46,9 @@ fn sweep_scaling(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("warm", vars), &problems, |b, ps| {
             b.iter(|| {
-                let mut sweep = SweepAllocator::new();
+                let mut sweep = PipelineCx::new();
                 for p in ps {
-                    black_box(sweep.allocate(black_box(p)).expect("feasible"));
+                    black_box(sweep.allocate_warm(black_box(p)).expect("feasible"));
                 }
             });
         });

@@ -6,22 +6,49 @@
 //! cargo run -p lemra-bench --bin repro -- table1 --json
 //! ```
 //!
-//! The requested sections are computed in parallel (they share nothing) and
-//! printed in their fixed order afterwards, so the output is identical to
-//! running them one by one; `LEMRA_THREADS=1` forces the serial path.
+//! The requested sections are computed through
+//! [`par_map`](lemra_bench::parallel::par_map) (they share nothing but the
+//! process-wide allocation cache) and printed in their fixed order
+//! afterwards, so the output is identical to running them one by one;
+//! `LEMRA_THREADS=1` runs them serially, in that order, on the main thread.
 //!
-//! `--timings` additionally prints per-stage pipeline timings and solver
-//! counters to **stderr** (stdout — including `--json` — is byte-identical
-//! with or without the flag). `--backend <ssp|cost_scaling|auto>`
-//! overrides the solver backend (same values as `LEMRA_BACKEND`, which it
-//! takes precedence over); every backend reaches the same optimal
-//! objectives, and tie-broken sections commit identical allocations.
+//! `--timings` additionally prints the per-stage pipeline timings and
+//! solver counters, which are always collected, to **stderr** (stdout —
+//! including `--json` — is byte-identical with or without the flag).
+//! `--backend <ssp|cost_scaling|auto>` overrides the solver backend (same
+//! values as `LEMRA_BACKEND`, which it takes precedence over); every
+//! backend reaches the same optimal objectives, and tie-broken sections
+//! commit identical allocations.
 
 use lemra_bench::experiments::{
     run_figure3, run_figure4, run_headline, run_offchip, run_sizing, run_table1, Figure3Result,
     Figure4Result, HeadlineRow, OffchipRow, Row, SizingRow, Table1Row,
 };
+use lemra_bench::parallel::par_map;
 use lemra_netflow::LemraConfig;
+
+/// One computed section of the report.
+enum Section {
+    Figure3(Figure3Result),
+    Figure4(Figure4Result),
+    Table1(Vec<Table1Row>),
+    Headline(Vec<HeadlineRow>),
+    Offchip(Vec<OffchipRow>),
+    Sizing(Vec<SizingRow>),
+}
+
+/// Computes one section.
+type Run = fn() -> Section;
+
+/// Every section by name, in print order.
+const SECTIONS: [(&str, Run); 6] = [
+    ("figure3", || Section::Figure3(run_figure3())),
+    ("figure4", || Section::Figure4(run_figure4())),
+    ("table1", || Section::Table1(run_table1())),
+    ("headline", || Section::Headline(run_headline())),
+    ("offchip", || Section::Offchip(run_offchip())),
+    ("sizing", || Section::Sizing(run_sizing())),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,12 +73,7 @@ fn main() {
             std::process::exit(2);
         });
     }
-    LemraConfig {
-        timings,
-        backend,
-        ..base
-    }
-    .install();
+    LemraConfig { backend, ..base }.install();
     let which: Vec<&str> = args
         .iter()
         .enumerate()
@@ -61,67 +83,28 @@ fn main() {
         .map(|(_, a)| a.as_str())
         .collect();
     let all = which.is_empty() || which.contains(&"all");
-    let want = |name: &str| all || which.contains(&name);
+    let wanted: Vec<Run> = SECTIONS
+        .into_iter()
+        .filter(|(name, _)| all || which.contains(name))
+        .map(|(_, run)| run)
+        .collect();
 
-    // Compute every requested section concurrently, then print in the
-    // fixed section order below.
-    let mut figure3_result: Option<Figure3Result> = None;
-    let mut figure4_result: Option<Figure4Result> = None;
-    let mut table1_rows: Option<Vec<Table1Row>> = None;
-    let mut headline_rows: Option<Vec<HeadlineRow>> = None;
-    let mut offchip_rows: Option<Vec<OffchipRow>> = None;
-    let mut sizing_rows: Option<Vec<SizingRow>> = None;
-    std::thread::scope(|s| {
-        if want("figure3") {
-            s.spawn(|| figure3_result = Some(run_figure3()));
+    for section in par_map(wanted, |run| run()) {
+        match section {
+            Section::Figure3(r) => figure3(&r, json),
+            Section::Figure4(r) => figure4(&r, json),
+            Section::Table1(rows) => table1(&rows, json),
+            Section::Headline(rows) => headline(&rows, json),
+            Section::Offchip(rows) => offchip(&rows, json),
+            Section::Sizing(rows) => sizing(&rows, json),
         }
-        if want("figure4") {
-            s.spawn(|| figure4_result = Some(run_figure4()));
-        }
-        if want("table1") {
-            s.spawn(|| table1_rows = Some(run_table1()));
-        }
-        if want("headline") {
-            s.spawn(|| headline_rows = Some(run_headline()));
-        }
-        if want("offchip") {
-            s.spawn(|| offchip_rows = Some(run_offchip()));
-        }
-        if want("sizing") {
-            s.spawn(|| sizing_rows = Some(run_sizing()));
-        }
-    });
-
-    if let Some(r) = figure3_result {
-        figure3(&r, json);
-    }
-    if let Some(r) = figure4_result {
-        figure4(&r, json);
-    }
-    if let Some(rows) = table1_rows {
-        table1(&rows, json);
-    }
-    if let Some(rows) = headline_rows {
-        headline(&rows, json);
-    }
-    if let Some(rows) = offchip_rows {
-        offchip(&rows, json);
-    }
-    if let Some(rows) = sizing_rows {
-        sizing(&rows, json);
     }
     if timings {
-        print_timings();
+        // One shared snapshot renders this block on stderr, so `--json`
+        // consumers of stdout are unaffected; its format is pinned by a
+        // regression test because CI greps these lines.
+        eprint!("{}", lemra_core::StatsSnapshot::collect().render_timings());
     }
-}
-
-/// Stage timings and solver counters of everything the run solved, on
-/// stderr so `--json` consumers of stdout are unaffected.
-fn print_timings() {
-    // One shared snapshot (lemra_core::StatsSnapshot) renders this block;
-    // its format is pinned by a regression test because CI greps these
-    // lines.
-    eprint!("{}", lemra_core::StatsSnapshot::collect().render_timings());
 }
 
 fn print_rows(rows: &[&Row]) {

@@ -10,8 +10,8 @@
 //! solve of every block does (the `wholeprogram_determinism` tests check
 //! this), so at the default seed the block lines of the 4k and trace tiers
 //! equal the committed `ledger/golden/program_{4k,trace}.digest` (the CI
-//! `wholeprogram-smoke` job compares them); `--timings` adds per-stage
-//! timing and peak-byte counters on stderr.
+//! `wholeprogram-smoke` job compares them); `--timings` prints the
+//! per-stage timing and peak-byte counters, always collected, on stderr.
 
 use lemra_core::{allocate_program, BlockChain};
 use lemra_netflow::LemraConfig;
@@ -45,11 +45,12 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    let base = LemraConfig::from_env().unwrap_or_else(|e| {
-        eprintln!("wholeprogram: {e}");
-        std::process::exit(2);
-    });
-    LemraConfig { timings, ..base }.install();
+    LemraConfig::from_env()
+        .unwrap_or_else(|e| {
+            eprintln!("wholeprogram: {e}");
+            std::process::exit(2);
+        })
+        .install();
 
     let chain: BlockChain = match tier.as_str() {
         "1k" => loop_nest(&LoopNestConfig::tier_1k(seed)),

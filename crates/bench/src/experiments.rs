@@ -5,7 +5,7 @@
 use lemra_baselines::{color_with_spills, left_edge, two_phase};
 use lemra_core::{
     allocate, assign_memory_tiers, AllocationProblem, AllocationReport, GraphStyle, OffchipModel,
-    SweepAllocator,
+    PipelineCx,
 };
 use lemra_energy::{EnergyModel, RegisterEnergyKind, VoltageSchedule};
 use lemra_ir::{asap, LifetimeTable};
@@ -203,8 +203,8 @@ pub struct Table1Row {
 /// Table 1 (E3): the RSP kernel under memory frequencies `f`, `f/2`, `f/4`
 /// with supply scaling per [`VoltageSchedule::paper`].
 ///
-/// The three rows are a parameter sweep, so they run through one
-/// [`SweepAllocator`].
+/// The three rows are a parameter sweep, so they run through one warm
+/// [`PipelineCx`] ([`PipelineCx::allocate_warm`]).
 ///
 /// # Panics
 ///
@@ -214,7 +214,7 @@ pub fn run_table1() -> Vec<Table1Row> {
     let workload = rsp(&RspConfig::default());
     let schedule = VoltageSchedule::paper();
     let registers = 16;
-    let mut sweep = SweepAllocator::new();
+    let mut sweep = PipelineCx::new();
 
     let mut raw = Vec::new();
     for (label, period) in [("f", 1u32), ("f/2", 2), ("f/4", 4)] {
@@ -224,7 +224,8 @@ pub fn run_table1() -> Vec<Table1Row> {
             .with_access_period(period)
             .with_energy(energy)
             .with_activity(workload.activity.clone());
-        let report = AllocationReport::new(&problem, &sweep.allocate(&problem).expect("feasible"));
+        let report =
+            AllocationReport::new(&problem, &sweep.allocate_warm(&problem).expect("feasible"));
         raw.push((label.to_owned(), period, volts, report));
     }
     let last_e = raw.last().expect("three rows").3.static_energy;
@@ -270,7 +271,7 @@ pub fn run_offchip() -> Vec<OffchipRow> {
     let workload = rsp(&RspConfig::default());
     let problem = AllocationProblem::new(workload.lifetimes.clone(), 8)
         .with_activity(workload.activity.clone());
-    let allocation = SweepAllocator::new().allocate(&problem).expect("feasible");
+    let allocation = PipelineCx::new().allocate_warm(&problem).expect("feasible");
     let model = OffchipModel::default();
     let max = allocation.storage_locations();
     let mut rows = Vec::new();
@@ -308,7 +309,7 @@ pub struct SizingRow {
 /// (longer bit lines), and past the maximum lifetime density (26) extra
 /// registers buy nothing.
 ///
-/// The eight sizes sweep one [`SweepAllocator`]: only the flow value and
+/// The eight sizes sweep one warm [`PipelineCx`]: only the flow value and
 /// the geometry-derived arc costs move between points, so every solve
 /// after the first warm-starts.
 ///
@@ -318,7 +319,7 @@ pub struct SizingRow {
 pub fn run_sizing() -> Vec<SizingRow> {
     use lemra_energy::SramArray;
     let workload = rsp(&RspConfig::default());
-    let mut sweep = SweepAllocator::new();
+    let mut sweep = PipelineCx::new();
     let mut rows = Vec::new();
     for registers in [2u32, 4, 8, 12, 16, 20, 26, 32] {
         let words = registers.next_power_of_two().max(4);
@@ -327,7 +328,8 @@ pub fn run_sizing() -> Vec<SizingRow> {
         let problem = AllocationProblem::new(workload.lifetimes.clone(), registers)
             .with_energy(energy)
             .with_activity(workload.activity.clone());
-        let report = AllocationReport::new(&problem, &sweep.allocate(&problem).expect("feasible"));
+        let report =
+            AllocationReport::new(&problem, &sweep.allocate_warm(&problem).expect("feasible"));
         rows.push(SizingRow {
             registers,
             array_words: words,
@@ -358,8 +360,8 @@ pub struct HeadlineRow {
 /// Workloads are independent, so they fan out over
 /// [`par_map`](crate::parallel::par_map) threads; rows come back grouped in
 /// workload order, byte-identical to the serial sweep (`LEMRA_THREADS=1`).
-/// Within a workload the activity- and static-model solves share one
-/// [`SweepAllocator`].
+/// Within a workload the activity- and static-model solves share one warm
+/// [`PipelineCx`].
 ///
 /// # Panics
 ///
@@ -384,15 +386,15 @@ fn headline_rows_for(
         .with_register_energy(RegisterEnergyKind::Activity);
     // The activity- and static-model solves differ only in arc costs, so
     // the second warm-starts from the first's residual state.
-    let mut sweep = SweepAllocator::new();
+    let mut sweep = PipelineCx::new();
     let ours_activity =
-        AllocationReport::new(&problem, &sweep.allocate(&problem).expect("feasible"));
+        AllocationReport::new(&problem, &sweep.allocate_warm(&problem).expect("feasible"));
     let static_problem = problem
         .clone()
         .with_register_energy(RegisterEnergyKind::Static);
     let ours_static = AllocationReport::new(
         &static_problem,
-        &sweep.allocate(&static_problem).expect("feasible"),
+        &sweep.allocate_warm(&static_problem).expect("feasible"),
     );
     let baselines: Vec<(&str, lemra_core::Allocation)> = vec![
         (

@@ -10,7 +10,7 @@
 //! [`SolverIncident`]: lemra_netflow::SolverIncident
 #![cfg(feature = "fault-inject")]
 
-use lemra_core::{allocate, Allocation, AllocationProblem, SweepAllocator};
+use lemra_core::{allocate, Allocation, AllocationProblem, PipelineCx};
 use lemra_energy::{EnergyModel, RegisterEnergyKind};
 use lemra_netflow::{FaultKind, FaultPlan};
 use lemra_workloads::random::{random_lifetimes, random_patterns, RandomConfig};
@@ -70,10 +70,10 @@ fn injected_faults_leave_the_sweep_byte_identical() {
         (FaultKind::Overflow, 17),
     ] {
         FaultPlan::new().fail_at(kind, k).install();
-        let mut sweep = SweepAllocator::new();
+        let mut sweep = PipelineCx::new();
         for (point, &volts) in voltages().iter().enumerate() {
             let warm = sweep
-                .allocate(&problem_at(&table, &activity, volts))
+                .allocate_warm(&problem_at(&table, &activity, volts))
                 .expect("sweep point must survive the injected fault");
             assert_identical(&warm, &reference[point], &format!("{kind:?}@{k}"), volts);
         }

@@ -3,7 +3,7 @@
 //! exact sweep shape of the `sweep_scaling` benchmark at a test-sized
 //! instance and compares every field the reports are built from.
 
-use lemra_core::{allocate, AllocationProblem, SweepAllocator};
+use lemra_core::{allocate, AllocationProblem, PipelineCx};
 use lemra_energy::{EnergyModel, RegisterEnergyKind};
 use lemra_workloads::random::{random_lifetimes, random_patterns, RandomConfig};
 
@@ -16,7 +16,7 @@ fn voltages() -> Vec<f64> {
 fn sweep_commits_identical_allocations(vars: usize) {
     let table = random_lifetimes(&RandomConfig::scaled(vars, 1));
     let activity = random_patterns(vars, 1);
-    let mut sweep = SweepAllocator::new();
+    let mut sweep = PipelineCx::new();
     let mut prev_placements: Option<Vec<lemra_core::Placement>> = None;
     let mut units_after_cold = 0u64;
     let mut churn = 0u64;
@@ -25,7 +25,7 @@ fn sweep_commits_identical_allocations(vars: usize) {
             .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts))
             .with_activity(activity.clone())
             .with_register_energy(RegisterEnergyKind::Activity);
-        let warm = sweep.allocate(&problem).expect("feasible");
+        let warm = sweep.allocate_warm(&problem).expect("feasible");
         let cold = allocate(&problem).expect("feasible");
         assert_eq!(
             warm.flow_cost(),

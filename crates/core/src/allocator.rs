@@ -316,101 +316,6 @@ pub(crate) fn extract_allocation(
     })
 }
 
-/// [`allocate`] for parameter sweeps: successive calls reuse the previous
-/// solve's residual state through a warm [`PipelineCx`].
-///
-/// The network builder is deterministic (see
-/// [`NetworkView`](crate::NetworkView)), so two problems over the same
-/// lifetime table produce networks differing only in arc costs and
-/// capacities — exactly the deltas the reoptimizer repairs instead of
-/// re-solving. Points whose topology *does* change (a different access
-/// period, lifetime table or split set) silently fall back to a cold solve,
-/// so a `SweepAllocator` can drive any sweep; it just only pays off on the
-/// topology-stable ones.
-///
-/// Every call returns exactly what [`allocate`] would: the solver repairs
-/// the optimal basis, not an approximation of it, and certifies its
-/// optimality before answering.
-///
-/// # Examples
-///
-/// ```
-/// use lemra_core::{allocate, AllocationProblem, SweepAllocator};
-/// use lemra_energy::EnergyModel;
-/// use lemra_ir::LifetimeTable;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let lifetimes =
-///     LifetimeTable::from_intervals(5, vec![(1, vec![3], false), (3, vec![5], false)])?;
-/// let mut sweep = SweepAllocator::new();
-/// for millivolts in [3300, 2500, 1800] {
-///     let problem = AllocationProblem::new(lifetimes.clone(), 1)
-///         .with_energy(EnergyModel::default_16bit().with_memory_voltage(millivolts as f64 / 1000.0));
-///     let warm = sweep.allocate(&problem)?;
-///     assert_eq!(warm.flow_cost(), allocate(&problem)?.flow_cost());
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Default)]
-pub struct SweepAllocator {
-    cx: PipelineCx,
-}
-
-impl SweepAllocator {
-    /// A sweep allocator with no retained state. Honours the process-wide
-    /// [`LemraConfig`](lemra_netflow::LemraConfig) backend choice.
-    pub fn new() -> Self {
-        Self {
-            cx: PipelineCx::new(),
-        }
-    }
-
-    /// Solves `problem`, warm-starting from the previous call when the
-    /// underlying network topology is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`allocate`].
-    pub fn allocate(&mut self, problem: &AllocationProblem) -> Result<Allocation, CoreError> {
-        self.cx.allocate_warm(problem)
-    }
-
-    /// Solves answered from retained residual state.
-    pub fn warm_solves(&self) -> u64 {
-        self.cx.warm_solves()
-    }
-
-    /// Solves that (re)built solver state from scratch.
-    pub fn cold_solves(&self) -> u64 {
-        self.cx.cold_solves()
-    }
-
-    /// Cumulative effort counters of the warm-start engine, with absorbed
-    /// solver incidents folded into
-    /// [`SolverStats::incidents`](lemra_netflow::SolverStats::incidents).
-    /// The `pushed_units` delta across a run of warm points is the flow the
-    /// repairs actually moved (drained excess plus cancelled cycles) — the
-    /// figure to compare against placement churn when judging how
-    /// incremental a sweep really was.
-    pub fn solver_stats(&self) -> lemra_netflow::SolverStats {
-        self.cx.solver_stats()
-    }
-
-    /// Every solver failure the sweep absorbed via its fallback chain
-    /// (budget exhaustion, overflow guards, contained panics), oldest
-    /// first. A non-empty log means some points were answered by a
-    /// fallback backend — still optimal, but without warm-start reuse.
-    pub fn incidents(&self) -> &[lemra_netflow::SolverIncident] {
-        self.cx.incidents()
-    }
-
-    /// Number of solver failures absorbed via the fallback chain.
-    pub fn incident_count(&self) -> u64 {
-        self.cx.incident_count()
-    }
-}
-
 /// Memory-residency interval per variable: from its first memory write to
 /// its last memory access (the value occupies its address continuously in
 /// between — values are write-once).
@@ -543,10 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_allocator_matches_allocate_across_voltage_and_size_sweep() {
+    fn warm_sweep_matches_allocate_across_voltage_and_size_sweep() {
         use lemra_energy::EnergyModel;
         let table = two_sequential_one_parallel();
-        let mut sweep = SweepAllocator::new();
+        let mut sweep = PipelineCx::new();
         let points: Vec<AllocationProblem> = [(3.3, 1u32), (2.4, 1), (1.8, 1), (1.8, 2), (1.0, 3)]
             .into_iter()
             .map(|(volts, regs)| {
@@ -555,7 +460,7 @@ mod tests {
             })
             .collect();
         for p in &points {
-            let warm = sweep.allocate(p).unwrap();
+            let warm = sweep.allocate_warm(p).unwrap();
             let cold = allocate(p).unwrap();
             assert_eq!(warm.flow_cost(), cold.flow_cost());
             assert_eq!(warm.placements(), cold.placements());
@@ -568,11 +473,11 @@ mod tests {
     }
 
     #[test]
-    fn sweep_allocator_survives_topology_change_and_infeasibility() {
+    fn warm_sweep_survives_topology_change_and_infeasibility() {
         let table = two_sequential_one_parallel();
-        let mut sweep = SweepAllocator::new();
+        let mut sweep = PipelineCx::new();
         sweep
-            .allocate(&AllocationProblem::new(table.clone(), 2))
+            .allocate_warm(&AllocationProblem::new(table.clone(), 2))
             .unwrap();
         // Forced segments beyond R: infeasible mid-sweep.
         let forced =
@@ -580,11 +485,13 @@ mod tests {
                 .unwrap();
         let p = AllocationProblem::new(forced, 1).with_access_period(8);
         assert!(matches!(
-            sweep.allocate(&p),
+            sweep.allocate_warm(&p),
             Err(CoreError::TooFewRegisters { .. })
         ));
         // And recovers on the next point.
-        let a = sweep.allocate(&AllocationProblem::new(table, 2)).unwrap();
+        let a = sweep
+            .allocate_warm(&AllocationProblem::new(table, 2))
+            .unwrap();
         assert_eq!(a.registers_used(), 2);
     }
 

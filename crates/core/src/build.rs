@@ -413,8 +413,8 @@ fn build_with_regions_in(
 /// count, and the tie-break transform is re-applied. The result is
 /// bit-identical to what a fresh [`build`] would produce — only ~3× cheaper,
 /// because the segmentation scan, region profile and hand-off window search
-/// are all skipped. [`SweepAllocator`](crate::SweepAllocator) calls this on
-/// topology-stable sweep points so warm solves don't pay construction costs.
+/// are all skipped. [`PipelineCx::allocate_warm`](crate::PipelineCx::allocate_warm)
+/// calls this on topology-stable sweep points so warm solves don't pay construction costs.
 pub(crate) fn refresh(
     problem: &AllocationProblem,
     segmentation: &Segmentation,
@@ -598,7 +598,7 @@ fn apply_tie_break(
 /// table therefore produce networks whose arcs line up index-for-index,
 /// which is what lets a sweep express successive parameter points as arc
 /// deltas on one retained network (see
-/// [`SweepAllocator`](crate::SweepAllocator)).
+/// [`PipelineCx::allocate_warm`](crate::PipelineCx::allocate_warm)).
 #[derive(Debug)]
 pub struct NetworkView {
     /// The flow network (solve it for `R` units from `source` to `sink`).

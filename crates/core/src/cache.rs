@@ -207,7 +207,7 @@ pub(crate) fn note_miss() {
 }
 
 /// Process-wide cache counters and occupancy — what the drivers print
-/// behind `--timings`. Live regardless of [`LemraConfig::timings`].
+/// behind `--timings`.
 pub fn cache_stats() -> CacheStats {
     let (exact_entries, warm_entries) = with(|inner| (inner.exact.len(), inner.warm.len()));
     CacheStats {

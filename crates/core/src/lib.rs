@@ -80,7 +80,7 @@ mod synthesis;
 mod validate;
 mod viz;
 
-pub use allocator::{allocate, Allocation, Placement, SweepAllocator};
+pub use allocator::{allocate, Allocation, Placement};
 pub use build::{build_network, NetworkView};
 pub use cache::{cache_stats, clear_cache, CacheStats};
 pub use codegen::{storage_plan, Operand, StorageInstr, StoragePlan};
@@ -92,7 +92,7 @@ pub use multiblock::{
     allocate_program_with, BlockChain, ChainAllocation, ProgramAllocation,
 };
 pub use offchip::{assign_memory_tiers, OffchipModel, TieredAssignment};
-pub use pipeline::{pipeline_stats, PipelineCx, PipelineStats, Stage, StageTiming};
+pub use pipeline::{PipelineCx, PipelineStats, Stage, StageTiming};
 pub use ports::{allocate_with_ports, PortLimits};
 pub use problem::{AllocationProblem, GraphStyle};
 pub use realloc::{reallocate_memory, MemoryReallocation};

@@ -390,10 +390,10 @@ mod tests {
 
     #[test]
     fn warm_walk_equals_cold_allocation_of_every_block() {
-        use lemra_netflow::Backend;
+        use lemra_netflow::{Backend, CacheMode};
         let chain = alternating_chain(16);
         for backend in [Backend::Ssp, Backend::CostScaling] {
-            let mut cx = PipelineCx::with_backend(backend);
+            let mut cx = PipelineCx::with_backend_cache(backend, CacheMode::Off);
             let walk = allocate_chain_with(&mut cx, &chain).unwrap();
             let carried: Vec<&Vec<VarId>> = walk
                 .problems
@@ -404,7 +404,9 @@ mod tests {
             assert!(carried.windows(2).any(|w| w[0] != w[1]), "no rebuild");
             assert!(cx.warm_solves() > 0, "{backend:?}: no block re-priced");
             for (i, problem) in walk.problems.iter().enumerate() {
-                let cold = PipelineCx::with_backend(backend).allocate(problem).unwrap();
+                let cold = PipelineCx::with_backend_cache(backend, CacheMode::Off)
+                    .allocate(problem)
+                    .unwrap();
                 assert_eq!(
                     walk.reports[i],
                     AllocationReport::new(problem, &cold),

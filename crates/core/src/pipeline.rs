@@ -18,14 +18,13 @@
 //! [`reallocate_memory`](crate::reallocate_memory),
 //! [`allocate_chain`](crate::allocate_chain),
 //! [`synthesize`](crate::synthesize)) are thin wrappers that run a fresh
-//! context; [`SweepAllocator`](crate::SweepAllocator) is a context with a
-//! retained Solve stage.
+//! context; [`PipelineCx::allocate_warm`] retains the Solve stage across
+//! the points of a sweep.
 //!
-//! Counters are collected only when [`LemraConfig::timings`] is set (the
-//! `--timings` flag of the drivers): the default path takes zero `Instant`
-//! reads per solve, keeping the hot benchmarks unperturbed. Timed contexts
-//! flush into a process-wide registry on drop; [`pipeline_stats`] reads the
-//! aggregate for reports.
+//! Counters are always on: a handful of `Instant` reads per allocation is
+//! below the benchmark noise. Contexts flush into a process-wide registry
+//! on drop, which [`StatsSnapshot`](crate::StatsSnapshot) reads for the
+//! drivers' `--timings` block.
 
 use crate::allocator::{extract_allocation, flow_error, Allocation};
 use crate::build::{build_with_regions, profile_regions, refresh, BuiltNetwork};
@@ -35,7 +34,7 @@ use crate::CoreError;
 use lemra_energy::RegisterEnergyKind;
 use lemra_ir::{Tick, TickRange, VarId};
 use lemra_netflow::{
-    instance_key, thread_solver_stats, Backend, CacheMode, FlowNetwork, FlowSolution, InstanceKey,
+    instance_key, thread_solver_stats, Backend, CacheMode, Fingerprint, FlowNetwork, FlowSolution,
     LemraConfig, NetflowError, NodeId, Reoptimizer, ResilientSolver, SolveBudget, SolverIncident,
     SolverStats,
 };
@@ -113,8 +112,7 @@ pub struct StageTiming {
     /// Largest heap footprint (bytes, charged at buffer capacity) any one
     /// run of the stage retained — currently reported by the Build stage,
     /// whose counted two-pass construction makes capacity equal the exact
-    /// result size. Zero for stages that don't report, and always zero when
-    /// [`LemraConfig::timings`] is off.
+    /// result size. Zero for stages that don't report.
     pub bytes: u64,
 }
 
@@ -127,10 +125,8 @@ impl StageTiming {
 }
 
 /// Per-stage timings plus solver counters of one pipeline context (or, via
-/// [`pipeline_stats`], of every timed context the process has dropped).
-///
-/// Populated only when [`LemraConfig::timings`] is on; otherwise every field
-/// stays zero.
+/// [`StatsSnapshot`](crate::StatsSnapshot), of every context the process
+/// has dropped).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     stages: [StageTiming; 7],
@@ -182,10 +178,9 @@ impl PipelineStats {
 
 static GLOBAL_STATS: Mutex<PipelineStats> = Mutex::new(PipelineStats::ZERO);
 
-/// The process-wide aggregate of every dropped timed [`PipelineCx`] — what
-/// the drivers print behind their `--timings` flag. All zeros unless
-/// [`LemraConfig::timings`] was set before the work ran.
-pub fn pipeline_stats() -> PipelineStats {
+/// The process-wide aggregate of every dropped [`PipelineCx`] — what the
+/// drivers print behind their `--timings` flag.
+pub(crate) fn pipeline_stats() -> PipelineStats {
     *GLOBAL_STATS.lock().expect("stats registry poisoned")
 }
 
@@ -241,7 +236,6 @@ impl RetainedNetwork {
 #[derive(Debug)]
 pub struct PipelineCx {
     backend: Backend,
-    timings_on: bool,
     reopt: Reoptimizer,
     resilient: ResilientSolver,
     /// `(cost_scale, cost_unit, raw memory-read energy, raw register
@@ -255,19 +249,15 @@ pub struct PipelineCx {
     cache: Option<RetainedNetwork>,
     stats: PipelineStats,
     /// Cross-request cache mode this context runs under (a snapshot of
-    /// [`LemraConfig::cache`] unless a constructor overrode it).
+    /// [`LemraConfig::cache`] unless the constructor overrode it).
     cache_mode: CacheMode,
     /// Structural class of the retained-network sweep state, set by
     /// [`Self::allocate_warm`]: the key under which [`Drop`] donates this
     /// context's reoptimizer back to the process-wide cache.
-    warm_class: Option<lemra_netflow::Fingerprint>,
-    /// Whether `reopt` holds state adopted from the cache that has not yet
-    /// answered a solve (the first post-adoption warm solve is the one
-    /// counted as a cross-request warm hit).
-    adopted_pending: bool,
-    /// Solves this context answered by exact-hit replay (live counter).
+    warm_class: Option<Fingerprint>,
+    /// Solves this context answered by exact-hit replay.
     exact_hits: u64,
-    /// Solves this context answered by adopted warm state (live counter).
+    /// Solves this context answered by adopted warm state.
     warm_hits: u64,
 }
 
@@ -287,48 +277,30 @@ impl Drop for PipelineCx {
                 crate::cache::donate_warm(class, std::mem::take(&mut self.reopt));
             }
         }
-        if self.timings_on && self.stats != PipelineStats::ZERO {
-            GLOBAL_STATS
-                .lock()
-                .expect("stats registry poisoned")
-                .merge(&self.stats);
+        // Every context flushes, also while a panicking request unwinds, so
+        // this must not panic: a poisoned registry loses these counters.
+        if self.stats != PipelineStats::ZERO {
+            if let Ok(mut global) = GLOBAL_STATS.lock() {
+                global.merge(&self.stats);
+            }
         }
     }
 }
 
 impl PipelineCx {
     /// A context configured from the process-wide [`LemraConfig`] snapshot
-    /// (backend, timings, cache mode).
+    /// (backend and cache mode).
     pub fn new() -> Self {
         let cfg = LemraConfig::get();
-        Self::configured(cfg.backend, cfg.timings, cfg.cache)
+        Self::with_backend_cache(cfg.backend, cfg.cache)
     }
 
-    /// A context with an explicit backend; everything else from
-    /// [`LemraConfig`].
-    pub fn with_backend(backend: Backend) -> Self {
-        let cfg = LemraConfig::get();
-        Self::configured(backend, cfg.timings, cfg.cache)
-    }
-
-    /// A context with an explicit cross-request cache mode; everything else
-    /// from [`LemraConfig`]. Tests use this to exercise the cache without
-    /// mutating the process-wide config snapshot.
-    pub fn with_cache_mode(mode: CacheMode) -> Self {
-        let cfg = LemraConfig::get();
-        Self::configured(cfg.backend, cfg.timings, mode)
-    }
-
-    /// A context with both an explicit backend and cache mode.
-    pub fn with_backend_cache(backend: Backend, mode: CacheMode) -> Self {
-        let cfg = LemraConfig::get();
-        Self::configured(backend, cfg.timings, mode)
-    }
-
-    fn configured(backend: Backend, timings_on: bool, cache_mode: CacheMode) -> Self {
+    /// A context with an explicit backend and cross-request cache mode.
+    /// Tests use this to pin either without mutating the process-wide
+    /// config snapshot.
+    pub fn with_backend_cache(backend: Backend, cache_mode: CacheMode) -> Self {
         Self {
             backend,
-            timings_on,
             reopt: Reoptimizer::new(),
             resilient: ResilientSolver::new(backend),
             prev_basis: None,
@@ -336,7 +308,6 @@ impl PipelineCx {
             stats: PipelineStats::ZERO,
             cache_mode,
             warm_class: None,
-            adopted_pending: false,
             exact_hits: 0,
             warm_hits: 0,
         }
@@ -347,17 +318,16 @@ impl PipelineCx {
         self.backend
     }
 
-    /// A fresh context with this one's configuration (backend, timings,
-    /// cache mode) but none of its state. The allocation server forks one
-    /// context per worker thread (and re-forks after containing a panicked
+    /// A fresh context with this one's configuration (backend and cache
+    /// mode) but none of its state. The allocation server forks one context
+    /// per worker thread (and re-forks after containing a panicked
     /// request); each fork's counters flush to the process-wide registry
-    /// when it drops, like any other timed context.
+    /// when it drops, like any other context.
     pub fn fork(&self) -> Self {
-        Self::configured(self.backend, self.timings_on, self.cache_mode)
+        Self::with_backend_cache(self.backend, self.cache_mode)
     }
 
-    /// This context's accumulated stage timings and solver counters (all
-    /// zero unless [`LemraConfig::timings`] is on).
+    /// This context's accumulated stage timings and solver counters.
     pub fn stats(&self) -> PipelineStats {
         self.stats
     }
@@ -368,14 +338,13 @@ impl PipelineCx {
     }
 
     /// Solves this context answered by replaying a cached solution from an
-    /// exact fingerprint hit (live even without [`LemraConfig::timings`]).
+    /// exact fingerprint hit.
     pub fn cache_exact_hits(&self) -> u64 {
         self.exact_hits
     }
 
     /// Solves this context answered by warm-repairing reoptimizer state
-    /// adopted from the process-wide cache (live even without
-    /// [`LemraConfig::timings`]).
+    /// adopted from the process-wide cache.
     pub fn cache_warm_hits(&self) -> u64 {
         self.warm_hits
     }
@@ -386,20 +355,20 @@ impl PipelineCx {
     }
 
     /// Cumulative effort counters of the warm-start engine's retained
-    /// workspace (unlike [`Self::stats`], live even without
-    /// [`LemraConfig::timings`]), with this context's absorbed-incident
-    /// count folded into [`SolverStats::incidents`]. Diff snapshots to
-    /// scope them: the `pushed_units` delta across a run of warm points is
-    /// the flow the repairs actually moved — drained excess plus cancelled
-    /// cycles.
+    /// workspace, with this context's absorbed-incident count folded into
+    /// [`SolverStats::incidents`]. Diff snapshots to scope them: the
+    /// `pushed_units` delta across a run of warm points is the flow the
+    /// repairs actually moved — drained excess plus cancelled cycles.
     pub fn solver_stats(&self) -> SolverStats {
         let mut stats = self.reopt.stats();
         stats.incidents += self.resilient.incident_count();
         stats
     }
 
-    /// Every solver failure this context absorbed via its fallback chain,
-    /// oldest first (live even without [`LemraConfig::timings`]).
+    /// Every solver failure this context absorbed via its fallback chain
+    /// (budget exhaustion, overflow guards, contained panics), oldest
+    /// first. A non-empty log means some points were answered by a
+    /// fallback backend — still optimal, but without warm-start reuse.
     pub fn incidents(&self) -> &[SolverIncident] {
         self.resilient.incidents()
     }
@@ -416,59 +385,50 @@ impl PipelineCx {
         self.resilient.set_budget(budget)
     }
 
-    fn clock(&self) -> Option<Instant> {
-        self.timings_on.then(Instant::now)
-    }
-
-    fn record(&mut self, stage: Stage, started: Option<Instant>) {
-        if let Some(t0) = started {
-            let slot = &mut self.stats.stages[stage.index()];
-            slot.nanos += t0.elapsed().as_nanos() as u64;
-            slot.runs += 1;
-        }
+    fn record(&mut self, stage: Stage, started: Instant) {
+        let slot = &mut self.stats.stages[stage.index()];
+        slot.nanos += started.elapsed().as_nanos() as u64;
+        slot.runs += 1;
     }
 
     /// Folds one run's retained heap footprint into the stage's peak-bytes
-    /// counter. Free when timings are off: callers compute `bytes` from
-    /// buffer capacities (no allocator interrogation), and the max-fold is
-    /// skipped entirely.
+    /// counter. Callers compute `bytes` from buffer capacities, with no
+    /// allocator interrogation.
     fn record_bytes(&mut self, stage: Stage, bytes: usize) {
-        if self.timings_on {
-            let slot = &mut self.stats.stages[stage.index()];
-            slot.bytes = slot.bytes.max(bytes as u64);
-        }
+        let slot = &mut self.stats.stages[stage.index()];
+        slot.bytes = slot.bytes.max(bytes as u64);
     }
 
     // ---- the individual stages -------------------------------------------
 
     /// Segment stage: lifetime segmentation per §5.2.
-    pub(crate) fn segment(&mut self, problem: &AllocationProblem) -> Segmentation {
-        let t0 = self.clock();
+    fn segment(&mut self, problem: &AllocationProblem) -> Segmentation {
+        let t0 = Instant::now();
         let segmentation = Segmentation::new(&problem.lifetimes, &problem.split);
         self.record(Stage::Segment, t0);
         segmentation
     }
 
     /// Profile stage: maximum-density regions for the hand-off rule.
-    pub(crate) fn profile(
+    fn profile(
         &mut self,
         problem: &AllocationProblem,
         segmentation: &Segmentation,
     ) -> Vec<TickRange> {
-        let t0 = self.clock();
+        let t0 = Instant::now();
         let regions = profile_regions(problem, segmentation);
         self.record(Stage::Profile, t0);
         regions
     }
 
     /// BuildNetwork stage: emit the §5.1 network.
-    pub(crate) fn build(
+    fn build(
         &mut self,
         problem: &AllocationProblem,
         segmentation: &Segmentation,
         regions: &[TickRange],
     ) -> Result<BuiltNetwork, CoreError> {
-        let t0 = self.clock();
+        let t0 = Instant::now();
         let built = build_with_regions(problem, segmentation, regions);
         self.record(Stage::Build, t0);
         if let Ok(b) = &built {
@@ -477,67 +437,38 @@ impl PipelineCx {
         built
     }
 
-    /// Solve stage, cold: route exactly `target` units `s → t` through the
-    /// configured backend's fallback chain, on the calling thread's shared
-    /// workspace.
-    pub(crate) fn solve(
+    /// Bind stage: path-decompose the flow into chains and placements.
+    fn bind(
         &mut self,
-        net: &FlowNetwork,
-        s: lemra_netflow::NodeId,
-        t: lemra_netflow::NodeId,
-        target: i64,
-    ) -> Result<FlowSolution, NetflowError> {
-        let t0 = self.clock();
-        let before = self
-            .timings_on
-            .then(|| (thread_solver_stats(), self.resilient.incident_count()));
-        let solution = self.resilient.solve(net, s, t, target);
-        if let Some((stats, incidents)) = before {
-            self.stats.solver = self.stats.solver + (thread_solver_stats() - stats);
-            self.stats.solver.incidents += self.resilient.incident_count() - incidents;
-            self.stats.cold_solves += 1;
-        }
-        self.record(Stage::Solve, t0);
-        solution
+        problem: &AllocationProblem,
+        segmentation: Segmentation,
+        built: &BuiltNetwork,
+        solution: &FlowSolution,
+    ) -> Result<Allocation, CoreError> {
+        let t0 = Instant::now();
+        let allocation = extract_allocation(problem, segmentation, built, solution)?;
+        self.record(Stage::Bind, t0);
+        Ok(allocation)
     }
 
     /// Validate stage: structural audit of the bound result.
-    pub(crate) fn validate(
+    fn validate(
         &mut self,
         problem: &AllocationProblem,
         allocation: &Allocation,
     ) -> Result<(), CoreError> {
-        let t0 = self.clock();
+        let t0 = Instant::now();
         crate::validate(problem, allocation)?;
         self.record(Stage::Validate, t0);
         Ok(())
     }
 
-    /// Canon stage: the cross-request cache key of the built instance, one
-    /// `O(E)` fold over its arcs in creation order ([`instance_key`]).
-    /// `None` (and zero recorded cost) when caching is off — the default
-    /// path is byte-identical to the pre-cache pipeline by construction.
-    fn canon_stage(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-    ) -> Option<InstanceKey> {
-        if self.cache_mode == CacheMode::Off {
-            return None;
-        }
-        let t0 = self.clock();
-        let key = instance_key(net, s, t, target);
-        self.record(Stage::Canon, t0);
-        Some(key)
-    }
-
     /// Solve stage with the cross-request cache in front: exact hits replay
-    /// the cached optimum, warm mode additionally adopts (and returns)
-    /// per-class reoptimizer state, misses fall through to [`Self::solve`]
-    /// and populate the cache. The context's own sweep reoptimizer is never
-    /// touched — adoption here runs through a checked-out instance, so
+    /// the cached optimum; on a miss, warm mode repairs per-class
+    /// reoptimizer state checked out of the process-wide table (and
+    /// returns it), other modes solve cold through the configured backend's
+    /// fallback chain; every solved optimum populates the cache. The
+    /// context's own sweep reoptimizer is never touched, so
     /// [`Self::allocate_warm`]'s intra-sweep state cannot be clobbered by
     /// an unrelated chain-flow or block solve.
     ///
@@ -556,66 +487,198 @@ impl PipelineCx {
         t: NodeId,
         target: i64,
     ) -> Result<FlowSolution, NetflowError> {
-        let Some(key) = self.canon_stage(net, s, t, target) else {
-            return self.solve(net, s, t, target);
-        };
-        if let Some((flows, value)) = crate::cache::lookup_exact(key.exact) {
-            if let Some(sol) = replay_exact(net, s, t, flows, value) {
-                self.exact_hits += 1;
-                crate::cache::note_exact_hit();
-                return Ok(sol);
+        self.solve_stage(net, s, t, target, None)
+    }
+
+    /// The Solve stage every composed run goes through: key the instance
+    /// (Canon), replay an exact hit, otherwise solve, then count the cache
+    /// outcome and remember the optimum.
+    ///
+    /// `sweep` picks the solver state. `Some` is the retained path of
+    /// [`Self::allocate_warm`]: the solve runs on this context's own
+    /// reoptimizer, which adopts the class's donated state while it holds
+    /// none, and the point's rescale hint is applied after an exact miss.
+    /// `None` leaves that reoptimizer alone: warm mode checks one out of
+    /// the class table and donates it straight back, every other mode
+    /// solves cold.
+    fn solve_stage(
+        &mut self,
+        net: &FlowNetwork,
+        s: NodeId,
+        t: NodeId,
+        target: i64,
+        sweep: Option<(&AllocationProblem, &BuiltNetwork)>,
+    ) -> Result<FlowSolution, NetflowError> {
+        let key = (self.cache_mode != CacheMode::Off).then(|| {
+            let t0 = Instant::now();
+            let key = instance_key(net, s, t, target);
+            self.record(Stage::Canon, t0);
+            key
+        });
+        if sweep.is_some() {
+            // The Drop donation key: this context's reoptimizer state
+            // certifies (an instance of) this structural class.
+            self.warm_class = key.map(|k| k.class);
+        }
+        if let Some(key) = key {
+            if let Some((flows, value)) = crate::cache::lookup_exact(key.exact) {
+                if let Some(solution) = replay_exact(net, s, t, flows, value) {
+                    // Exact hit: skip the solve. A sweep's reoptimizer and
+                    // rescale basis still describe the point it last
+                    // solved, so its next miss repairs from there.
+                    self.exact_hits += 1;
+                    crate::cache::note_exact_hit();
+                    return Ok(solution);
+                }
             }
         }
-        let solution = if self.cache_mode == CacheMode::Warm {
-            let mut reopt = crate::cache::adopt_warm(key.class).unwrap_or_default();
-            let adopted = reopt.is_warm();
-            let warm_before = reopt.warm_solves();
-            let t0 = self.clock();
-            let before = self
-                .timings_on
-                .then(|| (reopt.stats(), reopt.warm_solves(), reopt.cold_solves()));
-            let incidents_before = self.resilient.incident_count();
-            #[cfg(feature = "fault-inject")]
-            let result = {
-                let mut primary = InjectOnAdopted {
-                    inner: &mut reopt,
-                    armed: adopted,
-                };
-                self.resilient
-                    .solve_with_fallback(&mut primary, net, s, t, target)
-            };
-            #[cfg(not(feature = "fault-inject"))]
-            let result = self
-                .resilient
-                .solve_with_fallback(&mut reopt, net, s, t, target);
-            if self.resilient.incident_count() > incidents_before {
-                // The (possibly adopted) warm primary failed mid-solve:
-                // its residual may be mid-mutation, so drop the state
-                // rather than donate it. The returned solution, if any,
-                // came from a stateless fallback backend.
-                reopt.reset();
+
+        // Cross-request adoption: a sweep adopts only while it has built no
+        // state of its own (intra-sweep warmth always wins).
+        let warm_mode = self.cache_mode == CacheMode::Warm;
+        let adopted = match key {
+            Some(key) if warm_mode && (sweep.is_none() || !self.reopt.is_warm()) => {
+                crate::cache::adopt_warm(key.class)
             }
-            if let Some((stats, warm, cold)) = before {
+            _ => None,
+        };
+        let adopting = adopted.is_some();
+        let mut pooled = None;
+        match sweep {
+            Some((problem, built)) => {
+                if let Some(reopt) = adopted {
+                    self.reopt = reopt;
+                }
+                self.rescale_hint(problem, built);
+            }
+            None if warm_mode => pooled = Some(adopted.unwrap_or_default()),
+            None => {}
+        }
+
+        let t0 = Instant::now();
+        let incidents = self.resilient.incident_count();
+        let primary = match sweep {
+            Some(_) => Some(&mut self.reopt),
+            None => pooled.as_mut(),
+        };
+        let (result, warm_hit) = match primary {
+            None => {
+                let before = thread_solver_stats();
+                let result = self.resilient.solve(net, s, t, target);
+                self.stats.solver = self.stats.solver + (thread_solver_stats() - before);
+                self.stats.cold_solves += 1;
+                (result, false)
+            }
+            Some(reopt) => {
+                let (stats, warm, cold) = (reopt.stats(), reopt.warm_solves(), reopt.cold_solves());
+                #[cfg(feature = "fault-inject")]
+                let result = self.resilient.solve_with_fallback(
+                    &mut InjectOnAdopted {
+                        inner: &mut *reopt,
+                        armed: adopting,
+                    },
+                    net,
+                    s,
+                    t,
+                    target,
+                );
+                #[cfg(not(feature = "fault-inject"))]
+                let result = self
+                    .resilient
+                    .solve_with_fallback(&mut *reopt, net, s, t, target);
+                if self.resilient.incident_count() > incidents {
+                    // The warm primary failed mid-solve (possibly
+                    // mid-mutation after a contained panic): drop its state,
+                    // and a sweep's rescale basis, rather than reuse or
+                    // donate it. The returned solution, if any, came from a
+                    // stateless fallback backend.
+                    reopt.reset();
+                    if sweep.is_some() {
+                        self.prev_basis = None;
+                    }
+                }
                 self.stats.solver = self.stats.solver + (reopt.stats() - stats);
-                self.stats.solver.incidents += self.resilient.incident_count() - incidents_before;
                 self.stats.warm_solves += reopt.warm_solves() - warm;
                 self.stats.cold_solves += reopt.cold_solves() - cold;
+                (result, adopting && reopt.warm_solves() > warm)
             }
-            if adopted && reopt.warm_solves() > warm_before {
+        };
+        self.stats.solver.incidents += self.resilient.incident_count() - incidents;
+        if let Some(key) = key {
+            if warm_hit {
                 self.warm_hits += 1;
                 crate::cache::note_warm_hit();
             } else {
                 crate::cache::note_miss();
             }
-            crate::cache::donate_warm(key.class, reopt);
-            self.record(Stage::Solve, t0);
-            result?
-        } else {
-            crate::cache::note_miss();
-            self.solve(net, s, t, target)?
-        };
-        crate::cache::insert_exact(key.exact, solution.flows.clone(), solution.value);
+            if let Some(reopt) = pooled {
+                crate::cache::donate_warm(key.class, reopt);
+            }
+        }
+        self.record(Stage::Solve, t0);
+        let solution = result?;
+        if let Some(key) = key {
+            crate::cache::insert_exact(key.exact, solution.flows.clone(), solution.value);
+        }
         Ok(solution)
+    }
+
+    /// Hints the sweep's reoptimizer when the tie-break encoding or an
+    /// operating point moved since the previous point.
+    ///
+    /// Solver-unit costs are raw energies times scale/unit. The raw
+    /// energies split by arc class: chain, sink, segment and bypass costs
+    /// are pure memory-access deltas that derate with the memory voltage,
+    /// while hand-off and source arcs also carry the register (Hamming or
+    /// static access) term, which follows the register voltage instead.
+    /// When any factor moves, a per-class ratio lets the retained
+    /// potentials jump with their local costs, keeping the repair
+    /// incremental; the repair absorbs whatever residue the class
+    /// approximation leaves.
+    fn rescale_hint(&mut self, problem: &AllocationProblem, built: &BuiltNetwork) {
+        let mem = problem.energy.e_mem_read().raw();
+        let reg = match problem.register_energy {
+            // Half the bits of the 16-bit word switch — the paper's own
+            // time-zero assumption — as the representative overwrite.
+            RegisterEnergyKind::Activity => problem.energy.e_reg_activity(8.0).raw(),
+            RegisterEnergyKind::Static => {
+                (problem.energy.e_reg_write() + problem.energy.e_reg_read()).raw()
+            }
+        };
+        let basis = (built.cost_scale, built.cost_unit, mem, reg);
+        let Some((prev_scale, prev_unit, prev_mem, prev_reg)) = self.prev_basis.replace(basis)
+        else {
+            return;
+        };
+        if (prev_scale, prev_unit, prev_mem, prev_reg) == basis || prev_mem <= 0 || mem <= 0 {
+            return;
+        }
+        let base = (built.cost_scale as f64 * prev_unit as f64)
+            / (prev_scale as f64 * built.cost_unit as f64);
+        let mem_ratio = base * mem as f64 / prev_mem as f64;
+        let reg_ratio = if prev_reg > 0 && reg > 0 {
+            base * reg as f64 / prev_reg as f64
+        } else {
+            mem_ratio
+        };
+        // Mixed-class arcs blend the two ratios by the energy magnitudes
+        // behind each part: roughly two memory terms (exit + enter) against
+        // one register term.
+        let mixed = (2.0 * prev_mem as f64 * mem_ratio + prev_reg as f64 * reg_ratio)
+            / (2.0 * prev_mem as f64 + prev_reg as f64);
+        let mut ratio = vec![mem_ratio; built.net.arc_count()];
+        for &(arc, _, _) in &built.handoff_of {
+            ratio[arc.index()] = mixed;
+        }
+        for &(arc, _) in &built.source_of {
+            ratio[arc.index()] = mixed;
+        }
+        // The reoptimizer queries by *snapshot* arc index; after a topology
+        // change its retained snapshot can be larger than the current
+        // network (the solve falls back cold), so out-of-table arcs get an
+        // unusable entry rather than a panic.
+        self.reopt
+            .costs_rescaled_per_arc(|i| ratio.get(i).copied().unwrap_or(f64::NAN));
     }
 
     // ---- composed runs ---------------------------------------------------
@@ -634,203 +697,94 @@ impl PipelineCx {
         let solution = self
             .cached_solve(&built.net, built.s, built.t, i64::from(problem.registers))
             .map_err(|e| flow_error(problem, e))?;
-        let t0 = self.clock();
-        let allocation = extract_allocation(problem, segmentation, &built, &solution)?;
-        self.record(Stage::Bind, t0);
+        let allocation = self.bind(problem, segmentation, &built, &solution)?;
         self.validate(problem, &allocation)?;
         Ok(allocation)
     }
 
-    /// Runs the pipeline with a **retained** Solve stage: successive calls
-    /// over topology-identical problems re-price the retained network in
-    /// place and repair the previous optimum instead of re-solving —
-    /// [`SweepAllocator`](crate::SweepAllocator)'s engine. Points whose
-    /// topology changes silently fall back to a cold solve.
+    /// [`allocate`](crate::allocate) for parameter sweeps: the pipeline
+    /// with a **retained** Solve stage.
+    ///
+    /// The network builder is deterministic (see
+    /// [`NetworkView`](crate::NetworkView)), so two problems over the same
+    /// lifetime table produce networks differing only in arc costs and
+    /// capacities. Successive calls over such topology-identical problems
+    /// re-price the retained network in place and repair the previous
+    /// optimum instead of re-solving. Points whose topology *does* change
+    /// (a different access period, lifetime table or split set) silently
+    /// fall back to a cold solve, so one context can drive any sweep; it
+    /// just only pays off on the topology-stable ones.
+    ///
+    /// Every call returns exactly what [`allocate`](crate::allocate)
+    /// would: the solver repairs the optimal basis, not an approximation of
+    /// it, and certifies its optimality before answering.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lemra_core::{allocate, AllocationProblem, PipelineCx};
+    /// use lemra_energy::EnergyModel;
+    /// use lemra_ir::LifetimeTable;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let lifetimes =
+    ///     LifetimeTable::from_intervals(5, vec![(1, vec![3], false), (3, vec![5], false)])?;
+    /// let mut sweep = PipelineCx::new();
+    /// for millivolts in [3300, 2500, 1800] {
+    ///     let problem = AllocationProblem::new(lifetimes.clone(), 1)
+    ///         .with_energy(EnergyModel::default_16bit().with_memory_voltage(millivolts as f64 / 1000.0));
+    ///     let warm = sweep.allocate_warm(&problem)?;
+    ///     assert_eq!(warm.flow_cost(), allocate(&problem)?.flow_cost());
+    /// }
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
     /// Same as [`allocate`](crate::allocate).
     pub fn allocate_warm(&mut self, problem: &AllocationProblem) -> Result<Allocation, CoreError> {
         // Re-price the retained network in place when the topology carries
-        // over from the previous point; rebuild (and recache) otherwise.
-        let covered = self.cache.as_ref().is_some_and(|c| c.covers(problem));
-        if covered {
-            let t0 = self.clock();
-            let cache = self.cache.as_mut().expect("covered implies cached");
-            refresh(problem, &cache.segmentation, &mut cache.built)?;
-            let bytes = cache.built.heap_bytes();
-            self.record(Stage::Build, t0);
-            self.record_bytes(Stage::Build, bytes);
-        } else {
-            // A new topology: the reoptimizer's retained potentials describe
-            // another network, so a rescale hint would be wasted work. The
-            // old network goes first, so the new one reuses its memory.
-            self.prev_basis = None;
-            self.cache = None;
-            let segmentation = self.segment(problem);
-            let regions = self.profile(problem, &segmentation);
-            let built = self.build(problem, &segmentation, &regions)?;
-            self.cache = Some(RetainedNetwork {
-                lifetimes: problem.lifetimes.clone(),
-                split: problem.split.clone(),
-                style: problem.style,
-                relief_arcs: problem.relief_arcs,
-                carried_in_register: problem.carried_in_register.clone(),
-                segmentation,
-                built,
-            });
-        }
-
-        let key = if self.cache_mode == CacheMode::Off {
-            None
-        } else {
-            let t0 = self.clock();
-            let built = &self.cache.as_ref().expect("cache populated above").built;
-            let key = instance_key(&built.net, built.s, built.t, i64::from(problem.registers));
-            self.record(Stage::Canon, t0);
-            // The Drop donation key: this context's reoptimizer state
-            // certifies (an instance of) this structural class.
-            self.warm_class = Some(key.class);
-            Some(key)
-        };
-        if let Some(key) = key {
-            let mut replayed = None;
-            if let Some((flows, value)) = crate::cache::lookup_exact(key.exact) {
-                let built = &self.cache.as_ref().expect("cache populated above").built;
-                replayed = replay_exact(&built.net, built.s, built.t, flows, value);
+        // over from the previous point; rebuild otherwise. A network that
+        // does not cover the point is dropped before the rebuild, so the
+        // new one reuses its memory.
+        let retained = match self.cache.take().filter(|c| c.covers(problem)) {
+            Some(mut retained) => {
+                let t0 = Instant::now();
+                refresh(problem, &retained.segmentation, &mut retained.built)?;
+                self.record(Stage::Build, t0);
+                self.record_bytes(Stage::Build, retained.built.heap_bytes());
+                retained
             }
-            if let Some(solution) = replayed {
-                // Exact hit: skip the solve entirely. The reoptimizer and
-                // the rescale basis still describe the point it last
-                // solved, so the next miss repairs from there as usual.
-                self.exact_hits += 1;
-                crate::cache::note_exact_hit();
-                let t0 = self.clock();
-                let cache = self.cache.as_ref().expect("cache populated above");
-                let allocation = extract_allocation(
-                    problem,
-                    cache.segmentation.clone(),
-                    &cache.built,
-                    &solution,
-                )?;
-                self.record(Stage::Bind, t0);
-                self.validate(problem, &allocation)?;
-                return Ok(allocation);
-            }
-            // Cross-request adoption: a context that has not yet built
-            // sweep state of its own starts from the class's donated
-            // reoptimizer (intra-sweep warmth always wins over adoption).
-            if self.cache_mode == CacheMode::Warm && !self.reopt.is_warm() {
-                if let Some(adopted) = crate::cache::adopt_warm(key.class) {
-                    self.reopt = adopted;
-                    self.adopted_pending = true;
+            None => {
+                // A new topology: the reoptimizer's retained potentials
+                // describe another network, so a rescale hint would be
+                // wasted work.
+                self.prev_basis = None;
+                let segmentation = self.segment(problem);
+                let regions = self.profile(problem, &segmentation);
+                let built = self.build(problem, &segmentation, &regions)?;
+                RetainedNetwork {
+                    lifetimes: problem.lifetimes.clone(),
+                    split: problem.split.clone(),
+                    style: problem.style,
+                    relief_arcs: problem.relief_arcs,
+                    carried_in_register: problem.carried_in_register.clone(),
+                    segmentation,
+                    built,
                 }
             }
-        }
-
-        let t0 = self.clock();
-        let reopt_before = self.timings_on.then(|| {
-            (
-                self.reopt.stats(),
-                self.reopt.warm_solves(),
-                self.reopt.cold_solves(),
-            )
-        });
-        let cache = self.cache.as_ref().expect("cache populated above");
-        let built = &cache.built;
+        };
+        let built = &retained.built;
         let target = i64::from(problem.registers);
-        // Solver-unit costs are raw energies times scale/unit. The raw
-        // energies split by arc class: chain, sink, segment and bypass
-        // costs are pure memory-access deltas that derate with the memory
-        // voltage, while hand-off and source arcs also carry the register
-        // (Hamming or static access) term, which follows the register
-        // voltage instead. When any factor moves between points, hint the
-        // reoptimizer with a per-class ratio so its retained potentials
-        // jump with their local costs, keeping the repair incremental; the
-        // repair absorbs whatever residue the class approximation leaves.
-        let mem = problem.energy.e_mem_read().raw();
-        let reg = match problem.register_energy {
-            // Half the bits of the 16-bit word switch — the paper's own
-            // time-zero assumption — as the representative overwrite.
-            RegisterEnergyKind::Activity => problem.energy.e_reg_activity(8.0).raw(),
-            RegisterEnergyKind::Static => {
-                (problem.energy.e_reg_write() + problem.energy.e_reg_read()).raw()
-            }
-        };
-        let basis = (built.cost_scale, built.cost_unit, mem, reg);
-        if let Some((prev_scale, prev_unit, prev_mem, prev_reg)) = self.prev_basis.replace(basis) {
-            if (prev_scale, prev_unit, prev_mem, prev_reg) != basis && prev_mem > 0 && mem > 0 {
-                let base = (built.cost_scale as f64 * prev_unit as f64)
-                    / (prev_scale as f64 * built.cost_unit as f64);
-                let mem_ratio = base * mem as f64 / prev_mem as f64;
-                let reg_ratio = if prev_reg > 0 && reg > 0 {
-                    base * reg as f64 / prev_reg as f64
-                } else {
-                    mem_ratio
-                };
-                // Mixed-class arcs blend the two ratios by the energy
-                // magnitudes behind each part: roughly two memory terms
-                // (exit + enter) against one register term.
-                let mixed = (2.0 * prev_mem as f64 * mem_ratio + prev_reg as f64 * reg_ratio)
-                    / (2.0 * prev_mem as f64 + prev_reg as f64);
-                let mut ratio = vec![mem_ratio; built.net.arc_count()];
-                for &(arc, _, _) in &built.handoff_of {
-                    ratio[arc.index()] = mixed;
-                }
-                for &(arc, _) in &built.source_of {
-                    ratio[arc.index()] = mixed;
-                }
-                // The reoptimizer queries by *snapshot* arc index; after a
-                // topology change its retained snapshot can be larger than
-                // the current network (the solve below falls back cold),
-                // so out-of-table arcs get an unusable entry rather than a
-                // panic.
-                self.reopt
-                    .costs_rescaled_per_arc(|i| ratio.get(i).copied().unwrap_or(f64::NAN));
-            }
-        }
-        let incidents_before = self.resilient.incident_count();
-        let warm_solves_before = self.reopt.warm_solves();
-        let solution = self.resilient.solve_with_fallback(
-            &mut self.reopt,
-            &built.net,
-            built.s,
-            built.t,
-            target,
-        );
-        if self.resilient.incident_count() > incidents_before {
-            // The warm primary failed mid-solve (possibly mid-mutation
-            // after a contained panic): drop its retained residual state
-            // and the rescale basis so the next point rebuilds cleanly.
-            // The returned solution, if any, came from a stateless fallback
-            // backend and is unaffected.
-            self.reopt.reset();
-            self.prev_basis = None;
-        }
-        let solution = solution.map_err(|e| flow_error(problem, e))?;
-        if let Some((stats, warm, cold)) = reopt_before {
-            self.stats.solver = self.stats.solver + (self.reopt.stats() - stats);
-            self.stats.solver.incidents += self.resilient.incident_count() - incidents_before;
-            self.stats.warm_solves += self.reopt.warm_solves() - warm;
-            self.stats.cold_solves += self.reopt.cold_solves() - cold;
-        }
-        if let Some(key) = key {
-            if self.adopted_pending && self.reopt.warm_solves() > warm_solves_before {
-                self.warm_hits += 1;
-                crate::cache::note_warm_hit();
-            } else {
-                crate::cache::note_miss();
-            }
-            crate::cache::insert_exact(key.exact, solution.flows.clone(), solution.value);
-        }
-        self.adopted_pending = false;
-        self.record(Stage::Solve, t0);
-
-        let t0 = self.clock();
-        let cache = self.cache.as_ref().expect("cache populated above");
-        let allocation =
-            extract_allocation(problem, cache.segmentation.clone(), &cache.built, &solution)?;
-        self.record(Stage::Bind, t0);
+        let bound = self
+            .solve_stage(&built.net, built.s, built.t, target, Some((problem, built)))
+            .map_err(|e| flow_error(problem, e))
+            .and_then(|solution| {
+                self.bind(problem, retained.segmentation.clone(), built, &solution)
+            });
+        self.cache = Some(retained);
+        let allocation = bound?;
         self.validate(problem, &allocation)?;
         Ok(allocation)
     }
@@ -878,7 +832,7 @@ pub(crate) fn solve_chain_flow(
     debug_assert_eq!(spec.item_cost.len(), n);
     debug_assert_eq!(spec.source_cost.len(), n);
 
-    let t0 = cx.clock();
+    let t0 = Instant::now();
     // Enumerate hand-off pairs up front: their count sets the tie-break
     // scale below.
     let mut pairs: Vec<(usize, usize, i64)> = Vec::new();
@@ -947,7 +901,7 @@ pub(crate) fn solve_chain_flow(
             other => CoreError::Flow(other),
         })?;
 
-    let t0 = cx.clock();
+    let t0 = Instant::now();
     let mut successor: Vec<Option<usize>> = vec![None; n];
     let mut has_pred = vec![false; n];
     for &(arc, i, j) in &handoffs {
@@ -980,7 +934,7 @@ pub(crate) fn solve_chain_flow(
 /// **adopted** (cache-hit) solve attempt, within the resilient chain's own
 /// per-attempt containment — so the injected failure exercises the genuine
 /// degradation path: incident recorded, stateless fallback re-solves cold,
-/// and [`PipelineCx::cached_solve`] drops the poisoned adopted state
+/// and the Solve stage drops the poisoned adopted state
 /// instead of donating it back. Non-adopted (miss) solves never consult
 /// the plan, keeping the fault aimed at a real cache hit.
 #[cfg(feature = "fault-inject")]
@@ -1064,6 +1018,11 @@ mod tests {
     use super::*;
     use lemra_ir::LifetimeTable;
 
+    /// A context with the configured backend and an explicit cache mode.
+    fn cx_in(mode: CacheMode) -> PipelineCx {
+        PipelineCx::with_backend_cache(LemraConfig::get().backend, mode)
+    }
+
     fn problem() -> AllocationProblem {
         let table =
             LifetimeTable::from_intervals(6, vec![(1, vec![3], false), (3, vec![6], false)])
@@ -1089,7 +1048,7 @@ mod tests {
         let p = problem();
         let reference = crate::allocate(&p).unwrap();
         for backend in Backend::ALL.into_iter().chain([Backend::Auto]) {
-            let mut cx = PipelineCx::with_backend(backend);
+            let mut cx = PipelineCx::with_backend_cache(backend, CacheMode::Off);
             assert_eq!(cx.backend(), backend);
             let a = cx.allocate(&p).unwrap();
             assert_eq!(a.placements(), reference.placements(), "{backend}");
@@ -1117,14 +1076,38 @@ mod tests {
     }
 
     #[test]
-    fn stats_stay_zero_without_timings() {
-        // The default config has timings off: no Instant reads, no counter
-        // traffic, nothing flushed to the registry.
+    fn stats_are_recorded_by_default() {
+        // No switch turns the counters on: one allocate runs and times
+        // every stage it passes through and sizes the built network.
         let p = problem();
         let mut cx = PipelineCx::new();
         cx.allocate(&p).unwrap();
-        assert_eq!(cx.stats(), PipelineStats::ZERO);
-        assert_eq!(cx.stats().stage(Stage::Solve).runs, 0);
+        let stats = cx.stats();
+        for stage in [
+            Stage::Segment,
+            Stage::Profile,
+            Stage::Build,
+            Stage::Solve,
+            Stage::Bind,
+            Stage::Validate,
+        ] {
+            assert_eq!(stats.stage(stage).runs, 1, "{stage}");
+        }
+        assert!(stats.stage(Stage::Build).bytes > 0);
+        assert_eq!(stats.cold_solves, 1);
+
+        // A three-point voltage sweep builds solver state once and repairs
+        // it twice.
+        use lemra_energy::EnergyModel;
+        let mut sweep = cx_in(CacheMode::Off);
+        for volts in [3.3, 2.4, 1.8] {
+            let point =
+                problem().with_energy(EnergyModel::default_16bit().with_memory_voltage(volts));
+            sweep.allocate_warm(&point).unwrap();
+        }
+        assert_eq!(sweep.stats().cold_solves, 1);
+        assert_eq!(sweep.stats().warm_solves, 2);
+        assert_eq!(sweep.stats().stage(Stage::Solve).runs, 3);
     }
 
     #[test]
@@ -1224,7 +1207,7 @@ mod tests {
         .unwrap();
         let points = [(3.2f64, 1u32), (2.6, 1), (2.0, 2)];
         let run = || {
-            let mut cx = PipelineCx::with_cache_mode(CacheMode::Warm);
+            let mut cx = cx_in(CacheMode::Warm);
             let mut out = Vec::new();
             for (volts, regs) in points {
                 let p = AllocationProblem::new(table.clone(), regs)
@@ -1267,11 +1250,11 @@ mod tests {
                 .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts))
         };
         let (p1, p2) = (point(3.1), point(2.2));
-        let mut sweep = PipelineCx::with_cache_mode(CacheMode::Exact);
+        let mut sweep = cx_in(CacheMode::Exact);
         sweep.allocate_warm(&p1).unwrap();
         let repriced = sweep.allocate_warm(&p2).unwrap();
         assert_eq!(sweep.cache_exact_hits(), 0);
-        let mut cx = PipelineCx::with_cache_mode(CacheMode::Exact);
+        let mut cx = cx_in(CacheMode::Exact);
         let fresh = cx.allocate(&p2).unwrap();
         assert_eq!(cx.cache_exact_hits(), 1, "the fresh build must hit");
         assert_eq!(fresh.placements(), repriced.placements());
@@ -1282,7 +1265,7 @@ mod tests {
     #[test]
     fn cache_off_contexts_never_touch_the_cache() {
         let p = problem();
-        let mut cx = PipelineCx::with_cache_mode(CacheMode::Off);
+        let mut cx = cx_in(CacheMode::Off);
         cx.allocate(&p).unwrap();
         cx.allocate_warm(&p).unwrap();
         assert_eq!(cx.cache_exact_hits(), 0);
@@ -1304,13 +1287,13 @@ mod tests {
         .unwrap();
         let p = AllocationProblem::new(table, 2);
         let cold = crate::allocate(&p).unwrap();
-        let mut seed = PipelineCx::with_cache_mode(CacheMode::Exact);
+        let mut seed = cx_in(CacheMode::Exact);
         seed.allocate(&p).unwrap();
         // Arm a panic inside the next cache-hit replay; the hit must
         // degrade to a miss and the cold path must commit the same bytes.
         let plan: FaultPlan = "panic@0:cache".parse().unwrap();
         plan.install();
-        let mut cx = PipelineCx::with_cache_mode(CacheMode::Exact);
+        let mut cx = cx_in(CacheMode::Exact);
         let recovered = cx.allocate(&p).unwrap();
         FaultPlan::clear();
         assert_eq!(cx.cache_exact_hits(), 0, "the poisoned replay is not a hit");
@@ -1318,7 +1301,7 @@ mod tests {
         assert_eq!(recovered.chains(), cold.chains());
         assert_eq!(recovered.flow_cost(), cold.flow_cost());
         // The fault fired once; a fresh context replays cleanly again.
-        let mut cx = PipelineCx::with_cache_mode(CacheMode::Exact);
+        let mut cx = cx_in(CacheMode::Exact);
         let replayed = cx.allocate(&p).unwrap();
         assert_eq!(cx.cache_exact_hits(), 1);
         assert_eq!(replayed.placements(), cold.placements());
@@ -1346,7 +1329,7 @@ mod tests {
         let cold = crate::allocate(&shifted).unwrap();
         {
             // Donor populates the class slot the next context will adopt.
-            let mut donor = PipelineCx::with_cache_mode(CacheMode::Warm);
+            let mut donor = cx_in(CacheMode::Warm);
             donor.allocate(&base).unwrap();
         }
         // Arm a panic inside the next adopted (cache-hit) solve: the
@@ -1354,7 +1337,7 @@ mod tests {
         // fallback, drop the poisoned state, and commit the same bytes.
         let plan: FaultPlan = "panic@0:cache".parse().unwrap();
         plan.install();
-        let mut cx = PipelineCx::with_cache_mode(CacheMode::Warm);
+        let mut cx = cx_in(CacheMode::Warm);
         let recovered = cx.allocate(&shifted).unwrap();
         FaultPlan::clear();
         assert_eq!(cx.cache_warm_hits(), 0, "the panicked adoption is a miss");

@@ -4,11 +4,11 @@
 //! cross-request cache counters ([`CacheStats`]) behind a single `collect`
 //! + `render` pair.
 //!
-//! Before this module, three call sites each walked the counters by hand —
-//! `repro --timings`, the `wholeprogram` driver's timing block, and the
-//! allocation server's admin endpoint. They now all format the same
-//! snapshot; the rendering below is pinned byte-for-byte by a regression
-//! test because CI greps the `repro --timings` stderr lines.
+//! Every counter is always on; `--timings` only decides whether a driver
+//! prints the block. All four drivers — `repro`, `wholeprogram`, `lemra`
+//! and `lemra-server` — format this one snapshot, as does the server's
+//! admin endpoint. The rendering below is pinned byte-for-byte by a
+//! regression test because CI greps the `repro --timings` stderr lines.
 
 use crate::cache::{cache_stats, CacheStats};
 use crate::pipeline::{pipeline_stats, PipelineStats, Stage};
@@ -27,11 +27,10 @@ use std::fmt::Write as _;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
-    /// Stage timings, solve counts and solver counters (populated only
-    /// when [`LemraConfig::timings`](lemra_netflow::LemraConfig) is on —
-    /// contexts don't pay for clocks otherwise).
+    /// Stage timings, solve counts and solver counters of every dropped
+    /// [`PipelineCx`](crate::PipelineCx).
     pub pipeline: PipelineStats,
-    /// Cross-request allocation cache counters (always live).
+    /// Cross-request allocation cache counters.
     pub cache: CacheStats,
 }
 

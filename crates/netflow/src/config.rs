@@ -1,9 +1,9 @@
 //! Process-wide runtime configuration, read once.
 //!
-//! The runtime knobs — backend, worker threads, cache mode and capacity,
-//! timings — live in one [`LemraConfig`], parsed from the environment
-//! exactly once per process (or installed explicitly by a binary's flag
-//! parser before first use). Every consumer reads the same snapshot, so two
+//! The runtime knobs — backend, worker threads, cache mode and capacity —
+//! live in one [`LemraConfig`], parsed from the environment exactly once
+//! per process (or installed explicitly by a binary's flag parser before
+//! first use). Every consumer reads the same snapshot, so two
 //! parallel drivers can never disagree about the thread count mid-run.
 //!
 //! Parsing is strict: a malformed variable is an error carrying the list of
@@ -104,8 +104,6 @@ pub struct LemraConfig {
     /// Worker-thread cap for parallel sweeps; `None` means one per item up
     /// to the machine's parallelism.
     pub threads: Option<usize>,
-    /// Collect and report per-stage timings and solver counters.
-    pub timings: bool,
     /// No effect (see [`ParSolve`]); always [`ParSolve::Auto`] from the
     /// environment. To be removed.
     pub par_solve: ParSolve,
@@ -120,7 +118,6 @@ impl Default for LemraConfig {
         Self {
             backend: Backend::Ssp,
             threads: None,
-            timings: false,
             par_solve: ParSolve::Auto,
             cache: CacheMode::Off,
             cache_cap: 128,
@@ -133,8 +130,7 @@ static CONFIG: OnceLock<LemraConfig> = OnceLock::new();
 impl LemraConfig {
     /// Builds a configuration from the environment ([`BACKEND_ENV`],
     /// [`THREADS_ENV`], [`CACHE_ENV`], [`CACHE_CAP_ENV`]);
-    /// unset variables fall back to the defaults. Timings are flag-only (no env
-    /// variable), so they default to off.
+    /// unset variables fall back to the defaults.
     ///
     /// # Errors
     ///
@@ -237,10 +233,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_ssp_warm_untimed() {
+    fn default_is_ssp_with_no_thread_cap() {
         let cfg = LemraConfig::default();
         assert_eq!(cfg.backend, Backend::Ssp);
-        assert!(!cfg.timings);
         assert_eq!(cfg.threads, None);
     }
 

@@ -9,8 +9,8 @@
 //! (`LEMRA_LISTEN`, `LEMRA_ADMIN`, `LEMRA_QUEUE_DEPTH`,
 //! `LEMRA_REQ_TIMEOUT_MS`, `LEMRA_MAX_PAYLOAD`); the solver-side knobs
 //! (`LEMRA_BACKEND`, `LEMRA_THREADS`, `LEMRA_CACHE`, `LEMRA_FAULT`, …)
-//! are read by the pipeline as usual. `--timings` flushes the shared
-//! pipeline/cache stats block to stderr on exit.
+//! are read by the pipeline as usual. `--timings` prints the shared
+//! pipeline/cache stats block, always collected, to stderr on exit.
 //!
 //! SIGTERM and SIGINT begin a graceful drain: the listener stops
 //! accepting, new frames are refused with `shutting_down`, every admitted
@@ -57,11 +57,12 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let timings = args.iter().any(|a| a == "--timings");
-    let base = LemraConfig::from_env().unwrap_or_else(|e| {
-        eprintln!("lemra-server: {e}");
-        std::process::exit(2);
-    });
-    LemraConfig { timings, ..base }.install();
+    LemraConfig::from_env()
+        .unwrap_or_else(|e| {
+            eprintln!("lemra-server: {e}");
+            std::process::exit(2);
+        })
+        .install();
 
     let mut cfg = ServerConfig::from_env().unwrap_or_else(|e| {
         eprintln!("lemra-server: {e}");

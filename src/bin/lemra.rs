@@ -9,8 +9,8 @@
 //!
 //! With `-` as the file, the spec is read from standard input. `--backend`
 //! selects the min-cost-flow solver (`ssp`, `cost_scaling`, `auto`; also
-//! settable via `LEMRA_BACKEND`); `--timings` prints per-stage pipeline
-//! timings to stderr.
+//! settable via `LEMRA_BACKEND`); `--timings` prints the per-stage pipeline
+//! timings, solver counters and cache counters to stderr.
 
 use lemra::core::{
     allocate, render_allocation, storage_plan, AllocationProblem, AllocationReport, GraphStyle,
@@ -45,6 +45,7 @@ fn run() -> Result<(), String> {
     let mut kind = RegisterEnergyKind::Static;
     let mut codegen = false;
     let mut run_sim = false;
+    let mut timings = false;
     let mut config = LemraConfig::from_env().map_err(|e| e.to_string())?;
 
     let mut it = args.iter();
@@ -66,7 +67,7 @@ fn run() -> Result<(), String> {
                     .parse()
                     .map_err(|_| format!("unknown backend `{name}`\n{USAGE}"))?;
             }
-            "--timings" => config.timings = true,
+            "--timings" => timings = true,
             "--codegen" => codegen = true,
             "--simulate" => run_sim = true,
             "--help" | "-h" => {
@@ -79,7 +80,6 @@ fn run() -> Result<(), String> {
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    let timings = config.timings;
     config.install();
     let file = file.ok_or_else(|| format!("no input file\n{USAGE}"))?;
     let input = if file == "-" {
@@ -136,26 +136,7 @@ fn run() -> Result<(), String> {
         );
     }
     if timings {
-        let stats = lemra::core::pipeline_stats();
-        eprintln!("-- pipeline stage timings --");
-        for stage in lemra::core::Stage::ALL {
-            let t = stats.stage(stage);
-            eprintln!(
-                "  {:<10} {:>4} runs {:>10.3} ms {:>10.1} peak KiB",
-                stage.name(),
-                t.runs,
-                t.nanos as f64 / 1e6,
-                t.bytes as f64 / 1024.0
-            );
-        }
-        eprintln!(
-            "  solves: {} warm, {} cold; {} dijkstra rounds, {} units pushed, {} incidents",
-            stats.warm_solves,
-            stats.cold_solves,
-            stats.solver.dijkstra_rounds,
-            stats.solver.pushed_units,
-            stats.solver.incidents
-        );
+        eprint!("{}", lemra::core::StatsSnapshot::collect().render_timings());
     }
     Ok(())
 }
