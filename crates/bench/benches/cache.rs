@@ -4,11 +4,9 @@
 //! synthesis runs, design-space sweeps revisiting operating points).
 //!
 //! `cache_solve` isolates the Solve stage on the built 512-variable
-//! allocation network: `cold` is the plain fallback-chain solve,
+//! allocation network: `cold` is the plain fallback-chain solve and
 //! `exact_hit` is the `O(E)` instance key + table lookup + replay +
-//! re-validation of a resident entry, and `warm_hit` perturbs one arc cost
-//! per iteration so every request is a class hit that adopts, repairs and
-//! donates back the previous request's reoptimizer.
+//! re-validation of a resident entry.
 //! `cache_redundant_traffic` measures the end-to-end allocation trace (24
 //! requests over 8 distinct operating points) with the cache off vs exact
 //! mode.
@@ -26,7 +24,7 @@ fn cx_in(mode: CacheMode) -> PipelineCx {
     PipelineCx::with_backend_cache(LemraConfig::get().backend, mode)
 }
 
-/// One Solve stage of the same built instance, three ways. A fresh context
+/// One Solve stage of the same built instance, two ways. A fresh context
 /// per iteration keeps the measurement honest: nothing is reused across
 /// requests except the process-wide cache under test.
 fn solve_paths(c: &mut Criterion) {
@@ -35,7 +33,7 @@ fn solve_paths(c: &mut Criterion) {
     let table = random_lifetimes(&RandomConfig::scaled(vars, 1));
     let problem =
         AllocationProblem::new(table, (vars / 8) as u32).with_activity(random_patterns(vars, 1));
-    let mut view = build_network(&problem).expect("builds");
+    let view = build_network(&problem).expect("builds");
     let target = i64::from(problem.registers);
 
     clear_cache();
@@ -59,33 +57,6 @@ fn solve_paths(c: &mut Criterion) {
                 .cached_solve(black_box(&view.net), view.source, view.sink, target)
                 .expect("feasible");
             assert_eq!(cx.cache_exact_hits(), 1);
-            sol
-        });
-    });
-
-    // A fresh cost on one arc per iteration keeps every exact fingerprint
-    // new (no replays) while the structural class — and the donated
-    // reoptimizer — is shared, so each request is a warm adoption.
-    clear_cache();
-    cx_in(CacheMode::Warm)
-        .cached_solve(&view.net, view.source, view.sink, target)
-        .expect("feasible");
-    let (arc, base_cost) = view
-        .net
-        .arcs()
-        .map(|(id, a)| (id, a.cost))
-        .next()
-        .expect("network has arcs");
-    let mut tick = 0i64;
-    group.bench_function(BenchmarkId::from_parameter("warm_hit"), |b| {
-        b.iter(|| {
-            tick += 1;
-            view.net.set_arc_cost(arc, base_cost - tick);
-            let mut cx = cx_in(CacheMode::Warm);
-            let sol = cx
-                .cached_solve(black_box(&view.net), view.source, view.sink, target)
-                .expect("feasible");
-            assert_eq!(cx.cache_warm_hits(), 1);
             sol
         });
     });

@@ -34,9 +34,8 @@ use crate::CoreError;
 use lemra_energy::RegisterEnergyKind;
 use lemra_ir::{Tick, TickRange, VarId};
 use lemra_netflow::{
-    instance_key, thread_solver_stats, Backend, CacheMode, Fingerprint, FlowNetwork, FlowSolution,
-    LemraConfig, NetflowError, NodeId, Reoptimizer, ResilientSolver, SolveBudget, SolverIncident,
-    SolverStats,
+    instance_key, thread_solver_stats, Backend, CacheMode, FlowNetwork, FlowSolution, LemraConfig,
+    NetflowError, NodeId, Reoptimizer, ResilientSolver, SolveBudget, SolverIncident, SolverStats,
 };
 use std::sync::Mutex;
 use std::time::Instant;
@@ -251,14 +250,8 @@ pub struct PipelineCx {
     /// Cross-request cache mode this context runs under (a snapshot of
     /// [`LemraConfig::cache`] unless the constructor overrode it).
     cache_mode: CacheMode,
-    /// Structural class of the retained-network sweep state, set by
-    /// [`Self::allocate_warm`]: the key under which [`Drop`] donates this
-    /// context's reoptimizer back to the process-wide cache.
-    warm_class: Option<Fingerprint>,
     /// Solves this context answered by exact-hit replay.
     exact_hits: u64,
-    /// Solves this context answered by adopted warm state.
-    warm_hits: u64,
 }
 
 impl Default for PipelineCx {
@@ -269,14 +262,6 @@ impl Default for PipelineCx {
 
 impl Drop for PipelineCx {
     fn drop(&mut self) {
-        // Sweep state outlives the context: donate the reoptimizer to its
-        // structural class so the next sweep over the same topology starts
-        // warm. The adopter's own snapshot diff re-verifies compatibility.
-        if self.cache_mode == CacheMode::Warm && self.reopt.is_warm() {
-            if let Some(class) = self.warm_class {
-                crate::cache::donate_warm(class, std::mem::take(&mut self.reopt));
-            }
-        }
         // Every context flushes, also while a panicking request unwinds, so
         // this must not panic: a poisoned registry loses these counters.
         if self.stats != PipelineStats::ZERO {
@@ -307,9 +292,7 @@ impl PipelineCx {
             cache: None,
             stats: PipelineStats::ZERO,
             cache_mode,
-            warm_class: None,
             exact_hits: 0,
-            warm_hits: 0,
         }
     }
 
@@ -341,12 +324,6 @@ impl PipelineCx {
     /// exact fingerprint hit.
     pub fn cache_exact_hits(&self) -> u64 {
         self.exact_hits
-    }
-
-    /// Solves this context answered by warm-repairing reoptimizer state
-    /// adopted from the process-wide cache.
-    pub fn cache_warm_hits(&self) -> u64 {
-        self.warm_hits
     }
 
     /// Warm-path solves that had to (re)build solver state from scratch.
@@ -463,14 +440,12 @@ impl PipelineCx {
         Ok(())
     }
 
-    /// Solve stage with the cross-request cache in front: exact hits replay
-    /// the cached optimum; on a miss, warm mode repairs per-class
-    /// reoptimizer state checked out of the process-wide table (and
-    /// returns it), other modes solve cold through the configured backend's
-    /// fallback chain; every solved optimum populates the cache. The
-    /// context's own sweep reoptimizer is never touched, so
-    /// [`Self::allocate_warm`]'s intra-sweep state cannot be clobbered by
-    /// an unrelated chain-flow or block solve.
+    /// Solve stage with the cross-request cache in front: a hit replays
+    /// the cached optimum; a miss solves cold through the configured
+    /// backend's fallback chain and populates the cache. The context's own
+    /// sweep reoptimizer is never touched, so [`Self::allocate_warm`]'s
+    /// intra-sweep state cannot be clobbered by an unrelated chain-flow or
+    /// block solve.
     ///
     /// Public so callers holding a raw built network (the benches, external
     /// drivers composing their own Build stage) can route a solve through
@@ -495,12 +470,9 @@ impl PipelineCx {
     /// outcome and remember the optimum.
     ///
     /// `sweep` picks the solver state. `Some` is the retained path of
-    /// [`Self::allocate_warm`]: the solve runs on this context's own
-    /// reoptimizer, which adopts the class's donated state while it holds
-    /// none, and the point's rescale hint is applied after an exact miss.
-    /// `None` leaves that reoptimizer alone: warm mode checks one out of
-    /// the class table and donates it straight back, every other mode
-    /// solves cold.
+    /// [`Self::allocate_warm`]: after a cache miss the point's rescale hint
+    /// is applied and the solve runs on this context's own reoptimizer.
+    /// `None` solves cold and leaves that reoptimizer alone.
     fn solve_stage(
         &mut self,
         net: &FlowNetwork,
@@ -515,17 +487,12 @@ impl PipelineCx {
             self.record(Stage::Canon, t0);
             key
         });
-        if sweep.is_some() {
-            // The Drop donation key: this context's reoptimizer state
-            // certifies (an instance of) this structural class.
-            self.warm_class = key.map(|k| k.class);
-        }
         if let Some(key) = key {
-            if let Some((flows, value)) = crate::cache::lookup_exact(key.exact) {
+            if let Some((flows, value)) = crate::cache::lookup_exact(key) {
                 if let Some(solution) = replay_exact(net, s, t, flows, value) {
-                    // Exact hit: skip the solve. A sweep's reoptimizer and
-                    // rescale basis still describe the point it last
-                    // solved, so its next miss repairs from there.
+                    // Hit: skip the solve. A sweep's reoptimizer and rescale
+                    // basis still describe the point it last solved, so its
+                    // next miss repairs from there.
                     self.exact_hits += 1;
                     crate::cache::note_exact_hit();
                     return Ok(solution);
@@ -533,92 +500,42 @@ impl PipelineCx {
             }
         }
 
-        // Cross-request adoption: a sweep adopts only while it has built no
-        // state of its own (intra-sweep warmth always wins).
-        let warm_mode = self.cache_mode == CacheMode::Warm;
-        let adopted = match key {
-            Some(key) if warm_mode && (sweep.is_none() || !self.reopt.is_warm()) => {
-                crate::cache::adopt_warm(key.class)
-            }
-            _ => None,
-        };
-        let adopting = adopted.is_some();
-        let mut pooled = None;
-        match sweep {
-            Some((problem, built)) => {
-                if let Some(reopt) = adopted {
-                    self.reopt = reopt;
-                }
-                self.rescale_hint(problem, built);
-            }
-            None if warm_mode => pooled = Some(adopted.unwrap_or_default()),
-            None => {}
+        if let Some((problem, built)) = sweep {
+            self.rescale_hint(problem, built);
         }
-
         let t0 = Instant::now();
         let incidents = self.resilient.incident_count();
-        let primary = match sweep {
-            Some(_) => Some(&mut self.reopt),
-            None => pooled.as_mut(),
-        };
-        let (result, warm_hit) = match primary {
-            None => {
-                let before = thread_solver_stats();
-                let result = self.resilient.solve(net, s, t, target);
-                self.stats.solver = self.stats.solver + (thread_solver_stats() - before);
-                self.stats.cold_solves += 1;
-                (result, false)
+        let result = if sweep.is_none() {
+            let before = thread_solver_stats();
+            let result = self.resilient.solve(net, s, t, target);
+            self.stats.solver = self.stats.solver + (thread_solver_stats() - before);
+            self.stats.cold_solves += 1;
+            result
+        } else {
+            let reopt = &mut self.reopt;
+            let (stats, warm, cold) = (reopt.stats(), reopt.warm_solves(), reopt.cold_solves());
+            let result = self.resilient.solve_with_fallback(reopt, net, s, t, target);
+            if self.resilient.incident_count() > incidents {
+                // The warm primary failed mid-solve (possibly mid-mutation
+                // after a contained panic): drop its state and the rescale
+                // basis rather than reuse them. The returned solution, if
+                // any, came from a stateless fallback backend.
+                reopt.reset();
+                self.prev_basis = None;
             }
-            Some(reopt) => {
-                let (stats, warm, cold) = (reopt.stats(), reopt.warm_solves(), reopt.cold_solves());
-                #[cfg(feature = "fault-inject")]
-                let result = self.resilient.solve_with_fallback(
-                    &mut InjectOnAdopted {
-                        inner: &mut *reopt,
-                        armed: adopting,
-                    },
-                    net,
-                    s,
-                    t,
-                    target,
-                );
-                #[cfg(not(feature = "fault-inject"))]
-                let result = self
-                    .resilient
-                    .solve_with_fallback(&mut *reopt, net, s, t, target);
-                if self.resilient.incident_count() > incidents {
-                    // The warm primary failed mid-solve (possibly
-                    // mid-mutation after a contained panic): drop its state,
-                    // and a sweep's rescale basis, rather than reuse or
-                    // donate it. The returned solution, if any, came from a
-                    // stateless fallback backend.
-                    reopt.reset();
-                    if sweep.is_some() {
-                        self.prev_basis = None;
-                    }
-                }
-                self.stats.solver = self.stats.solver + (reopt.stats() - stats);
-                self.stats.warm_solves += reopt.warm_solves() - warm;
-                self.stats.cold_solves += reopt.cold_solves() - cold;
-                (result, adopting && reopt.warm_solves() > warm)
-            }
+            self.stats.solver = self.stats.solver + (reopt.stats() - stats);
+            self.stats.warm_solves += reopt.warm_solves() - warm;
+            self.stats.cold_solves += reopt.cold_solves() - cold;
+            result
         };
         self.stats.solver.incidents += self.resilient.incident_count() - incidents;
-        if let Some(key) = key {
-            if warm_hit {
-                self.warm_hits += 1;
-                crate::cache::note_warm_hit();
-            } else {
-                crate::cache::note_miss();
-            }
-            if let Some(reopt) = pooled {
-                crate::cache::donate_warm(key.class, reopt);
-            }
+        if key.is_some() {
+            crate::cache::note_miss();
         }
         self.record(Stage::Solve, t0);
         let solution = result?;
         if let Some(key) = key {
-            crate::cache::insert_exact(key.exact, solution.flows.clone(), solution.value);
+            crate::cache::insert_exact(key, solution.flows.clone(), solution.value);
         }
         Ok(solution)
     }
@@ -929,59 +846,11 @@ pub(crate) fn solve_chain_flow(
     Ok(ChainFlowOutcome { chains })
 }
 
-/// Fault-injection-only primary wrapper for the warm cache path: a planned
-/// `cache`-qualified panic (`LEMRA_FAULT=panic@0:cache`) fires inside the
-/// **adopted** (cache-hit) solve attempt, within the resilient chain's own
-/// per-attempt containment — so the injected failure exercises the genuine
-/// degradation path: incident recorded, stateless fallback re-solves cold,
-/// and the Solve stage drops the poisoned adopted state
-/// instead of donating it back. Non-adopted (miss) solves never consult
-/// the plan, keeping the fault aimed at a real cache hit.
-#[cfg(feature = "fault-inject")]
-struct InjectOnAdopted<'a> {
-    inner: &'a mut Reoptimizer,
-    armed: bool,
-}
-
-#[cfg(feature = "fault-inject")]
-impl lemra_netflow::McfSolver for InjectOnAdopted<'_> {
-    fn name(&self) -> &'static str {
-        lemra_netflow::McfSolver::name(self.inner)
-    }
-
-    fn solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut lemra_netflow::SolverWorkspace,
-    ) -> Result<FlowSolution, NetflowError> {
-        if self.armed && lemra_netflow::maybe_inject_cache() {
-            panic!("injected fault: panic in adopted cache-hit solve");
-        }
-        lemra_netflow::McfSolver::solve(self.inner, net, s, t, target, ws)
-    }
-
-    fn solve_budgeted(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut lemra_netflow::SolverWorkspace,
-        budget: SolveBudget,
-    ) -> Result<FlowSolution, NetflowError> {
-        if self.armed && lemra_netflow::maybe_inject_cache() {
-            panic!("injected fault: panic in adopted cache-hit solve");
-        }
-        lemra_netflow::McfSolver::solve_budgeted(self.inner, net, s, t, target, ws, budget)
-    }
-}
-
-/// Replays a cached creation-order flow onto `net` and re-validates the
-/// result against the live network, so a fingerprint collision (or
-/// corrupted entry) degrades to a miss, never to a wrong answer. Panics
+/// Replays a cached creation-order flow onto `net` and re-checks its
+/// bounds, conservation, value and cost against the live network, so a
+/// corrupted entry or an infeasible collision degrades to a miss. The
+/// check does not cover optimality or the requested target; those rest on
+/// the 128-bit key. Panics
 /// inside the replay — the fault-injection hook, or a cost-recompute bug —
 /// are contained here and also degrade to a miss, which sends the caller
 /// down the ordinary cold path.
@@ -1153,47 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_hits_adopt_cross_request_state_and_match_cold_across_backends() {
-        use lemra_energy::EnergyModel;
-        let table = LifetimeTable::from_intervals(
-            10,
-            vec![
-                (1, vec![3, 6], false),
-                (2, vec![8], false),
-                (4, vec![10], false),
-            ],
-        )
-        .unwrap();
-        for (i, backend) in Backend::ALL.into_iter().enumerate() {
-            // Distinct voltages per backend keep every instance's *exact*
-            // fingerprint fresh (forcing the solve) while the structural
-            // class — and therefore the warm adoption path — is shared.
-            let volts = 3.3 - 0.07 * i as f64;
-            let base = AllocationProblem::new(table.clone(), 2)
-                .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts));
-            let shifted = AllocationProblem::new(table.clone(), 2)
-                .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts - 0.5));
-            {
-                // The donor context solves and returns its reoptimizer to
-                // the class slot via the immediate donate in cached_solve.
-                let mut donor = PipelineCx::with_backend_cache(backend, CacheMode::Warm);
-                donor.allocate(&base).unwrap();
-            }
-            let mut cx = PipelineCx::with_backend_cache(backend, CacheMode::Warm);
-            let warm = cx.allocate(&shifted).unwrap();
-            assert_eq!(
-                cx.cache_warm_hits(),
-                1,
-                "{backend} must repair adopted state"
-            );
-            let cold = crate::allocate(&shifted).unwrap();
-            assert_eq!(warm.placements(), cold.placements(), "{backend}");
-            assert_eq!(warm.chains(), cold.chains(), "{backend}");
-            assert_eq!(warm.flow_cost(), cold.flow_cost(), "{backend}");
-        }
-    }
-
-    #[test]
     fn warm_sweep_second_pass_replays_exact_hits() {
         use lemra_energy::EnergyModel;
         let table = LifetimeTable::from_intervals(
@@ -1207,7 +1035,7 @@ mod tests {
         .unwrap();
         let points = [(3.2f64, 1u32), (2.6, 1), (2.0, 2)];
         let run = || {
-            let mut cx = cx_in(CacheMode::Warm);
+            let mut cx = cx_in(CacheMode::Exact);
             let mut out = Vec::new();
             for (volts, regs) in points {
                 let p = AllocationProblem::new(table.clone(), regs)
@@ -1269,7 +1097,6 @@ mod tests {
         cx.allocate(&p).unwrap();
         cx.allocate_warm(&p).unwrap();
         assert_eq!(cx.cache_exact_hits(), 0);
-        assert_eq!(cx.cache_warm_hits(), 0);
     }
 
     #[cfg(feature = "fault-inject")]
@@ -1305,45 +1132,6 @@ mod tests {
         let replayed = cx.allocate(&p).unwrap();
         assert_eq!(cx.cache_exact_hits(), 1);
         assert_eq!(replayed.placements(), cold.placements());
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn adopted_warm_solve_panic_falls_back_cold_byte_identically() {
-        use lemra_energy::EnergyModel;
-        use lemra_netflow::FaultPlan;
-        let table = LifetimeTable::from_intervals(
-            14,
-            vec![
-                (1, vec![4], false),
-                (3, vec![9], false),
-                (6, vec![12], false),
-                (8, vec![14], false),
-            ],
-        )
-        .unwrap();
-        let base = AllocationProblem::new(table.clone(), 2)
-            .with_energy(EnergyModel::default_16bit().with_memory_voltage(2.9));
-        let shifted = AllocationProblem::new(table, 2)
-            .with_energy(EnergyModel::default_16bit().with_memory_voltage(2.3));
-        let cold = crate::allocate(&shifted).unwrap();
-        {
-            // Donor populates the class slot the next context will adopt.
-            let mut donor = cx_in(CacheMode::Warm);
-            donor.allocate(&base).unwrap();
-        }
-        // Arm a panic inside the next adopted (cache-hit) solve: the
-        // resilient chain must contain it, re-solve cold via a stateless
-        // fallback, drop the poisoned state, and commit the same bytes.
-        let plan: FaultPlan = "panic@0:cache".parse().unwrap();
-        plan.install();
-        let mut cx = cx_in(CacheMode::Warm);
-        let recovered = cx.allocate(&shifted).unwrap();
-        FaultPlan::clear();
-        assert_eq!(cx.cache_warm_hits(), 0, "the panicked adoption is a miss");
-        assert_eq!(recovered.placements(), cold.placements());
-        assert_eq!(recovered.chains(), cold.chains());
-        assert_eq!(recovered.flow_cost(), cold.flow_cost());
     }
 
     #[test]

@@ -76,15 +76,13 @@ impl StatsSnapshot {
         );
         let _ = writeln!(
             out,
-            "  cache: {} exact hits, {} warm hits, {} misses, {} insertions, {} evictions; \
-             {} exact + {} warm entries resident",
+            "  cache: {} exact hits, {} misses, {} insertions, {} evictions; \
+             {} entries resident",
             self.cache.exact_hits,
-            self.cache.warm_hits,
             self.cache.misses,
             self.cache.insertions,
             self.cache.evictions,
-            self.cache.exact_entries,
-            self.cache.warm_entries
+            self.cache.exact_entries
         );
         out
     }
@@ -111,8 +109,7 @@ mod tests {
   bind             0        0.000          0.0
   validate         0        0.000          0.0
   solves: 0 warm, 0 cold; 0 dijkstra rounds, 0 units pushed, 0 incidents
-  cache: 0 exact hits, 0 warm hits, 0 misses, 0 insertions, 0 evictions; \
-0 exact + 0 warm entries resident
+  cache: 0 exact hits, 0 misses, 0 insertions, 0 evictions; 0 entries resident
 ";
         assert_eq!(zero.render_timings(), expected);
     }

@@ -6,7 +6,7 @@
 //! instead of running away on an adversarial instance. The budget travels
 //! inside the [`SolverWorkspace`](crate::SolverWorkspace) (set it with
 //! [`SolverWorkspace::set_budget`](crate::SolverWorkspace::set_budget) or
-//! let [`McfSolver::solve_budgeted`](crate::McfSolver::solve_budgeted)
+//! let [`Backend::solve_with_budget`](crate::Backend::solve_with_budget)
 //! install it for one call) and is checked **cooperatively at phase
 //! boundaries** — once per shortest-path round, per cost-scaling refine
 //! phase, per warm-repair drain round — so the default unlimited budget
@@ -27,7 +27,6 @@ use std::time::Instant;
 ///
 /// The default is unlimited on every axis. Budgets are plain data
 /// (`Copy`): install one per solve via
-/// [`McfSolver::solve_budgeted`](crate::McfSolver::solve_budgeted) or
 /// [`Backend::solve_with_budget`](crate::Backend::solve_with_budget), or
 /// persistently via
 /// [`SolverWorkspace::set_budget`](crate::SolverWorkspace::set_budget) /

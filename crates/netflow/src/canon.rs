@@ -1,24 +1,15 @@
-//! Content keys of a built flow network.
+//! Content key of a built flow network.
 //!
 //! The `(uid, version)` stamp in [`graph`](crate::graph) answers "is this
 //! the same network *object*, unmutated?" — good enough for memoising work
 //! inside one solve, useless for recognising that two independently built
 //! networks pose the same problem. [`instance_key`] answers the second
 //! question for networks emitted by a deterministic builder: it folds the
-//! instance `(net, s, t, target)` in arc creation order into two 128-bit
-//! fingerprints,
-//!
-//! * [`InstanceKey::exact`] — covers the node count, the endpoints, every
-//!   arc's endpoints, lower bound, capacity and cost, and the flow target.
-//!   Two instances with equal exact keys are the same problem arc for arc,
-//!   so a cached optimal flow replays onto either one unchanged.
-//! * [`InstanceKey::class`] — covers the node count, the endpoints and
-//!   every arc's endpoints and lower bound only. Costs, capacities and the
-//!   target are deliberately excluded because they are what a
-//!   voltage/encoding sweep perturbs; instances in one class are
-//!   warm-start neighbours, so retained [`Reoptimizer`](crate::Reoptimizer)
-//!   state transfers between them (its own snapshot diff re-verifies
-//!   topology before trusting it).
+//! instance `(net, s, t, target)` in arc creation order into one 128-bit
+//! [`Fingerprint`] covering the node count, the endpoints, every arc's
+//! endpoints, lower bound, capacity and cost, and the flow target. Two
+//! instances with equal keys are the same problem arc for arc, so a cached
+//! optimal flow replays onto either one unchanged.
 //!
 //! Arc order is part of the key on purpose. The allocator numbers nodes and
 //! arcs from the segmentation alone and prices ties by arc index, so two
@@ -33,7 +24,7 @@ use crate::graph::{FlowNetwork, NodeId};
 /// no mutation in between, for the same endpoints — the validity condition
 /// for caching artifacts derived from a scan of the arcs (input-validation
 /// verdicts, residual CSR layouts). This is the *identity*-keyed complement
-/// of the *content*-keyed [`InstanceKey`].
+/// of the *content*-keyed [`instance_key`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CacheStamp {
     pub(crate) uid: u64,
@@ -78,16 +69,7 @@ impl std::fmt::Display for Fingerprint {
     }
 }
 
-/// Both content keys of one built instance (see [`instance_key`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct InstanceKey {
-    /// Exact content key (structure + bounds + capacities + costs + target).
-    pub exact: Fingerprint,
-    /// Structural class key (structure + lower bounds + endpoints only).
-    pub class: Fingerprint,
-}
-
-/// splitmix64 finalizer: the bijective avalanche behind both fingerprints.
+/// splitmix64 finalizer: the bijective avalanche behind the fingerprint.
 #[inline]
 fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
@@ -127,35 +109,28 @@ impl Fold {
     }
 }
 
-/// Computes both content keys of the built instance `(net, s, t, target)`
+/// Computes the content key of the built instance `(net, s, t, target)`
 /// in one `O(E)` pass over the arcs in creation order.
 ///
-/// Two sweep points over the same built structure land in the same
-/// [`InstanceKey::class`] even though their costs, capacities and targets
-/// differ. A fingerprint collision can never smuggle in a wrong answer: the
-/// cache re-validates every replayed flow against the live network.
-pub fn instance_key(net: &FlowNetwork, s: NodeId, t: NodeId, target: i64) -> InstanceKey {
-    let mut exact = Fold::new(0xF1F0);
-    let mut class = Fold::new(0xC1A5);
+/// Equal keys stand for the same instance only up to a 128-bit collision.
+/// `lemra-core`'s cache re-checks a replayed flow's bounds, conservation,
+/// value and cost against the live network ([`validate`](crate::validate)),
+/// but not its optimality nor that its value is the requested target:
+/// those rest on the key alone.
+pub fn instance_key(net: &FlowNetwork, s: NodeId, t: NodeId, target: i64) -> Fingerprint {
+    let mut key = Fold::new(0xF1F0);
     for w in [net.node_count(), s.index(), t.index()] {
-        exact.push(w as u64);
-        class.push(w as u64);
+        key.push(w as u64);
     }
-    exact.push(target as u64);
+    key.push(target as u64);
     for arc in net.arcs_slice() {
         // Each arc's words are pre-hashed independently of the fold state,
-        // so the serial dependency is one or two pushes per arc.
+        // so the serial dependency is two pushes per arc.
         let ends = (arc.from.index() as u64) << 32 | arc.to.index() as u64;
-        let shape = mix(ends ^ mix(arc.lower_bound as u64));
-        let price = mix(arc.capacity as u64 ^ mix(arc.cost as u64));
-        class.push(shape);
-        exact.push(shape);
-        exact.push(price);
+        key.push(mix(ends ^ mix(arc.lower_bound as u64)));
+        key.push(mix(arc.capacity as u64 ^ mix(arc.cost as u64)));
     }
-    InstanceKey {
-        exact: exact.finish(),
-        class: class.finish(),
-    }
+    key.finish()
 }
 
 #[cfg(test)]
@@ -197,59 +172,41 @@ mod tests {
     }
 
     #[test]
-    fn identical_builds_share_both_fingerprints() {
+    fn identical_builds_share_the_fingerprint() {
         let (na, s, t) = build(&[10, 20, 30], &[1, 1, 1]);
         let (nb, _, _) = build(&[10, 20, 30], &[1, 1, 1]);
         assert_eq!(instance_key(&na, s, t, 3), instance_key(&nb, s, t, 3));
+        let nc = rebuilt(&na, |_, a| a);
+        assert_eq!(instance_key(&na, s, t, 3), instance_key(&nc, s, t, 3));
     }
 
     #[test]
-    fn cost_shift_changes_fingerprint_but_not_class() {
+    fn costs_target_and_lower_bounds_move_the_fingerprint() {
         let (na, s, t) = build(&[10, 20, 30], &[1, 1, 1]);
         let (nb, _, _) = build(&[11, 21, 31], &[1, 1, 1]);
-        let a = instance_key(&na, s, t, 3);
-        let b = instance_key(&nb, s, t, 3);
-        assert_ne!(a.exact, b.exact);
-        assert_eq!(a.class, b.class, "costs must not split structural classes");
-    }
-
-    #[test]
-    fn target_changes_fingerprint_but_not_class() {
-        let (na, s, t) = build(&[10, 20, 30], &[1, 1, 1]);
-        let a = instance_key(&na, s, t, 3);
-        let b = instance_key(&na, s, t, 2);
-        assert_ne!(a.exact, b.exact);
-        assert_eq!(a.class, b.class, "target deltas are warm-repairable");
-    }
-
-    #[test]
-    fn lower_bound_change_splits_the_class() {
-        let (na, s, t) = build(&[10, 20, 30], &[1, 1, 1]);
-        let nb = rebuilt(&na, |_, a| a);
         let nc = rebuilt(&na, |i, a| Arc {
             lower_bound: if i == 0 { 0 } else { a.lower_bound },
             ..a
         });
         let a = instance_key(&na, s, t, 3);
-        let b = instance_key(&nb, s, t, 3);
-        let c = instance_key(&nc, s, t, 3);
-        assert_eq!(a.class, b.class);
-        assert_ne!(a.class, c.class, "lower bounds are structural");
+        assert_ne!(a, instance_key(&nb, s, t, 3), "costs");
+        assert_ne!(a, instance_key(&na, s, t, 2), "target");
+        assert_ne!(a, instance_key(&nc, s, t, 3), "lower bounds");
     }
 
     #[test]
     fn display_is_32_hex_digits() {
         let (net, s, t) = build(&[10, 20], &[1, 1]);
-        let text = instance_key(&net, s, t, 2).exact.to_string();
+        let text = instance_key(&net, s, t, 2).to_string();
         assert_eq!(text.len(), 32);
         assert!(text.chars().all(|c| c.is_ascii_hexdigit()));
     }
 
     proptest! {
-        /// Perturbing a single cost or a single capacity moves the exact
-        /// fingerprint but leaves the structural class alone.
+        /// Perturbing a single cost or a single capacity moves the
+        /// fingerprint.
         #[test]
-        fn single_perturbation_distinguishes_fingerprint_only(
+        fn single_perturbation_moves_the_fingerprint(
             costs in proptest::collection::vec(-50i64..50, 2..8),
             which in 0usize..64,
             bump in 1i64..5,
@@ -265,8 +222,7 @@ mod tests {
             });
             let a = instance_key(&net, s, t, costs.len() as i64);
             let b = instance_key(&nb, s, t, costs.len() as i64);
-            prop_assert_ne!(a.exact, b.exact);
-            prop_assert_eq!(a.class, b.class);
+            prop_assert_ne!(a, b);
         }
     }
 }

@@ -24,12 +24,11 @@ pub const THREADS_ENV: &str = "LEMRA_THREADS";
 
 /// Environment variable selecting the cross-request allocation cache mode
 /// (`off` — default, no cache; `exact` — replay byte-identical solutions on
-/// exact fingerprint hits; `warm` — additionally adopt retained reoptimizer
-/// state across requests within a structural class).
+/// fingerprint hits).
 pub const CACHE_ENV: &str = "LEMRA_CACHE";
 
-/// Environment variable capping the allocation cache's entry count per
-/// table (positive integer; default 128). Above the cap the entry with the
+/// Environment variable capping the allocation cache's entry count
+/// (positive integer; default 128). Above the cap the entry with the
 /// fewest recorded accesses is evicted, oldest first on ties.
 pub const CACHE_CAP_ENV: &str = "LEMRA_CACHE_CAP";
 
@@ -40,13 +39,9 @@ pub enum CacheMode {
     /// pre-cache pipeline by construction).
     #[default]
     Off,
-    /// Exact-fingerprint hits replay the cached solution; misses solve
-    /// cold and populate the cache.
+    /// Fingerprint hits replay the cached solution; misses solve and
+    /// populate the cache.
     Exact,
-    /// [`CacheMode::Exact`] plus warm-start adoption: retained reoptimizer
-    /// state is checked out per structural class, so sweep-style cost
-    /// deltas repair instead of re-solving.
-    Warm,
 }
 
 impl std::str::FromStr for CacheMode {
@@ -56,11 +51,10 @@ impl std::str::FromStr for CacheMode {
         match s {
             "off" => Ok(CacheMode::Off),
             "exact" => Ok(CacheMode::Exact),
-            "warm" => Ok(CacheMode::Warm),
             other => Err(NetflowError::InvalidArc {
                 reason: format!(
                     "{CACHE_ENV}=`{other}` is not a cache mode \
-                     (expected off, exact or warm)"
+                     (expected off or exact)"
                 ),
             }),
         }
@@ -109,7 +103,7 @@ pub struct LemraConfig {
     pub par_solve: ParSolve,
     /// Cross-request allocation cache mode (default off).
     pub cache: CacheMode,
-    /// Allocation cache capacity, entries per table (default 128).
+    /// Allocation cache capacity in entries (default 128).
     pub cache_cap: usize,
 }
 
@@ -262,9 +256,12 @@ mod tests {
 
     #[test]
     fn from_vars_parses_each_knob() {
-        let cfg = LemraConfig::from_vars(Some("auto"), Some("3"), None, None).unwrap();
+        let cfg =
+            LemraConfig::from_vars(Some("auto"), Some("3"), Some("exact"), Some("7")).unwrap();
         assert_eq!(cfg.backend, Backend::Auto);
         assert_eq!(cfg.threads, Some(3));
+        assert_eq!(cfg.cache, CacheMode::Exact);
+        assert_eq!(cfg.cache_cap, 7);
         let unset = LemraConfig::from_vars(None, None, None, None).unwrap();
         assert_eq!(unset, LemraConfig::default());
     }
@@ -289,19 +286,14 @@ mod tests {
     fn cache_mode_parses_strictly_and_rejects_typos() {
         assert_eq!("off".parse::<CacheMode>().unwrap(), CacheMode::Off);
         assert_eq!("exact".parse::<CacheMode>().unwrap(), CacheMode::Exact);
-        assert_eq!("warm".parse::<CacheMode>().unwrap(), CacheMode::Warm);
-        for bad in ["on", "1", "Warm", "wram", ""] {
+        // Anything but `off` and `exact`, `warm` included, fails like a typo.
+        for bad in ["warm", "on", "1", "Exact", "exatc", ""] {
             let err = bad.parse::<CacheMode>().unwrap_err().to_string();
             assert!(err.contains(CACHE_ENV), "names the variable: {err}");
-            for name in ["off", "exact", "warm"] {
-                assert!(err.contains(name), "lists `{name}`: {err}");
-            }
+            assert!(err.contains("off or exact"), "lists the modes: {err}");
         }
-        let cfg = LemraConfig::from_vars(None, None, Some("warm"), Some("7")).unwrap();
-        assert_eq!(cfg.cache, CacheMode::Warm);
-        assert_eq!(cfg.cache_cap, 7);
         assert!(
-            LemraConfig::from_vars(None, None, Some("wram"), None).is_err(),
+            LemraConfig::from_vars(None, None, Some("warm"), None).is_err(),
             "a typo'd {CACHE_ENV} must fail loudly"
         );
         assert!(LemraConfig::from_vars(None, None, None, Some("0")).is_err());

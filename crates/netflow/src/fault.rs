@@ -259,7 +259,10 @@ pub fn ensure_env_plan() {
 /// Faults from the active plan that have fired, excluding
 /// [`FaultKind::Conn`] (connection kills produce no solver incident). The
 /// admin endpoint reports this so CI can assert *zero non-injected
-/// incidents*: total incidents must equal this count exactly.
+/// incidents*: under solve-path faults (a solve index or `solve` wildcard),
+/// total incidents must equal this count exactly. A `cache` fault counts
+/// here but records no incident, because the cache-hit replay contains its
+/// own panic and solves as a miss.
 pub fn injected_fault_count() -> u64 {
     let guard = ACTIVE.lock().expect("fault plan lock poisoned");
     guard.as_ref().map_or(0, |plan| {
@@ -343,11 +346,10 @@ impl std::str::FromStr for FaultPlan {
     }
 }
 
-/// Injection point inside a cache-hit solve, selected by the backend-name
+/// Injection point inside a cache-hit replay, selected by the backend-name
 /// convention `cache` (e.g. `LEMRA_FAULT=panic@0:cache`). The allocation
-/// cache consults it at both of its hit paths — the exact-entry replay and
-/// the adopted-reoptimizer warm solve — and the fault fires on whichever
-/// hit comes first after installation. The solve index in the spec is
+/// cache consults it when it replays an exact entry, and the fault fires
+/// on the first replay after installation. The solve index in the spec is
 /// ignored, because replays never reach the resilience layer's solve
 /// counter. Fires once, like every fault; the caller is expected to
 /// contain the panic and fall back to a cold solve.

@@ -28,8 +28,7 @@
 //! retains the optimal residual graph and potentials between calls and
 //! repairs optimality from the deltas instead of re-solving from scratch.
 //! [`instance_key`] folds a built network, in arc creation order, into the
-//! exact and structural-class [`Fingerprint`]s that key `lemra-core`'s
-//! cross-request allocation cache.
+//! [`Fingerprint`] that keys `lemra-core`'s cross-request allocation cache.
 //!
 //! # Solver performance
 //!
@@ -104,7 +103,7 @@ mod ssp;
 mod workspace;
 
 pub use budget::SolveBudget;
-pub use canon::{instance_key, Fingerprint, InstanceKey};
+pub use canon::{instance_key, Fingerprint};
 pub use config::{
     CacheMode, LemraConfig, ParSolve, BACKEND_ENV, CACHE_CAP_ENV, CACHE_ENV, THREADS_ENV,
 };
@@ -120,7 +119,7 @@ pub use graph::{Arc, ArcId, FlowNetwork, NodeId};
 pub use reopt::Reoptimizer;
 pub use resilience::{ResilientSolver, SolverIncident};
 pub use solution::{validate, FlowSolution};
-pub use solver::{Backend, McfSolver};
+pub use solver::Backend;
 pub use ssp::{min_cost_flow, min_cost_flow_with};
 pub use workspace::{thread_solver_stats, SolverStats, SolverWorkspace};
 

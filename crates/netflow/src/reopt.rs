@@ -215,14 +215,6 @@ impl Reoptimizer {
         self.warm_solves
     }
 
-    /// Whether solver state is currently retained, i.e. the next compatible
-    /// solve repairs instead of rebuilding. The cross-request cache consults
-    /// this before adopting donated state: a reoptimizer that is already
-    /// warm keeps its own state (intra-context reuse beats adoption).
-    pub fn is_warm(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Installs a [`SolveBudget`] governing every subsequent solve (warm
     /// repairs and cold rebuilds alike), returning the previous budget.
     pub fn set_budget(&mut self, budget: SolveBudget) -> SolveBudget {
@@ -862,11 +854,16 @@ mod tests {
         corrupt_potential(&mut reopt, t);
         let err = reopt.solve(&net, s, t, 2).unwrap_err();
         assert!(matches!(err, NetflowError::InvalidSolution { .. }), "{err}");
-        assert!(!reopt.is_warm(), "a failed certificate drops the state");
+        let cold = reopt.cold_solves();
+        reopt.solve(&net, s, t, 2).unwrap();
+        assert_eq!(
+            reopt.cold_solves(),
+            cold + 1,
+            "a failed certificate drops the state"
+        );
 
         // Through the fallback chain: one incident, and the answer is the
         // cold SSP optimum.
-        reopt.solve(&net, s, t, 2).unwrap();
         corrupt_potential(&mut reopt, t);
         let mut chain = crate::ResilientSolver::new(crate::Backend::Ssp);
         let sol = chain

@@ -28,7 +28,8 @@
 
 use crate::budget::SolveBudget;
 use crate::graph::{FlowNetwork, NodeId};
-use crate::solver::{Backend, McfSolver};
+use crate::reopt::Reoptimizer;
+use crate::solver::Backend;
 use crate::workspace::{with_thread_workspace, SolverWorkspace};
 use crate::{FlowSolution, NetflowError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,7 +63,7 @@ impl std::fmt::Display for SolverIncident {
     }
 }
 
-/// A fallback-chain [`McfSolver`]: tries each backend in order, contains
+/// A min-cost-flow fallback chain: tries each backend in order, contains
 /// panics, and logs every absorbed failure as a [`SolverIncident`].
 ///
 /// # Examples
@@ -193,22 +194,20 @@ impl ResilientSolver {
         self.run_chain(None, net, s, t, target, ws)
     }
 
-    /// Runs `primary` (a stateful solver such as a
-    /// [`Reoptimizer`](crate::Reoptimizer)) first and falls back to this
-    /// solver's backend chain if it fails recoverably.
+    /// Runs the warm-start `primary` first and falls back to this solver's
+    /// backend chain if it fails recoverably.
     ///
     /// After a [`NetflowError::SolverPanicked`] incident the caller must
-    /// assume `primary`'s internal state is mid-mutation and reset it (e.g.
-    /// [`Reoptimizer::reset`](crate::Reoptimizer::reset)) before its next
-    /// use; the fallback result itself is produced by a stateless backend
-    /// and is safe.
+    /// assume `primary`'s internal state is mid-mutation and
+    /// [`reset`](Reoptimizer::reset) it before its next use; the fallback
+    /// result itself is produced by a stateless backend and is safe.
     ///
     /// # Errors
     ///
     /// Same as [`Self::solve`].
     pub fn solve_with_fallback(
         &mut self,
-        primary: &mut dyn McfSolver,
+        primary: &mut Reoptimizer,
         net: &FlowNetwork,
         s: NodeId,
         t: NodeId,
@@ -222,7 +221,7 @@ impl ResilientSolver {
     /// `fault-inject` feature) fault injection.
     fn run_chain(
         &mut self,
-        mut primary: Option<&mut dyn McfSolver>,
+        mut primary: Option<&mut Reoptimizer>,
         net: &FlowNetwork,
         s: NodeId,
         t: NodeId,
@@ -243,12 +242,16 @@ impl ResilientSolver {
         let mut last_err: Option<NetflowError> = None;
         for attempt in 0..attempts {
             let (name, outcome) = match (&mut primary, attempt) {
-                (Some(solver), 0) => {
-                    let name = solver.name();
-                    let outcome = Self::attempt(solve_index, attempt, name, ws, |ws| {
-                        solver.solve_budgeted(net, s, t, target, ws, budget)
+                (Some(reopt), 0) => {
+                    // The reoptimizer retains its own workspace, so the
+                    // budget goes on the solver itself for this attempt.
+                    let outcome = Self::attempt(solve_index, attempt, "reopt", ws, |_| {
+                        let previous = reopt.set_budget(budget);
+                        let result = reopt.solve(net, s, t, target);
+                        reopt.set_budget(previous);
+                        result
                     });
-                    (name.to_owned(), outcome)
+                    ("reopt".to_owned(), outcome)
                 }
                 _ => {
                     let backend = chain_backends[attempt - usize::from(primary.is_some())];
@@ -339,23 +342,6 @@ impl ResilientSolver {
                 })
             }
         }
-    }
-}
-
-impl McfSolver for ResilientSolver {
-    fn name(&self) -> &'static str {
-        "resilient"
-    }
-
-    fn solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut SolverWorkspace,
-    ) -> Result<FlowSolution, NetflowError> {
-        self.solve_with(net, s, t, target, ws)
     }
 }
 

@@ -1,14 +1,13 @@
-//! The unified solver interface: one trait, two algorithms, one selector.
+//! The backend selector: two algorithms named as data.
 //!
 //! Every min-cost-flow implementation in this crate — successive shortest
-//! paths, cost scaling, the warm-start [`Reoptimizer`] and the
+//! paths, cost scaling, the warm-start
+//! [`Reoptimizer`](crate::Reoptimizer) and the
 //! [`ResilientSolver`](crate::ResilientSolver) fallback chain — answers the
 //! same question: route exactly `target` units from `s` to `t` at minimum
-//! cost, honouring lower bounds. [`McfSolver`] captures that contract for
-//! the stateful solvers, so a fallback chain can take any of them as its
-//! primary, and [`Backend`] names the algorithms as data so the choice can
-//! travel through configuration (`LEMRA_BACKEND`, CLI flags) instead of
-//! through call sites.
+//! cost, honouring lower bounds. [`Backend`] names the two stateless
+//! algorithms as data, so the choice can travel through configuration
+//! (`LEMRA_BACKEND`, CLI flags) instead of through call sites.
 //!
 //! [`Backend::Auto`] picks by network shape: cost scaling when negative
 //! costs sit on a cyclic graph (the one case the SSP family must refuse —
@@ -21,106 +20,13 @@ use crate::budget::SolveBudget;
 use crate::config::ParSolve;
 use crate::cost_scaling::{min_cost_flow_cost_scaling, min_cost_flow_cost_scaling_with};
 use crate::graph::{FlowNetwork, NodeId};
-use crate::reopt::Reoptimizer;
 use crate::ssp::{min_cost_flow, min_cost_flow_with};
 use crate::workspace::SolverWorkspace;
 use crate::{FlowSolution, NetflowError};
 
-/// A minimum-cost-flow algorithm.
-///
-/// The contract is exactly [`min_cost_flow`](crate::min_cost_flow)'s: an
-/// exact flow of `target` units from `s` to `t`, arc lower bounds honoured,
-/// identical error vocabulary. The workspace parameter lets sweeps reuse
-/// scratch buffers; the [`Reoptimizer`] (which retains its own workspace)
-/// ignores it.
-///
-/// `solve` takes `&mut self` so stateful solvers (the [`Reoptimizer`]) can
-/// retain residual state between calls.
-pub trait McfSolver {
-    /// Stable lower-case name of the algorithm (for reports and logs).
-    fn name(&self) -> &'static str;
-
-    /// Solves for a minimum-cost flow of exactly `target` units `s → t`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`min_cost_flow`](crate::min_cost_flow): infeasibility,
-    /// negative cycles (SSP-family solvers only), invalid endpoints.
-    fn solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut SolverWorkspace,
-    ) -> Result<FlowSolution, NetflowError>;
-
-    /// [`Self::solve`] under a per-call [`SolveBudget`]: the budget is
-    /// installed on the workspace for the duration of this call and the
-    /// previous budget restored afterwards (even on error). Solvers that
-    /// ignore the workspace override this to route the budget their own way.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve`], plus [`NetflowError::BudgetExceeded`] when
-    /// the budget runs out.
-    fn solve_budgeted(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut SolverWorkspace,
-        budget: SolveBudget,
-    ) -> Result<FlowSolution, NetflowError> {
-        let previous = ws.set_budget(budget);
-        let result = self.solve(net, s, t, target, ws);
-        ws.set_budget(previous);
-        result
-    }
-}
-
-impl McfSolver for Reoptimizer {
-    fn name(&self) -> &'static str {
-        "reopt"
-    }
-
-    /// Warm-start solve; the workspace parameter is ignored — the
-    /// reoptimizer retains its own workspace whose potentials certify the
-    /// retained residual graph.
-    fn solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        _ws: &mut SolverWorkspace,
-    ) -> Result<FlowSolution, NetflowError> {
-        Reoptimizer::solve(self, net, s, t, target)
-    }
-
-    /// The reoptimizer retains its own workspace; the budget is installed on
-    /// the solver itself for this call and the previous one restored after.
-    fn solve_budgeted(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        _ws: &mut SolverWorkspace,
-        budget: SolveBudget,
-    ) -> Result<FlowSolution, NetflowError> {
-        let previous = self.set_budget(budget);
-        let result = Reoptimizer::solve(self, net, s, t, target);
-        self.set_budget(previous);
-        result
-    }
-}
-
 /// A named min-cost-flow algorithm choice, selectable via configuration.
 ///
-/// `Backend` is the data-level counterpart of [`McfSolver`]: it travels
-/// through [`LemraConfig`](crate::LemraConfig) (the `LEMRA_BACKEND`
+/// It travels through [`LemraConfig`](crate::LemraConfig) (the `LEMRA_BACKEND`
 /// environment variable, CLI flags) and is resolved to an algorithm at the
 /// solve site. [`Backend::Auto`] defers the choice to the network's shape.
 ///
@@ -342,18 +248,6 @@ mod tests {
                 "{backend} (with workspace)"
             );
         }
-    }
-
-    #[test]
-    fn reoptimizer_is_a_solver() {
-        let (net, s, t) = diamond();
-        let mut ws = SolverWorkspace::new();
-        let mut reopt = Reoptimizer::new();
-        let sol = McfSolver::solve(&mut reopt, &net, s, t, 1, &mut ws).unwrap();
-        assert_eq!(sol.cost, 2);
-        McfSolver::solve(&mut reopt, &net, s, t, 2, &mut ws).unwrap();
-        assert_eq!(reopt.warm_solves(), 1);
-        assert_eq!(McfSolver::name(&reopt), "reopt");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 #![cfg(feature = "fault-inject")]
 
 use lemra_netflow::{
-    Backend, FaultKind, FaultPlan, FlowNetwork, McfSolver, NodeId, ResilientSolver, SolverWorkspace,
+    Backend, FaultKind, FaultPlan, FlowNetwork, NodeId, ResilientSolver, SolverWorkspace,
 };
 
 /// A diamond with power-of-two cost offsets, so the optimum is *unique*
@@ -110,8 +110,8 @@ fn cost_scaling_chain_absorbs_and_recovers_injected_faults() {
             .expect("every solve must complete");
         assert_eq!(sol.flows, reference.flows, "solve #{i}");
     }
-    // Exercise the McfSolver trait path too, post-plan (already fired).
-    let sol = McfSolver::solve(&mut solver, &net, s, t, 1, &mut ws).unwrap();
+    // Exercise the explicit-workspace path too, post-plan (already fired).
+    let sol = solver.solve_with(&net, s, t, 1, &mut ws).unwrap();
     assert_eq!(sol.flows, reference.flows);
     FaultPlan::clear();
     assert_eq!(solver.incident_count(), 1);

@@ -155,7 +155,6 @@ impl ServerMetrics {
         stat("queue_depth", queue_depth as u64);
         stat("workers", workers as u64);
         stat("cache_exact_hits", snapshot.cache.exact_hits);
-        stat("cache_warm_hits", snapshot.cache.warm_hits);
         stat("cache_misses", snapshot.cache.misses);
         stat("cache_insertions", snapshot.cache.insertions);
         stat("cache_evictions", snapshot.cache.evictions);
