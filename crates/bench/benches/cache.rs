@@ -4,7 +4,8 @@
 //! synthesis runs, design-space sweeps revisiting operating points).
 //!
 //! `cache_solve` isolates the Solve stage on the built 512-variable
-//! allocation network: `cold` is the plain fallback-chain solve and
+//! allocation network (its time-line form, about 6 000 arcs): `cold` is the
+//! plain fallback-chain solve and
 //! `exact_hit` is the `O(E)` instance key + table lookup + replay +
 //! re-validation of a resident entry.
 //! `cache_redundant_traffic` measures the end-to-end allocation trace (24

@@ -76,9 +76,10 @@ fn solver_comparison(c: &mut Criterion) {
 }
 
 /// The solve of the built 512-variable allocation network (the
-/// `allocate_scaling/512` instance minus construction and extraction): at
-/// more than 100 000 arcs SSP settles its rounds over the pruned working
-/// set, and cost scaling is the independent reference on the same network.
+/// `allocate_scaling/512` instance minus construction and extraction): the
+/// block is past the time-line gate, so this is the linear-size time-line
+/// network (about 6 000 arcs), and cost scaling is the independent
+/// reference on the same network.
 fn large_solve(c: &mut Criterion) {
     use lemra_core::build_network;
     use lemra_netflow::{min_cost_flow_with, SolverWorkspace};

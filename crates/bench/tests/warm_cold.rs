@@ -3,7 +3,7 @@
 //! exact sweep shape of the `sweep_scaling` benchmark at a test-sized
 //! instance and compares every field the reports are built from.
 
-use lemra_core::{allocate, AllocationProblem, PipelineCx};
+use lemra_core::{allocate, AllocationProblem, PipelineCx, Stage};
 use lemra_energy::{EnergyModel, RegisterEnergyKind};
 use lemra_workloads::random::{random_lifetimes, random_patterns, RandomConfig};
 
@@ -89,4 +89,46 @@ fn voltage_sweep_identical_at_128_vars() {
 #[test]
 fn voltage_sweep_identical_at_256_vars() {
     sweep_commits_identical_allocations(256);
+}
+
+/// A warm sweep over the 512-variable block that switches the register
+/// model back and forth. Under the static model the block builds the
+/// time-line network; under the activity model with bit patterns its
+/// hand-off costs are pairwise, so it builds the bipartite one. A retained
+/// network cannot be re-priced across forms: every switch must rebuild
+/// (segment the lifetimes again), every same-model point must re-price the
+/// retained network, and every point must equal a cold `allocate`.
+#[test]
+fn register_model_switch_rebuilds_across_network_forms() {
+    let vars = 512;
+    let table = random_lifetimes(&RandomConfig::scaled(vars, 42));
+    let activity = random_patterns(vars, 42);
+    let mut sweep = PipelineCx::new();
+    let points = [
+        (RegisterEnergyKind::Static, 3.3, 1),
+        (RegisterEnergyKind::Static, 2.5, 1),
+        (RegisterEnergyKind::Activity, 2.5, 2),
+        (RegisterEnergyKind::Activity, 1.8, 2),
+        (RegisterEnergyKind::Static, 1.8, 3),
+    ];
+    for (kind, volts, builds) in points {
+        let problem = AllocationProblem::new(table.clone(), 64)
+            .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts))
+            .with_activity(activity.clone())
+            .with_register_energy(kind);
+        let warm = sweep.allocate_warm(&problem).expect("feasible");
+        let cold = allocate(&problem).expect("feasible");
+        assert_eq!(warm.flow_cost(), cold.flow_cost(), "{kind:?} at {volts} V");
+        assert_eq!(
+            warm.placements(),
+            cold.placements(),
+            "{kind:?} at {volts} V"
+        );
+        assert_eq!(warm.chains(), cold.chains(), "{kind:?} at {volts} V");
+        assert_eq!(
+            sweep.stats().stage(Stage::Segment).runs,
+            builds,
+            "network builds after {kind:?} at {volts} V"
+        );
+    }
 }

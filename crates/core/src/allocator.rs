@@ -7,7 +7,7 @@
 //! which attains the minimum number of storage locations for the interval
 //! family the solution induces.
 
-use crate::build::BuiltNetwork;
+use crate::build::{raw_cost, BuiltNetwork};
 use crate::pipeline::PipelineCx;
 use crate::problem::AllocationProblem;
 use crate::segment::{SegmentId, Segmentation};
@@ -289,20 +289,13 @@ pub(crate) fn extract_allocation(
     let memory_residency = residency_intervals(&segmentation, &placements, problem);
     let (memory_address, storage_locations) = left_edge(&memory_residency);
 
-    // Undo the tie-break transform: subtract the flow's weight total, divide
-    // by the (exact) scale, and restore the cost quantum to get back to
-    // micro-energy units.
-    let raw_cost = if built.cost_scale == 1 {
-        solution.cost
-    } else {
-        let weights: i64 = built
-            .net
-            .arcs()
-            .map(|(id, _)| solution.flow(id) * built.tie_weights[id.index()])
-            .sum();
-        debug_assert_eq!((solution.cost - weights) % built.cost_scale, 0);
-        (solution.cost - weights) / built.cost_scale * built.cost_unit
-    };
+    // Undo the tie-break transform to get back to micro-energy units.
+    let flow_cost = raw_cost(
+        solution,
+        built.cost_scale,
+        built.cost_unit,
+        &built.tie_weights,
+    );
 
     Ok(Allocation {
         segmentation,
@@ -311,7 +304,7 @@ pub(crate) fn extract_allocation(
         memory_address,
         memory_residency,
         storage_locations,
-        flow_cost: MicroEnergy::from_raw(raw_cost),
+        flow_cost: MicroEnergy::from_raw(flow_cost),
         register_capacity: problem.registers,
     })
 }

@@ -2,17 +2,35 @@
 //!
 //! Every segment contributes a write node `w_i(v)` and a read node `r_i(v)`
 //! joined by a unit-capacity arc (lower bound 1 when the segment is forced
-//! into the register file, §5.2). Hand-off arcs `r_i(v1) → w_j(v2)` connect
-//! compatible segments; which pairs are connected depends on the
-//! [`GraphStyle`]:
+//! into the register file, §5.2). A hand-off lets `v2`'s segment take over
+//! the register `v1`'s segment gives up at its read; which reads may hand
+//! off to which writes depends on the [`GraphStyle`]:
 //!
-//! * [`GraphStyle::Regions`] — the paper's construction. A hand-off arc is
+//! * [`GraphStyle::Regions`] — the paper's construction. A hand-off is
 //!   admitted only if no *region of maximum lifetime density* lies strictly
 //!   between the read and the write; this is the generalisation of the
 //!   "complete bipartite graph between adjacent regions" of §5.1 to events
 //!   that fall inside regions, and it is what guarantees a minimum number of
 //!   memory storage locations (§7).
 //! * [`GraphStyle::AllPairs`] — ref \[8\]: every compatible pair is connected.
+//!
+//! The admitted hand-offs are emitted in one of two [`NetworkForm`]s:
+//!
+//! * [`NetworkForm::Bipartite`] — one arc `r_i(v1) → w_j(v2)` per admitted
+//!   pair, priced `exit(v1) + enter(v2) + transition(v1, v2)`: Σ a·b arcs
+//!   over the blocks between adjacent regions.
+//! * [`NetworkForm::TimeLine`] — when the transition term is the same for
+//!   every pair (the static model, or a uniform activity source), a
+//!   hand-off's cost splits into one term per endpoint, so the pairs carry
+//!   no pairwise information. Each region window then gets one chain of
+//!   tick nodes: `r(v1) → tick(read)` at the exit cost plus the constant
+//!   transition term, zero-cost forward tick arcs of capacity `R`, and
+//!   `tick(write) → w(v2)` at the enter cost — O(segments + ticks) arcs
+//!   with the same path costs. Only problems whose bipartite form would
+//!   reach [`TIMELINE_MIN_PAIRS`] candidate pairs take it: ties between
+//!   equal-cost optima are broken by a hash of the arc index
+//!   ([`apply_tie_break`]), so a smaller network in the other form could
+//!   settle a tie differently.
 //!
 //! The total flow is fixed at the register count `R`; a zero-cost `s → t`
 //! bypass absorbs registers the optimum leaves unused, and optional relief
@@ -25,8 +43,28 @@ use crate::segment::{SegmentId, Segmentation};
 use crate::CoreError;
 use lemra_energy::MicroEnergy;
 use lemra_ir::{DensityProfile, Tick, TickRange};
-use lemra_netflow::{ArcId, FlowNetwork, NodeId};
+use lemra_netflow::{ArcId, FlowNetwork, FlowSolution, NodeId};
 use std::cell::RefCell;
+
+/// Candidate hand-off pairs ([`window_pairs`]) from which a problem whose
+/// hand-off cost splits per endpoint builds the [`NetworkForm::TimeLine`]
+/// form. The gate keeps every smaller network bipartite, where the
+/// arc-index tie-break has always settled ties; at the gate, the bipartite
+/// block's Σ a·b arcs dominate both Build and the solver's per-round arc
+/// scans.
+const TIMELINE_MIN_PAIRS: usize = 100_000;
+
+/// How a built network connects each read to the writes it may hand its
+/// register to; see the [module documentation](self).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NetworkForm {
+    /// One hand-off arc per admitted `(read, write)` pair — §5.1's complete
+    /// bipartite blocks.
+    Bipartite,
+    /// One chain of tick nodes per region window, with each read hooked in
+    /// at its tick and each write hooked out at its own.
+    TimeLine,
+}
 
 /// The constructed flow network plus the maps back to segments.
 ///
@@ -38,16 +76,27 @@ pub(crate) struct BuiltNetwork {
     pub net: FlowNetwork,
     pub s: NodeId,
     pub t: NodeId,
+    /// The hand-off structure this network was built in.
+    pub form: NetworkForm,
+    /// The segmentation's [`window_pairs`], which [`form_for`] gates on.
+    pub window_pairs: usize,
     /// Per segment: its `w → r` arc.
     pub segment_arc: Vec<ArcId>,
     /// Per segment: its read node (tail of hand-off arcs).
     pub read_node: Vec<NodeId>,
     /// Per segment: its write node.
     pub write_node: Vec<NodeId>,
-    /// `(from_segment, to_segment)` per hand-off/chain arc, by [`ArcId`].
+    /// Bipartite hand-off arcs as `(arc, from_segment, to_segment)`; empty
+    /// in the time-line form.
     pub handoff_of: Vec<(ArcId, SegmentId, SegmentId)>,
-    /// Chain arcs `(from_segment, arc)`; `to` is from's successor segment.
+    /// Chain arcs `(arc, from_segment)`; `to` is from's successor segment.
     pub chain_of: Vec<(ArcId, SegmentId)>,
+    /// Time-line `r(seg) → tick` arcs as `(arc, seg)`; empty when bipartite.
+    pub exit_of: Vec<(ArcId, SegmentId)>,
+    /// Time-line `tick → w(seg)` arcs as `(arc, seg)`; empty when bipartite.
+    pub enter_of: Vec<(ArcId, SegmentId)>,
+    /// Time-line forward tick arcs (zero cost, capacity `R`).
+    pub tick_arcs: Vec<ArcId>,
     /// Source hook-ups `s → w(seg)` as `(arc, segment)`.
     pub source_of: Vec<(ArcId, SegmentId)>,
     /// Sink hook-ups `r(seg) → t` as `(arc, segment)`.
@@ -66,8 +115,9 @@ pub(crate) struct BuiltNetwork {
     /// `(cost - Σ flow(a)·tie_weights[a]) / cost_scale · cost_unit`.
     pub tie_weights: Vec<i64>,
     /// Which arcs get the tie-break preference discount (chains and
-    /// hand-offs). Pure topology — [`refresh`] reuses it instead of
-    /// rebuilding the mask per sweep point.
+    /// hand-offs, or in the time-line form chains and tick hooks). Pure
+    /// topology — [`refresh`] reuses it instead of rebuilding the mask per
+    /// sweep point.
     pub preferred: Vec<bool>,
     /// Weight resolution [`apply_tie_break`] picked (0 when the perturbation
     /// was skipped). Cache key: when a refresh lands on the same resolution,
@@ -93,6 +143,9 @@ impl BuiltNetwork {
             + cap_bytes(&self.write_node)
             + cap_bytes(&self.handoff_of)
             + cap_bytes(&self.chain_of)
+            + cap_bytes(&self.exit_of)
+            + cap_bytes(&self.enter_of)
+            + cap_bytes(&self.tick_arcs)
             + cap_bytes(&self.source_of)
             + cap_bytes(&self.sink_of)
             + cap_bytes(&self.tie_weights)
@@ -101,10 +154,10 @@ impl BuiltNetwork {
 }
 
 /// Per-thread scratch for the Build stage. The one-endpoint precompute
-/// tables and the start-order index are `n`-sized and were rebuilt from
-/// scratch for every block, so whole-program pipelines — one worker
-/// allocating dozens of blocks back to back — churned six allocations per
-/// build. The arena keeps the buffers across builds on the same thread;
+/// tables and the start- and end-order indexes are `n`-sized and were
+/// rebuilt from scratch for every block, so whole-program pipelines — one
+/// worker allocating dozens of blocks back to back — churned an allocation
+/// per table per build. The arena keeps the buffers across builds on the same thread;
 /// clearing retains capacity, so steady-state builds allocate nothing here.
 #[derive(Default)]
 struct BuildArena {
@@ -115,6 +168,7 @@ struct BuildArena {
     ends: Vec<Tick>,
     var_of: Vec<u32>,
     by_start: Vec<u32>,
+    by_end: Vec<u32>,
 }
 
 impl BuildArena {
@@ -126,6 +180,7 @@ impl BuildArena {
         self.ends.clear();
         self.var_of.clear();
         self.by_start.clear();
+        self.by_end.clear();
     }
 }
 
@@ -140,8 +195,9 @@ thread_local! {
 /// `regions` comes from [`DensityProfile::max_regions`]: sorted by start and
 /// disjoint, so ends ascend in the same order and the earliest region
 /// starting after `from` has the smallest end among all candidates — one
-/// binary search decides the query. The network builder calls this for every
-/// segment pair, so it must not scan the region list linearly.
+/// binary search decides the query ([`window_end`] is the same search). The
+/// network builder calls this for every segment's hook-ups, so it must not
+/// scan the region list linearly.
 fn region_allows(regions: &[TickRange], from: Tick, to: Tick) -> bool {
     if from > to {
         return false;
@@ -168,16 +224,20 @@ pub(crate) fn profile_regions(
     }
 }
 
+#[cfg(test)]
 pub(crate) fn build(
     problem: &AllocationProblem,
     segmentation: &Segmentation,
 ) -> Result<BuiltNetwork, CoreError> {
     let regions = profile_regions(problem, segmentation);
-    build_with_regions(problem, segmentation, &regions)
+    build_with_regions(problem, segmentation, &regions, None)
 }
 
 /// The BuildNetwork stage proper: emits the §5.1 network over a
-/// [`Segmentation`] whose max-density `regions` were already profiled.
+/// [`Segmentation`] whose max-density `regions` were already profiled, in
+/// the form [`form_for`] picks, or in `form` when that is given (forcing
+/// the time-line form on a problem whose hand-off costs do not split per
+/// endpoint panics).
 ///
 /// Construction is a counted two-pass: a cheap census over the hand-off
 /// windows and hook-up rules first establishes the exact arc total, then
@@ -189,29 +249,161 @@ pub(crate) fn build_with_regions(
     problem: &AllocationProblem,
     segmentation: &Segmentation,
     regions: &[TickRange],
+    form: Option<NetworkForm>,
 ) -> Result<BuiltNetwork, CoreError> {
     BUILD_ARENA.with(|arena| {
-        build_with_regions_in(problem, segmentation, regions, &mut arena.borrow_mut())
+        build_with_regions_in(
+            problem,
+            segmentation,
+            regions,
+            form,
+            &mut arena.borrow_mut(),
+        )
     })
+}
+
+/// The network form a problem builds in: the time-line form when its
+/// hand-off costs split per endpoint
+/// ([`CostCalculator::split_transition`]) and its segmentation's
+/// [`window_pairs`] reach [`TIMELINE_MIN_PAIRS`]; the bipartite form
+/// otherwise.
+pub(crate) fn form_for(problem: &AllocationProblem, window_pairs: usize) -> NetworkForm {
+    let costs = CostCalculator::for_problem(problem);
+    if costs.split_transition().is_some() && window_pairs >= TIMELINE_MIN_PAIRS {
+        NetworkForm::TimeLine
+    } else {
+        NetworkForm::Bipartite
+    }
+}
+
+/// Last tick a write may start at to take over the register of a read at
+/// `from` under the region rule: the end of the first max-density region
+/// starting after `from` (unbounded past the last region, and always under
+/// [`GraphStyle::AllPairs`], which has no regions). Regions are sorted and
+/// disjoint, so that region has the smallest end among the candidates
+/// [`region_allows`] would inspect.
+fn window_end(regions: &[TickRange], from: Tick) -> Tick {
+    let k = regions.partition_point(|r| r.start <= from);
+    regions.get(k).map_or(Tick(u32::MAX), |r| r.end)
+}
+
+/// The gate quantity: Σ over reads of the writes starting inside their
+/// region window, i.e. the candidate pairs the bipartite census walks
+/// before it drops same-variable and register-carried targets — an upper
+/// bound on the bipartite hand-off count that needs only two binary
+/// searches of `by_start` per read, O(n log n). It depends on the
+/// segmentation and the regions alone, never on costs.
+fn window_pairs(arena: &BuildArena, regions: &[TickRange]) -> usize {
+    let starts = &arena.starts;
+    arena
+        .ends
+        .iter()
+        .map(|&from| {
+            let last = window_end(regions, from);
+            let lo = arena
+                .by_start
+                .partition_point(|&i| starts[i as usize] < from);
+            let hi = arena
+                .by_start
+                .partition_point(|&i| starts[i as usize] <= last);
+            hi.saturating_sub(lo)
+        })
+        .sum()
+}
+
+/// One step of [`walk_time_lines`].
+enum Hook {
+    /// A new window's tick chain begins.
+    Window,
+    /// The next tick node of the current chain, one per distinct event
+    /// tick, in ascending tick order.
+    Tick,
+    /// The arc `r(segment) →` the current tick.
+    Exit(usize),
+    /// The arc from the current tick `→ w(segment)`.
+    Enter(usize),
+}
+
+/// Walks the time-line form's structure in emission order, so the census
+/// and the emission pass share one definition of it.
+///
+/// Reads are grouped into windows by [`window_end`]: the reads of window
+/// `k` end in `[regions[k-1].start, regions[k].start)`, and every write
+/// they may hand off to starts between the window's first read and
+/// `regions[k].end` (unbounded for the last window, and for
+/// [`GraphStyle::AllPairs`], which has one window). Windows overlap only
+/// inside a region, so a write attaches to at most two of them. Each
+/// window gets one chain of ticks — the distinct ticks of its reads and
+/// writes — with each read hooked in at its end tick and each write hooked
+/// out at its start tick; a read reaches exactly the writes starting at or
+/// after it inside its window, the pairs [`region_allows`] admits.
+/// Register-carried first segments are skipped as targets (they enter only
+/// from `s`), and reads with no write at or after them in their window get
+/// no hook. Same-variable targets cannot be excluded on a shared chain;
+/// such a path is never cheaper than the variable's chain arc.
+fn walk_time_lines<E>(
+    arena: &BuildArena,
+    regions: &[TickRange],
+    mut visit: impl FnMut(Hook) -> Result<(), E>,
+) -> Result<(), E> {
+    let (starts, ends) = (&arena.starts, &arena.ends);
+    let target = |&i: &u32| !arena.register_carried_first[i as usize];
+    let mut rest = &arena.by_end[..];
+    while let Some(&first) = rest.first() {
+        let first_end = ends[first as usize];
+        let k = regions.partition_point(|r| r.start <= first_end);
+        let split = regions.get(k).map_or(rest.len(), |r| {
+            rest.partition_point(|&i| ends[i as usize] < r.start)
+        });
+        let (reads, later) = rest.split_at(split);
+        rest = later;
+        let last = window_end(regions, first_end);
+        let lo = arena
+            .by_start
+            .partition_point(|&i| starts[i as usize] < first_end);
+        let hi = arena
+            .by_start
+            .partition_point(|&i| starts[i as usize] <= last);
+        let writes = &arena.by_start[lo..hi];
+        let Some(last_write) = writes.iter().rev().find(|i| target(i)) else {
+            continue;
+        };
+        let last_write = starts[*last_write as usize];
+        let reads = &reads[..reads.partition_point(|&i| ends[i as usize] <= last_write)];
+        visit(Hook::Window)?;
+        let mut reads = reads.iter().peekable();
+        let mut writes = writes.iter().filter(|i| target(i)).peekable();
+        loop {
+            let next_read = reads.peek().map(|&&i| ends[i as usize]);
+            let next_write = writes.peek().map(|&&i| starts[i as usize]);
+            let Some(now) = next_read.into_iter().chain(next_write).min() else {
+                break;
+            };
+            visit(Hook::Tick)?;
+            while let Some(&i) = reads.next_if(|&&i| ends[i as usize] == now) {
+                visit(Hook::Exit(i as usize))?;
+            }
+            while let Some(&i) = writes.next_if(|&&i| starts[i as usize] == now) {
+                visit(Hook::Enter(i as usize))?;
+            }
+        }
+    }
+    Ok(())
 }
 
 fn build_with_regions_in(
     problem: &AllocationProblem,
     segmentation: &Segmentation,
     regions: &[TickRange],
+    forced: Option<NetworkForm>,
     arena: &mut BuildArena,
 ) -> Result<BuiltNetwork, CoreError> {
-    let costs = CostCalculator::new(
-        &problem.energy,
-        problem.register_energy,
-        &problem.activity,
-        &problem.carried_in_memory,
-        &problem.carried_in_register,
-    );
+    let costs = CostCalculator::for_problem(problem);
     // t sits after every event; s before every event.
     let infinity = Tick(u32::MAX);
     let source_tick = Tick(0);
     let n = segmentation.len();
+    let registers = i64::from(problem.registers);
 
     // ---- pass 1: per-segment precompute + exact arc census ---------------
     //
@@ -240,31 +432,64 @@ fn build_with_regions_in(
     // two problems over the same lifetime table emit identical arc numbering
     // — the determinism the warm-start diff layer relies on.
     arena.by_start.extend(0..n as u32);
-    let (starts, by_start) = (&arena.starts, &mut arena.by_start);
-    by_start.sort_by_key(|&i| (starts[i as usize], i));
+    let starts = &arena.starts;
+    arena.by_start.sort_by_key(|&i| (starts[i as usize], i));
+
+    let pairs = window_pairs(arena, regions);
+    let form = forced.unwrap_or_else(|| form_for(problem, pairs));
+    if form == NetworkForm::TimeLine {
+        // The time-line walk also needs the reads in end-tick order.
+        arena.by_end.extend(0..n as u32);
+        let ends = &arena.ends;
+        arena.by_end.sort_by_key(|&i| (ends[i as usize], i));
+    }
+    let transition = match form {
+        NetworkForm::Bipartite => MicroEnergy::ZERO,
+        NetworkForm::TimeLine => costs
+            .split_transition()
+            .expect("the time-line form needs hand-off costs that split per endpoint"),
+    };
 
     // Census of the hand-off windows: the same candidate walk as the
     // emission loop, minus the cost terms — cheap enough that running it
     // twice costs far less than letting the arc arena double its way up.
-    let mut handoff_count = 0usize;
-    for from_idx in 0..n {
-        let from_end = arena.ends[from_idx];
-        let first_beyond = regions.partition_point(|r| r.start <= from_end);
-        let window_end = regions.get(first_beyond).map_or(Tick(u32::MAX), |r| r.end);
-        let lo = arena
-            .by_start
-            .partition_point(|&i| arena.starts[i as usize] < from_end);
-        for &to_idx in &arena.by_start[lo..] {
-            if arena.starts[to_idx as usize] > window_end {
-                break;
+    let (mut handoff_count, mut exit_count, mut enter_count) = (0usize, 0usize, 0usize);
+    let (mut tick_count, mut window_count) = (0usize, 0usize);
+    match form {
+        NetworkForm::Bipartite => {
+            for from_idx in 0..n {
+                let from_end = arena.ends[from_idx];
+                let last = window_end(regions, from_end);
+                let lo = arena
+                    .by_start
+                    .partition_point(|&i| arena.starts[i as usize] < from_end);
+                for &to_idx in &arena.by_start[lo..] {
+                    if arena.starts[to_idx as usize] > last {
+                        break;
+                    }
+                    let to = to_idx as usize;
+                    if arena.var_of[to] == arena.var_of[from_idx]
+                        || arena.register_carried_first[to]
+                    {
+                        continue;
+                    }
+                    handoff_count += 1;
+                }
             }
-            let to = to_idx as usize;
-            if arena.var_of[to] == arena.var_of[from_idx] || arena.register_carried_first[to] {
-                continue;
-            }
-            handoff_count += 1;
+        }
+        NetworkForm::TimeLine => {
+            walk_time_lines(arena, regions, |hook| {
+                match hook {
+                    Hook::Window => window_count += 1,
+                    Hook::Tick => tick_count += 1,
+                    Hook::Exit(_) => exit_count += 1,
+                    Hook::Enter(_) => enter_count += 1,
+                }
+                Ok::<(), CoreError>(())
+            })?;
         }
     }
+    let tick_arc_count = tick_count - window_count;
     let mut source_count = 0usize;
     let mut sink_count = 0usize;
     for (id, seg) in segmentation.iter() {
@@ -276,11 +501,19 @@ fn build_with_regions_in(
         let sink_ok = region_allows(regions, seg.end(), infinity);
         sink_count += usize::from(sink_ok || problem.relief_arcs);
     }
-    // n segment arcs + chains + hand-offs + hook-ups + the bypass.
-    let arc_total = n + chain_count + handoff_count + source_count + sink_count + 1;
+    // n segment arcs + chains + hand-off structure + hook-ups + the bypass.
+    let arc_total = n
+        + chain_count
+        + handoff_count
+        + exit_count
+        + enter_count
+        + tick_arc_count
+        + source_count
+        + sink_count
+        + 1;
 
     // ---- pass 2: emission into exactly-sized buffers ---------------------
-    let mut net = FlowNetwork::with_capacity(2 + 2 * n, arc_total);
+    let mut net = FlowNetwork::with_capacity(2 + 2 * n + tick_count, arc_total);
     let s = net.add_node();
     let t = net.add_node();
     let mut write_node = Vec::with_capacity(n);
@@ -309,14 +542,13 @@ fn build_with_regions_in(
             )?;
             chain_of.push((arc, from_id));
         }
+        if form == NetworkForm::TimeLine {
+            continue;
+        }
         // Hand-off window out of `from` under the region rule: a write at
-        // `to_start >= from.end()` is admitted unless the first max-density
-        // region starting after `from.end()` ends before it (regions are
-        // sorted and disjoint, so that region has the smallest end among the
-        // candidates `region_allows` would inspect).
+        // `to_start >= from.end()` is admitted up to `window_end`.
         let from_end = from.end();
-        let first_beyond = regions.partition_point(|r| r.start <= from_end);
-        let window_end = regions.get(first_beyond).map_or(Tick(u32::MAX), |r| r.end);
+        let last = window_end(regions, from_end);
         // Hand-off arcs to other variables' segments. A register-carried
         // variable's first segment is only reachable from `s` — its value
         // is already in a register at block entry, so it cannot take over
@@ -328,7 +560,7 @@ fn build_with_regions_in(
             .partition_point(|&i| arena.starts[i as usize] < from_end);
         for &to_idx in &arena.by_start[lo..] {
             let to_start = arena.starts[to_idx as usize];
-            if to_start > window_end {
+            if to_start > last {
                 break;
             }
             let to_id = SegmentId(to_idx);
@@ -353,6 +585,39 @@ fn build_with_regions_in(
         }
     }
 
+    // The time-line form: per window, `r → tick` at the exit cost (plus the
+    // pair-independent transition term), zero-cost forward tick arcs of
+    // capacity R, and `tick → w` at the enter cost — so every read-to-write
+    // path costs exactly the bipartite hand-off arc it replaces.
+    let mut exit_of = Vec::with_capacity(exit_count);
+    let mut enter_of = Vec::with_capacity(enter_count);
+    let mut tick_arcs = Vec::with_capacity(tick_arc_count);
+    if form == NetworkForm::TimeLine {
+        let (mut prev, mut tick) = (None, s);
+        walk_time_lines(arena, regions, |hook| {
+            match hook {
+                Hook::Window => prev = None,
+                Hook::Tick => {
+                    tick = net.add_node();
+                    if let Some(p) = prev.replace(tick) {
+                        tick_arcs.push(net.add_arc(p, tick, registers, 0)?);
+                    }
+                }
+                Hook::Exit(i) => {
+                    let cost = arena.exit_cost[i] + transition;
+                    let arc = net.add_arc(read_node[i], tick, 1, cost.raw())?;
+                    exit_of.push((arc, SegmentId(i as u32)));
+                }
+                Hook::Enter(i) => {
+                    let cost = arena.enter_cost[i];
+                    let arc = net.add_arc(tick, write_node[i], 1, cost.raw())?;
+                    enter_of.push((arc, SegmentId(i as u32)));
+                }
+            }
+            Ok::<(), CoreError>(())
+        })?;
+    }
+
     // Source and sink hook-ups.
     let mut source_of = Vec::with_capacity(source_count);
     let mut sink_of = Vec::with_capacity(sink_count);
@@ -371,16 +636,17 @@ fn build_with_regions_in(
     }
 
     // Unused registers flow straight through.
-    let bypass = net.add_arc(s, t, i64::from(problem.registers), 0)?;
+    let bypass = net.add_arc(s, t, registers, 0)?;
     debug_assert_eq!(net.arc_count(), arc_total, "arc census out of sync");
 
     // Chain and hand-off arcs get the tie-break discount: among equal-cost
     // optima, prefer the maximally-chained one (fewest registers touched).
+    // In the time-line form the hand-off arcs are the `r → tick` and
+    // `tick → w` hooks; the forward tick arcs stay unpreferred.
     let mut preferred = vec![false; net.arc_count()];
-    for &(arc, _, _) in &handoff_of {
-        preferred[arc.index()] = true;
-    }
-    for &(arc, _) in &chain_of {
+    let handoffs = handoff_of.iter().map(|&(arc, _, _)| arc);
+    let hooks = exit_of.iter().chain(&enter_of).chain(&chain_of);
+    for arc in handoffs.chain(hooks.map(|&(arc, _)| arc)) {
         preferred[arc.index()] = true;
     }
     let (cost_scale, cost_unit, tie_weights, tie_bits) =
@@ -390,11 +656,16 @@ fn build_with_regions_in(
         net,
         s,
         t,
+        form,
+        window_pairs: pairs,
         segment_arc,
         read_node,
         write_node,
         handoff_of,
         chain_of,
+        exit_of,
+        enter_of,
+        tick_arcs,
         source_of,
         sink_of,
         bypass,
@@ -408,32 +679,32 @@ fn build_with_regions_in(
 
 /// Re-prices a previously [`build`]-t network for a new parameter point over
 /// the *same* topology (lifetimes, split, style, relief and register-carry
-/// sets unchanged): every arc's raw cost is recomputed from the new
-/// problem's energy model, the bypass capacity is reset to the new register
-/// count, and the tie-break transform is re-applied. The result is
-/// bit-identical to what a fresh [`build`] would produce — only ~3× cheaper,
-/// because the segmentation scan, region profile and hand-off window search
-/// are all skipped. [`PipelineCx::allocate_warm`](crate::PipelineCx::allocate_warm)
-/// calls this on topology-stable sweep points so warm solves don't pay construction costs.
+/// sets unchanged, and the same [`NetworkForm`]): every arc's raw cost is
+/// recomputed from the new problem's energy model, the bypass and tick-arc
+/// capacities are reset to the new register count, and the tie-break
+/// transform is re-applied. The result is bit-identical to what a fresh
+/// [`build`] would produce — only ~3× cheaper, because the segmentation
+/// scan, region profile and hand-off window search are all skipped.
+/// [`PipelineCx::allocate_warm`](crate::PipelineCx::allocate_warm) calls
+/// this on topology-stable sweep points so warm solves don't pay
+/// construction costs.
 pub(crate) fn refresh(
     problem: &AllocationProblem,
     segmentation: &Segmentation,
     built: &mut BuiltNetwork,
 ) -> Result<(), CoreError> {
-    let costs = CostCalculator::new(
-        &problem.energy,
-        problem.register_energy,
-        &problem.activity,
-        &problem.carried_in_memory,
-        &problem.carried_in_register,
-    );
+    let costs = CostCalculator::for_problem(problem);
+    let registers = i64::from(problem.registers);
     // Capacity before costs: `apply_tie_break` reads capacities when sizing
-    // the weight resolution, and the bypass carries the register count.
-    built
-        .net
-        .set_arc_capacity(built.bypass, i64::from(problem.registers))
-        .map_err(CoreError::Flow)?;
-    built.net.set_arc_cost(built.bypass, 0);
+    // the weight resolution, and the bypass and tick arcs carry the
+    // register count.
+    for &arc in std::iter::once(&built.bypass).chain(&built.tick_arcs) {
+        built
+            .net
+            .set_arc_capacity(arc, registers)
+            .map_err(CoreError::Flow)?;
+        built.net.set_arc_cost(arc, 0);
+    }
     for &arc in &built.segment_arc {
         built.net.set_arc_cost(arc, 0);
     }
@@ -441,25 +712,40 @@ pub(crate) fn refresh(
         let cost = costs.chain(segmentation.segment(from));
         built.net.set_arc_cost(arc, cost.raw());
     }
-    // Same one-endpoint precompute as `build`, in the same per-thread
-    // arena: the hand-off list is the quadratic part of the network.
-    BUILD_ARENA.with(|arena| {
-        let mut arena = arena.borrow_mut();
-        arena.clear();
-        for (_, seg) in segmentation.iter() {
-            arena.exit_cost.push(costs.exit(seg));
-            arena.enter_cost.push(costs.enter(seg));
+    match built.form {
+        // Same one-endpoint precompute as `build`, in the same per-thread
+        // arena: the hand-off list is the quadratic part of the network.
+        NetworkForm::Bipartite => BUILD_ARENA.with(|arena| {
+            let mut arena = arena.borrow_mut();
+            arena.clear();
+            for (_, seg) in segmentation.iter() {
+                arena.exit_cost.push(costs.exit(seg));
+                arena.enter_cost.push(costs.enter(seg));
+            }
+            for &(arc, from_id, to_id) in &built.handoff_of {
+                let from = segmentation.segment(from_id);
+                let to = segmentation.segment(to_id);
+                let cost = arena.exit_cost[from_id.index()]
+                    + arena.enter_cost[to_id.index()]
+                    + costs.transition(from, to);
+                debug_assert_eq!(cost, costs.handoff(from, to));
+                built.net.set_arc_cost(arc, cost.raw());
+            }
+        }),
+        NetworkForm::TimeLine => {
+            let transition = costs
+                .split_transition()
+                .expect("a time-line network is only retained for split costs");
+            for &(arc, seg) in &built.exit_of {
+                let cost = costs.exit(segmentation.segment(seg)) + transition;
+                built.net.set_arc_cost(arc, cost.raw());
+            }
+            for &(arc, seg) in &built.enter_of {
+                let cost = costs.enter(segmentation.segment(seg));
+                built.net.set_arc_cost(arc, cost.raw());
+            }
         }
-        for &(arc, from_id, to_id) in &built.handoff_of {
-            let from = segmentation.segment(from_id);
-            let to = segmentation.segment(to_id);
-            let cost = arena.exit_cost[from_id.index()]
-                + arena.enter_cost[to_id.index()]
-                + costs.transition(from, to);
-            debug_assert_eq!(cost, costs.handoff(from, to));
-            built.net.set_arc_cost(arc, cost.raw());
-        }
-    });
+    }
     for &(arc, seg) in &built.source_of {
         let cost = costs.source(segmentation.segment(seg));
         built.net.set_arc_cost(arc, cost.raw());
@@ -593,11 +879,14 @@ fn apply_tie_break(
 /// maps — the problem-diff layer's view of [`build`]'s output.
 ///
 /// Construction is deterministic: node and arc numbering depend only on the
-/// segmentation (lifetime table plus split options), never on costs,
-/// capacities or the register count. Two problems over the same lifetime
-/// table therefore produce networks whose arcs line up index-for-index,
-/// which is what lets a sweep express successive parameter points as arc
-/// deltas on one retained network (see
+/// segmentation (lifetime table plus split options) and the
+/// [`NetworkForm`], never on costs, capacities or the register count. The
+/// form itself depends on the segmentation and on whether the hand-off
+/// costs split per endpoint (the register-energy kind and the activity
+/// source), so two problems over the same lifetime table whose costs split
+/// alike produce networks whose arcs line up index-for-index, which is what
+/// lets a sweep express successive parameter points as arc deltas on one
+/// retained network (see
 /// [`PipelineCx::allocate_warm`](crate::PipelineCx::allocate_warm)).
 #[derive(Debug)]
 pub struct NetworkView {
@@ -607,10 +896,13 @@ pub struct NetworkView {
     pub source: NodeId,
     /// Sink node `t`.
     pub sink: NodeId,
+    /// The hand-off structure the network was built in.
+    pub form: NetworkForm,
     /// Per segment (by [`SegmentId`] index): its `w → r` arc; unit flow on
     /// it places the segment in a register.
     pub segment_arc: Vec<ArcId>,
-    /// Hand-off arcs as `(arc, from_segment, to_segment)`.
+    /// Hand-off arcs as `(arc, from_segment, to_segment)`; empty in the
+    /// time-line form, whose hand-offs run through tick nodes.
     pub handoff_arcs: Vec<(ArcId, SegmentId, SegmentId)>,
     /// Chain arcs as `(arc, from_segment)`; the head is the variable's next
     /// segment.
@@ -619,9 +911,8 @@ pub struct NetworkView {
     pub bypass: ArcId,
     /// Arc costs are energy deltas divided by [`Self::cost_unit`], scaled by
     /// this factor, and offset by a small deterministic per-arc tie-break
-    /// weight so the optimum is unique; de-weight a solution's cost, divide
-    /// by this, and multiply by the unit to recover micro-energy units. 1
-    /// when the perturbation was skipped for headroom.
+    /// weight so the optimum is unique; [`Self::raw_cost`] undoes the
+    /// encoding. 1 when the perturbation was skipped for headroom.
     pub cost_scale: i64,
     /// Common quantum divided out of every raw cost before scaling (1 when
     /// the perturbation was skipped).
@@ -633,22 +924,69 @@ pub struct NetworkView {
     ///
     /// [`ResilientSolver::set_region_hints`]: lemra_netflow::ResilientSolver::set_region_hints
     pub region_hints: Vec<u32>,
+    tie_weights: Vec<i64>,
+}
+
+impl NetworkView {
+    /// A solution's cost in micro-energy units: the tie-break weights its
+    /// flow picked up subtracted, the scale divided out and the quantum
+    /// restored — the allocation's [`flow_cost`](crate::Allocation::flow_cost)
+    /// for the flow the allocator binds.
+    pub fn raw_cost(&self, solution: &FlowSolution) -> i64 {
+        raw_cost(solution, self.cost_scale, self.cost_unit, &self.tie_weights)
+    }
+}
+
+/// Undoes [`apply_tie_break`]'s encoding of a solution's cost: subtract the
+/// flow's weight total, divide by the (exact) scale, and restore the cost
+/// quantum.
+pub(crate) fn raw_cost(solution: &FlowSolution, scale: i64, unit: i64, weights: &[i64]) -> i64 {
+    if scale == 1 {
+        return solution.cost;
+    }
+    let picked: i64 = weights
+        .iter()
+        .zip(&solution.flows)
+        .map(|(&w, &f)| w * f)
+        .sum();
+    debug_assert_eq!((solution.cost - picked) % scale, 0);
+    (solution.cost - picked) / scale * unit
 }
 
 /// Builds the flow network for `problem` and returns it with the arc-handle
-/// maps; see [`NetworkView`] for the determinism guarantee.
+/// maps; see [`NetworkView`] for the determinism guarantee. This is the
+/// network [`allocate`](crate::allocate) solves.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Flow`] if network construction fails (an internal
 /// error for well-formed problems).
 pub fn build_network(problem: &AllocationProblem) -> Result<NetworkView, CoreError> {
+    view_as(problem, None)
+}
+
+/// [`build_network`] in the [`NetworkForm::Bipartite`] form whatever the
+/// problem's size — the reference the time-line form is checked against.
+///
+/// # Errors
+///
+/// Same as [`build_network`].
+pub fn build_network_bipartite(problem: &AllocationProblem) -> Result<NetworkView, CoreError> {
+    view_as(problem, Some(NetworkForm::Bipartite))
+}
+
+fn view_as(
+    problem: &AllocationProblem,
+    form: Option<NetworkForm>,
+) -> Result<NetworkView, CoreError> {
     let segmentation = Segmentation::new(&problem.lifetimes, &problem.split);
-    let built = build(problem, &segmentation)?;
+    let regions = profile_regions(problem, &segmentation);
+    let built = build_with_regions(problem, &segmentation, &regions, form)?;
     Ok(NetworkView {
         net: built.net,
         source: built.s,
         sink: built.t,
+        form: built.form,
         segment_arc: built.segment_arc,
         handoff_arcs: built.handoff_of,
         chain_arcs: built.chain_of,
@@ -656,6 +994,7 @@ pub fn build_network(problem: &AllocationProblem) -> Result<NetworkView, CoreErr
         cost_scale: built.cost_scale,
         cost_unit: built.cost_unit,
         region_hints: Vec::new(),
+        tie_weights: built.tie_weights,
     })
 }
 
@@ -707,6 +1046,8 @@ mod tests {
         let problem = crate::AllocationProblem::new(figure1_table(), 2);
         let segs = Segmentation::new(&problem.lifetimes, &SplitOptions::none());
         let built = build(&problem, &segs).unwrap();
+        // Far below the gate: the bipartite form.
+        assert_eq!(built.form, NetworkForm::Bipartite);
         // 2 terminals + 2 nodes per segment.
         assert_eq!(built.net.node_count(), 2 + 2 * segs.len());
         // a's read (t3r) can hand off to d (t3w) and e (t5w): both in the
@@ -808,25 +1149,40 @@ mod tests {
         // register accounting and register count) must reproduce b's fresh
         // build exactly — costs, capacities and tie-break encoding alike —
         // so the warm path solves the very same instance the cold path does.
+        // Both forms: the time-line form re-prices its exit and enter hooks
+        // and resets its tick capacities to the new register count.
         let table = figure1_table();
         let a = crate::AllocationProblem::new(table.clone(), 2);
-        let b = crate::AllocationProblem::new(table, 5)
+        let b = crate::AllocationProblem::new(table.clone(), 5)
             .with_energy(lemra_energy::EnergyModel::default_16bit().with_memory_voltage(1.2))
             .with_register_energy(lemra_energy::RegisterEnergyKind::Static);
+        let c = crate::AllocationProblem::new(table, 3)
+            .with_register_energy(lemra_energy::RegisterEnergyKind::Activity)
+            .with_activity(lemra_ir::ActivitySource::Uniform { hamming: 6.0 });
         let segs = Segmentation::new(&a.lifetimes, &a.split);
-        let mut refreshed = build(&a, &segs).unwrap();
-        refresh(&b, &segs, &mut refreshed).unwrap();
-        let fresh = build(&b, &segs).unwrap();
-        assert_eq!(refreshed.cost_scale, fresh.cost_scale);
-        assert_eq!(refreshed.cost_unit, fresh.cost_unit);
-        assert_eq!(refreshed.tie_weights, fresh.tie_weights);
-        assert_eq!(refreshed.net.arc_count(), fresh.net.arc_count());
-        for ((_, x), (_, y)) in refreshed.net.arcs().zip(fresh.net.arcs()) {
-            assert_eq!(x.from, y.from);
-            assert_eq!(x.to, y.to);
-            assert_eq!(x.lower_bound, y.lower_bound);
-            assert_eq!(x.capacity, y.capacity);
-            assert_eq!(x.cost, y.cost);
+        let regions = profile_regions(&a, &segs);
+        for form in [NetworkForm::Bipartite, NetworkForm::TimeLine] {
+            let mut refreshed = build_with_regions(&a, &segs, &regions, Some(form)).unwrap();
+            for next in [&b, &c] {
+                refresh(next, &segs, &mut refreshed).unwrap();
+                let fresh = build_with_regions(next, &segs, &regions, Some(form)).unwrap();
+                assert_eq!(refreshed.form, fresh.form);
+                assert_eq!(refreshed.cost_scale, fresh.cost_scale);
+                assert_eq!(refreshed.cost_unit, fresh.cost_unit);
+                assert_eq!(refreshed.tie_weights, fresh.tie_weights);
+                assert_eq!(refreshed.net.arc_count(), fresh.net.arc_count());
+                for ((_, x), (_, y)) in refreshed.net.arcs().zip(fresh.net.arcs()) {
+                    assert_eq!(x.from, y.from);
+                    assert_eq!(x.to, y.to);
+                    assert_eq!(x.lower_bound, y.lower_bound);
+                    assert_eq!(x.capacity, y.capacity);
+                    assert_eq!(x.cost, y.cost);
+                }
+            }
+            assert_eq!(
+                refreshed.tick_arcs.is_empty(),
+                form == NetworkForm::Bipartite
+            );
         }
     }
 
@@ -880,19 +1236,217 @@ mod tests {
     #[test]
     fn counted_build_reserves_exact_capacities() {
         // The census and the emission loop must agree, and no buffer may
-        // over-reserve: peak build heap equals the retained result.
+        // over-reserve: peak build heap equals the retained result. Both
+        // forms.
         let problem = crate::AllocationProblem::new(figure1_table(), 2);
         let segs = Segmentation::new(&problem.lifetimes, &SplitOptions::none());
-        let built = build(&problem, &segs).unwrap();
-        assert_eq!(
-            built.net.heap_bytes(),
-            built.net.arc_count() * std::mem::size_of::<lemra_netflow::Arc>()
-        );
-        assert_eq!(built.handoff_of.capacity(), built.handoff_of.len());
-        assert_eq!(built.chain_of.capacity(), built.chain_of.len());
-        assert_eq!(built.source_of.capacity(), built.source_of.len());
-        assert_eq!(built.sink_of.capacity(), built.sink_of.len());
-        assert!(built.heap_bytes() > built.net.heap_bytes());
+        let regions = profile_regions(&problem, &segs);
+        for form in [NetworkForm::Bipartite, NetworkForm::TimeLine] {
+            let built = build_with_regions(&problem, &segs, &regions, Some(form)).unwrap();
+            assert_eq!(
+                built.net.heap_bytes(),
+                built.net.arc_count() * std::mem::size_of::<lemra_netflow::Arc>()
+            );
+            assert_eq!(built.handoff_of.capacity(), built.handoff_of.len());
+            assert_eq!(built.chain_of.capacity(), built.chain_of.len());
+            assert_eq!(built.exit_of.capacity(), built.exit_of.len());
+            assert_eq!(built.enter_of.capacity(), built.enter_of.len());
+            assert_eq!(built.tick_arcs.capacity(), built.tick_arcs.len());
+            assert_eq!(built.source_of.capacity(), built.source_of.len());
+            assert_eq!(built.sink_of.capacity(), built.sink_of.len());
+            assert!(built.heap_bytes() > built.net.heap_bytes());
+        }
+    }
+
+    /// Allocates `problem` through the network built in `form`: the
+    /// pipeline's Segment → Profile → Build → Solve → Bind stages with the
+    /// form forced. Returns the built network and its solution beside the
+    /// allocation so callers can inspect arc flows.
+    fn allocate_as(
+        problem: &crate::AllocationProblem,
+        form: NetworkForm,
+    ) -> Result<(crate::Allocation, BuiltNetwork, FlowSolution), CoreError> {
+        let segs = Segmentation::new(&problem.lifetimes, &problem.split);
+        let regions = profile_regions(problem, &segs);
+        let built = build_with_regions(problem, &segs, &regions, Some(form))?;
+        let target = i64::from(problem.registers);
+        let solution = lemra_netflow::min_cost_flow(&built.net, built.s, built.t, target)
+            .map_err(|e| crate::allocator::flow_error(problem, e))?;
+        let allocation = crate::allocator::extract_allocation(problem, segs, &built, &solution)?;
+        Ok((allocation, built, solution))
+    }
+
+    /// Two consecutive segments of one variable in a register chain must be
+    /// joined by that variable's chain arc, never through a tick chain.
+    fn assert_same_variable_joins_use_chain_arcs(
+        allocation: &crate::Allocation,
+        built: &BuiltNetwork,
+        solution: &FlowSolution,
+    ) {
+        let segs = allocation.segmentation();
+        for chain in allocation.chains() {
+            for pair in chain.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                if segs.segment(a).var != segs.segment(b).var {
+                    continue;
+                }
+                assert_eq!(b.index(), a.index() + 1, "{a} and {b} joined across a gap");
+                let &(arc, _) = built
+                    .chain_of
+                    .iter()
+                    .find(|&&(_, from)| from == a)
+                    .expect("a non-last segment has a chain arc");
+                assert_eq!(solution.flow(arc), 1, "{a} → {b} not through the chain arc");
+            }
+        }
+    }
+
+    /// Routes `allocation`'s register chains through the bipartite network
+    /// `bipartite` — `s`, each chain's segment, chain and hand-off arcs, `t`,
+    /// and the bypass for unused registers — and returns that flow, checked
+    /// feasible. Panics if a step of a chain has no bipartite arc.
+    fn bipartite_flow_of(
+        allocation: &crate::Allocation,
+        bipartite: &BuiltNetwork,
+        registers: u32,
+    ) -> FlowSolution {
+        let mut flows = vec![0i64; bipartite.net.arc_count()];
+        let arc_of = |list: &[(ArcId, SegmentId)], seg: SegmentId| {
+            list.iter().find(|&&(_, s)| s == seg).map(|&(arc, _)| arc)
+        };
+        for chain in allocation.chains() {
+            let (first, last) = (chain[0], chain[chain.len() - 1]);
+            flows[arc_of(&bipartite.source_of, first)
+                .expect("source arc")
+                .index()] += 1;
+            flows[arc_of(&bipartite.sink_of, last).expect("sink arc").index()] += 1;
+            for &seg in chain {
+                flows[bipartite.segment_arc[seg.index()].index()] += 1;
+            }
+            for pair in chain.windows(2) {
+                let chained = arc_of(&bipartite.chain_of, pair[0])
+                    .filter(|_| pair[1].index() == pair[0].index() + 1);
+                let arc = chained.or_else(|| {
+                    bipartite
+                        .handoff_of
+                        .iter()
+                        .find(|&&(_, from, to)| (from, to) == (pair[0], pair[1]))
+                        .map(|&(arc, _, _)| arc)
+                });
+                flows[arc.expect("a bipartite hand-off arc").index()] += 1;
+            }
+        }
+        let unused = i64::from(registers) - allocation.chains().len() as i64;
+        flows[bipartite.bypass.index()] += unused;
+        let cost = bipartite
+            .net
+            .arcs()
+            .map(|(id, arc)| arc.cost * flows[id.index()])
+            .sum();
+        let solution = FlowSolution {
+            flows,
+            value: i64::from(registers),
+            cost,
+        };
+        lemra_netflow::validate(&bipartite.net, bipartite.s, bipartite.t, &solution).unwrap();
+        solution
+    }
+
+    /// A random split-cost instance from `seed`: up to 11 variables over
+    /// 4–15 steps, static model or uniform activity, either graph style,
+    /// with or without an access period and relief arcs, some variables
+    /// carried in from memory or a register, at one of three memory
+    /// voltages. `None` when the table comes out empty.
+    fn random_instance(seed: u64) -> Option<crate::AllocationProblem> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let block_len = rng.gen_range(4u32..16);
+        let vars: Vec<(u32, Vec<u32>, bool)> = (0..rng.gen_range(1usize..12))
+            .filter_map(|_| {
+                let def = rng.gen_range(1..block_len);
+                let mut reads: Vec<u32> = (0..rng.gen_range(0usize..=3))
+                    .map(|_| rng.gen_range(def + 1..=block_len))
+                    .collect();
+                reads.sort_unstable();
+                reads.dedup();
+                let live_out = rng.gen::<bool>();
+                (!reads.is_empty() || live_out).then_some((def, reads, live_out))
+            })
+            .collect();
+        let table = LifetimeTable::from_intervals(block_len, vars).ok()?;
+        let volts = [3.3, 1.8, 1.2][rng.gen_range(0usize..3)];
+        let mut p = crate::AllocationProblem::new(table, rng.gen_range(0u32..6))
+            .with_relief_arcs(rng.gen::<bool>())
+            .with_energy(lemra_energy::EnergyModel::default_16bit().with_memory_voltage(volts));
+        if rng.gen::<bool>() {
+            p = p.with_style(GraphStyle::AllPairs);
+        }
+        if rng.gen::<bool>() {
+            let hamming = [0.0, 4.0, 11.5][rng.gen_range(0usize..3)];
+            p = p
+                .with_register_energy(lemra_energy::RegisterEnergyKind::Activity)
+                .with_activity(lemra_ir::ActivitySource::Uniform { hamming });
+        }
+        if rng.gen_bool(0.3) {
+            p = p.with_access_period(rng.gen_range(2u32..5));
+        }
+        for v in 0..p.lifetimes.len() {
+            let var = lemra_ir::VarId(v as u32);
+            p = match rng.gen_range(0u32..6) {
+                0 => p.with_carried_in_memory(var),
+                1 => p.with_carried_in_register(var),
+                _ => p,
+            };
+        }
+        Some(p)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The time-line form is the bipartite network with its hand-offs
+        /// routed through ticks: on split-cost instances it reaches the
+        /// same de-weighted optimum (or is infeasible too), its allocation
+        /// validates, no variable hands its register to itself through a
+        /// tick chain, and its register chains route through the bipartite
+        /// network at the bipartite optimum — so it is one of the bipartite
+        /// network's optima. Where the optimum is not unique, the two
+        /// forms' arc-index tie-breaks may settle on different optima,
+        /// whose replayed energies can differ by the arc model's known gap
+        /// (DESIGN.md §4, point 5d); on static-model instances without an
+        /// access period they replay to the same static energy.
+        #[test]
+        fn timeline_matches_bipartite(seed in proptest::prelude::any::<u64>()) {
+            let Some(p) = random_instance(seed) else { return Ok(()); };
+            let bipartite = allocate_as(&p, NetworkForm::Bipartite);
+            let timeline = allocate_as(&p, NetworkForm::TimeLine);
+            let ((b, b_built, _), (t, built, solution)) = match (bipartite, timeline) {
+                (Ok(b), Ok(t)) => (b, t),
+                // Both infeasible. The shortfall is the max flow of a
+                // different network, so only the verdict must agree.
+                (Err(b), Err(t)) => {
+                    let too_few = |e: &CoreError| matches!(e, CoreError::TooFewRegisters { .. });
+                    proptest::prop_assert!(too_few(&b) && too_few(&t), "{} vs {}", b, t);
+                    return Ok(());
+                }
+                (b, t) => panic!("forms disagree on feasibility: {:?} vs {:?}", b.err(), t.err()),
+            };
+            proptest::prop_assert_eq!(built.form, NetworkForm::TimeLine);
+            proptest::prop_assert_eq!(t.flow_cost(), b.flow_cost());
+            crate::validate(&p, &t).unwrap();
+            assert_same_variable_joins_use_chain_arcs(&t, &built, &solution);
+            let routed = bipartite_flow_of(&t, &b_built, p.registers);
+            let routed_cost = raw_cost(&routed, b_built.cost_scale, b_built.cost_unit, &b_built.tie_weights);
+            proptest::prop_assert_eq!(routed_cost, b.flow_cost().raw());
+            if p.register_energy == lemra_energy::RegisterEnergyKind::Static && p.split.access_period == 1 {
+                let (eb, et) = (
+                    crate::AllocationReport::new(&p, &b).static_energy,
+                    crate::AllocationReport::new(&p, &t).static_energy,
+                );
+                proptest::prop_assert!((eb - et).abs() <= 1e-9 * eb.abs().max(1.0), "{} vs {}", eb, et);
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! charges `H(v1, v2) · C^r_rw · Vr²` per register overwrite, with register
 //! reads free.
 
-use crate::problem::CarryIn;
+use crate::problem::{AllocationProblem, CarryIn};
 use crate::segment::{Boundary, Segment};
 use lemra_energy::{EnergyModel, MicroEnergy, RegisterEnergyKind};
 use lemra_ir::{ActivitySource, VarId};
@@ -56,6 +56,18 @@ impl<'a> CostCalculator<'a> {
             carried_memory,
             carried_register,
         }
+    }
+
+    /// The calculator for `problem`'s energy model, register accounting,
+    /// activity source and carried-in sets.
+    pub fn for_problem(problem: &'a AllocationProblem) -> Self {
+        Self::new(
+            &problem.energy,
+            problem.register_energy,
+            &problem.activity,
+            &problem.carried_in_memory,
+            &problem.carried_in_register,
+        )
     }
 
     fn carry_of(&self, var: VarId) -> CarryIn {
@@ -156,6 +168,21 @@ impl<'a> CostCalculator<'a> {
             RegisterEnergyKind::Activity => self
                 .energy
                 .e_reg_activity(self.activity.hamming(from.var, to.var)),
+        }
+    }
+
+    /// The transition term when it is the same for every pair of variables
+    /// — always under the static model, and under the activity model with a
+    /// uniform activity source — so that a hand-off's cost splits into one
+    /// term per endpoint; `None` for pairwise activity (bit patterns, pair
+    /// tables).
+    pub fn split_transition(&self) -> Option<MicroEnergy> {
+        match (self.kind, self.activity) {
+            (RegisterEnergyKind::Static, _) => Some(MicroEnergy::ZERO),
+            (RegisterEnergyKind::Activity, ActivitySource::Uniform { hamming }) => {
+                Some(self.energy.e_reg_activity(*hamming))
+            }
+            (RegisterEnergyKind::Activity, _) => None,
         }
     }
 

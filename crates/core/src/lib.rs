@@ -81,7 +81,7 @@ mod validate;
 mod viz;
 
 pub use allocator::{allocate, Allocation, Placement};
-pub use build::{build_network, NetworkView};
+pub use build::{build_network, build_network_bipartite, NetworkForm, NetworkView};
 pub use cache::{cache_stats, clear_cache, CacheStats};
 pub use codegen::{storage_plan, Operand, StorageInstr, StoragePlan};
 pub use events::{trace_var, MemAccess, VarTrace};

@@ -27,7 +27,7 @@
 //! drivers' `--timings` block.
 
 use crate::allocator::{extract_allocation, flow_error, Allocation};
-use crate::build::{build_with_regions, profile_regions, refresh, BuiltNetwork};
+use crate::build::{build_with_regions, form_for, profile_regions, refresh, BuiltNetwork};
 use crate::problem::{AllocationProblem, GraphStyle};
 use crate::segment::{Segmentation, SplitOptions};
 use crate::CoreError;
@@ -145,7 +145,6 @@ impl PipelineStats {
             dijkstra_rounds: 0,
             pushed_units: 0,
             incidents: 0,
-            prune_fallbacks: 0,
         },
         warm_solves: 0,
         cold_solves: 0,
@@ -187,8 +186,11 @@ pub(crate) fn pipeline_stats() -> PipelineStats {
 /// valid for. Only *topology-affecting* fields participate in the match:
 /// lifetimes and split determine the segmentation, style and relief arcs
 /// select the arc set, and register-carried variables gate their first
-/// segments' hand-offs and source hooks. Registers, energies and activity
-/// only move costs and the bypass capacity, which [`refresh`] re-prices.
+/// segments' hand-offs and source hooks. The register-energy kind and the
+/// activity source decide whether hand-off costs split per endpoint, which
+/// picks the [`NetworkForm`](crate::NetworkForm) on networks past the gate
+/// ([`form_for`]); beyond that, registers, energies and activity only move
+/// costs and the bypass and tick capacities, which [`refresh`] re-prices.
 #[derive(Debug)]
 struct RetainedNetwork {
     lifetimes: lemra_ir::LifetimeTable,
@@ -207,6 +209,7 @@ impl RetainedNetwork {
             && self.style == problem.style
             && self.relief_arcs == problem.relief_arcs
             && self.carried_in_register == problem.carried_in_register
+            && self.built.form == form_for(problem, self.built.window_pairs)
     }
 }
 
@@ -406,7 +409,7 @@ impl PipelineCx {
         regions: &[TickRange],
     ) -> Result<BuiltNetwork, CoreError> {
         let t0 = Instant::now();
-        let built = build_with_regions(problem, segmentation, regions);
+        let built = build_with_regions(problem, segmentation, regions, None);
         self.record(Stage::Build, t0);
         if let Ok(b) = &built {
             self.record_bytes(Stage::Build, b.heap_bytes());
@@ -584,10 +587,9 @@ impl PipelineCx {
         let mixed = (2.0 * prev_mem as f64 * mem_ratio + prev_reg as f64 * reg_ratio)
             / (2.0 * prev_mem as f64 + prev_reg as f64);
         let mut ratio = vec![mem_ratio; built.net.arc_count()];
-        for &(arc, _, _) in &built.handoff_of {
-            ratio[arc.index()] = mixed;
-        }
-        for &(arc, _) in &built.source_of {
+        let hooks = built.exit_of.iter().chain(&built.enter_of);
+        let handoffs = built.handoff_of.iter().map(|&(arc, _, _)| arc);
+        for arc in handoffs.chain(hooks.chain(&built.source_of).map(|&(arc, _)| arc)) {
             ratio[arc.index()] = mixed;
         }
         // The reoptimizer queries by *snapshot* arc index; after a topology

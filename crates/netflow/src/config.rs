@@ -62,7 +62,7 @@ impl std::str::FromStr for CacheMode {
 }
 
 /// Former switch for the region-parallel solver backend, which has been
-/// removed: large networks now prune inside the SSP backend. No value has
+/// removed: every network now solves in the plain SSP backend. No value has
 /// any effect and nothing reads it from the environment; the type stays so
 /// [`LemraConfig::par_solve`] and the second argument of
 /// [`Backend::select_with`] keep compiling until they are removed together.

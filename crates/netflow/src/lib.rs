@@ -45,11 +45,6 @@
 //! monotone radix heap rather than a binary heap — profiling the 512-variable
 //! allocation showed the solve heap-bound (≈490k pushes and 170k pops per
 //! solve), and bucketed O(1) pushes are what the counting favours.
-//! On networks of 100 000 arcs or more, [`min_cost_flow_with`] settles each
-//! Dijkstra round over a per-node working set of the cheapest residual
-//! arcs instead of the full residual, then repairs the potentials over the
-//! full residual and checks an O(E) optimality certificate before
-//! returning, so the answer stays exact.
 //!
 //! The end-to-end cost of one 512-variable allocation is measured by the
 //! `block_512` workload of the performance ledger (`ledger/` at the
@@ -92,7 +87,6 @@ mod dot;
 #[cfg(feature = "fault-inject")]
 mod fault;
 mod graph;
-mod prune;
 mod radix;
 mod reopt;
 mod residual;

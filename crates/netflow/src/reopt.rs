@@ -76,7 +76,6 @@
 
 use crate::budget::SolveBudget;
 use crate::graph::{FlowNetwork, NodeId};
-use crate::prune::repair_certificate;
 use crate::residual::Residual;
 use crate::ssp::{
     certify, check_endpoints, solution_from_residual, ssp_run, transform_into, update_potentials,
@@ -84,6 +83,8 @@ use crate::ssp::{
 use crate::workspace::{SolverWorkspace, INF};
 use crate::{FlowSolution, NetflowError};
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Warm-start solver for sweeps of related min-cost-flow problems.
 ///
@@ -535,9 +536,9 @@ impl State {
     }
 
     /// Fallback for a failed price refinement: cancels every negative
-    /// residual cycle directly on the retained residual with the pruned
-    /// solve's label-correcting repair ([`repair_certificate`]), which also
-    /// leaves valid potentials. A cycle push moves flow only around cycles
+    /// residual cycle directly on the retained residual with a
+    /// label-correcting repair ([`converge_prices`]), which also leaves
+    /// valid potentials. A cycle push moves flow only around cycles
     /// the cost drift actually created — unlike saturating each violated
     /// edge, which converts whole swaths of the graph into excess for the
     /// drain to re-route (the over-routing a sweep's drained-unit counters
@@ -552,7 +553,14 @@ impl State {
         if self.ws.node[..n].iter().any(|st| st.potential >= INF) {
             return false;
         }
-        repair_certificate(&mut self.res, &mut self.ws)
+        let mut pot: Vec<i64> = self.ws.node[..n].iter().map(|st| st.potential).collect();
+        let ok = converge_prices(&mut self.res, &mut pot, &mut self.ws.pushed_units);
+        if ok {
+            for (st, &p) in self.ws.node[..n].iter_mut().zip(&pot) {
+                st.potential = p;
+            }
+        }
+        ok
     }
 
     /// Saturates residual edge `e` if its reduced cost is negative,
@@ -740,6 +748,256 @@ pub(crate) fn refine_prices_raw(res: &Residual, pot: &mut [i64]) -> bool {
         relax(u, pot, &mut queue, &mut lowered, &mut in_queue, &mut frozen);
     }
     !frozen
+}
+
+/// Per-node lowering count between parent-graph cycle probes: cheap enough
+/// that a genuine cycle is caught within a couple of laps, rare enough that
+/// legitimate long correction chains pay almost nothing.
+const WALK_PERIOD: u32 = 16;
+
+/// Negative-cycle cancellations the repair will perform before giving up;
+/// the caller then saturates the violated edges instead.
+const MAX_CANCELS: u32 = 256;
+
+/// Label-correcting state of [`converge_prices`], split out so node
+/// relaxation can live in a free function (the borrow on `res` must end
+/// before a cancellation mutates it).
+struct Repair {
+    /// Times each node's potential has been lowered.
+    lowered: Vec<u32>,
+    /// Potentials on entry: `pot[v] - base[v] ≤ 0` is how far `v` has
+    /// been lowered, the frontier's key.
+    base: Vec<i64>,
+    /// Nodes whose out-edges must be (re-)relaxed, most-lowered first.
+    frontier: BinaryHeap<Reverse<(i64, u32)>>,
+    /// Edge id that last lowered each node (`u32::MAX`: none). Any cycle in
+    /// this parent graph is a negative-cost residual cycle (the classic
+    /// Bellman–Ford predecessor-subgraph lemma).
+    parent: Vec<u32>,
+    /// Visit stamps for parent-chain walks; `stamp_id` names the current
+    /// walk so the array never needs clearing.
+    stamp: Vec<u32>,
+    stamp_id: u32,
+}
+
+impl Repair {
+    fn new(pot: &[i64]) -> Self {
+        let n = pot.len();
+        Repair {
+            lowered: vec![0; n],
+            base: pot.to_vec(),
+            frontier: BinaryHeap::new(),
+            parent: vec![u32::MAX; n],
+            stamp: vec![0; n],
+            stamp_id: 0,
+        }
+    }
+
+    /// Queues `v` for (re-)relaxation at its current lowering.
+    fn push(&mut self, v: usize, pot: &[i64]) {
+        self.frontier
+            .push(Reverse((pot[v] - self.base[v], v as u32)));
+    }
+}
+
+/// One node relaxation's verdict.
+enum Relax {
+    /// All out-edges relaxed without incident.
+    Done,
+    /// A parent-graph cycle surfaced: these edge ids form a negative-cost
+    /// residual cycle, in reverse traversal order (irrelevant for
+    /// cancellation).
+    Cycle(Vec<u32>),
+    /// A node was lowered more than `n + 1` times with no cycle in sight —
+    /// a should-not-happen divergence guard.
+    Diverged,
+}
+
+/// Relaxes every residual out-edge of `u` once, recording parent pointers
+/// and probing the parent graph for a cycle every [`WALK_PERIOD`]th
+/// lowering of a node.
+fn relax_node(res: &Residual, u: usize, pot: &mut [i64], st: &mut Repair, cap: u32) -> Relax {
+    let pu = pot[u];
+    if pu >= INF {
+        return Relax::Done;
+    }
+    for slot in res.active_slots(u) {
+        let sl = res.slots[slot];
+        if sl.cap <= 0 {
+            continue;
+        }
+        let v = sl.to as usize;
+        if pot[v] >= INF {
+            continue;
+        }
+        let bound = pu + sl.cost;
+        if bound < pot[v] {
+            pot[v] = bound;
+            st.parent[v] = sl.edge;
+            st.lowered[v] += 1;
+            if st.lowered[v] > cap {
+                return Relax::Diverged;
+            }
+            // Queue `v` before any cycle probe: a rho-shaped parent walk
+            // returns a cycle that does not pass through `v`, and the
+            // cancellation only re-queues the cycle's own nodes, so `v`'s
+            // out-edges would otherwise never be re-checked against its
+            // lowered potential.
+            st.push(v, pot);
+            if st.lowered[v] % WALK_PERIOD == 0 {
+                st.stamp_id += 1;
+                let Repair { parent, stamp, .. } = st;
+                if let Some(cycle) = extract_cycle(res, parent, v, stamp, st.stamp_id) {
+                    return Relax::Cycle(cycle);
+                }
+            }
+        }
+    }
+    Relax::Done
+}
+
+/// Walks parent pointers back from `start`, stamping visits; re-entering a
+/// node stamped by *this* walk means the chain ran into a parent-graph
+/// cycle, whose edges are collected and returned. A chain that ends at a
+/// parentless node returns `None` (a legitimately long correction chain).
+/// Earlier cancellations can leave a saturated edge in the parent graph;
+/// collection re-checks liveness and, on a stale edge, severs it from the
+/// parent graph and returns `None` instead of a bogus cycle.
+fn extract_cycle(
+    res: &Residual,
+    parent: &mut [u32],
+    start: usize,
+    stamp: &mut [u32],
+    stamp_id: u32,
+) -> Option<Vec<u32>> {
+    let mut y = start;
+    loop {
+        if stamp[y] == stamp_id {
+            // `y` is on the cycle; every node around it has a parent.
+            let first = y;
+            let mut edges = Vec::new();
+            loop {
+                let e = parent[y];
+                if res.cap_of(e) <= 0 {
+                    parent[y] = u32::MAX;
+                    return None;
+                }
+                edges.push(e);
+                y = res.tail(e);
+                if y == first {
+                    return Some(edges);
+                }
+            }
+        }
+        stamp[y] = stamp_id;
+        let e = parent[y];
+        if e == u32::MAX {
+            return None;
+        }
+        y = res.tail(e);
+    }
+}
+
+/// Lowers `pot` to a valid potential by label correcting over the
+/// residual, with **no** freeze heuristic: unlike the price refinement
+/// ([`refine_prices_raw`]), which caps per-node relaxations at a small
+/// constant tuned for local perturbations, the repair runs after that
+/// refinement gave up and legitimately needs many corrections.
+///
+/// One pass over every node lowers the heads of the violated edges; from
+/// there, lowered nodes are relaxed most-lowered first. That is Dijkstra's
+/// order for the lowering amounts over the edges the entry potentials
+/// already certify, so a node is normally relaxed once; only the few
+/// violated edges can lower an already relaxed node again.
+///
+/// When the parent graph closes a cycle — a genuine negative-cost residual
+/// cycle, i.e. retained flow that the new costs let a cheaper detour
+/// undercut — the cycle is cancelled directly on the residual
+/// (saturating its bottleneck edge, preserving the flow value, strictly
+/// lowering cost) and correction continues in place: the cancellation only
+/// creates new residual edges out of the cycle's own nodes, so re-queueing
+/// those nodes restores the "every violated tail is queued" invariant
+/// without a restart. Every cancelled unit is added to `cancelled`.
+/// Returns `true` once the frontier drains — `pot` is then a valid
+/// potential on every residual edge between reachable nodes; `false` when
+/// [`MAX_CANCELS`] cancellations did not suffice or a node diverged, in
+/// which case `pot` is unusable but the residual stays a flow of the same
+/// value.
+fn converge_prices(res: &mut Residual, pot: &mut [i64], cancelled: &mut u64) -> bool {
+    let n = res.node_count();
+    let cap = n as u32 + 1;
+    let mut st = Repair::new(pot);
+    let mut cancels = 0u32;
+    // Seed: lower every violated edge's head against the entry
+    // potentials, leaving all propagation to the frontier's order.
+    for u in 0..n {
+        let bu = st.base[u];
+        if bu >= INF {
+            continue;
+        }
+        for sl in &res.slots[res.active_slots(u)] {
+            let v = sl.to as usize;
+            if sl.cap > 0 && pot[v] < INF && bu + sl.cost < pot[v] {
+                pot[v] = bu + sl.cost;
+                st.parent[v] = sl.edge;
+                st.push(v, pot);
+            }
+        }
+    }
+    loop {
+        let u = match st.frontier.pop() {
+            Some(Reverse((key, u))) if key == pot[u as usize] - st.base[u as usize] => u as usize,
+            // Lowered again since this entry was queued.
+            Some(_) => continue,
+            None => return true,
+        };
+        match relax_node(res, u, pot, &mut st, cap) {
+            Relax::Done => {}
+            Relax::Diverged => return false,
+            Relax::Cycle(cycle) => {
+                match cancel_cycle(res, &cycle, pot, &mut st, &mut cancels) {
+                    Some(amount) => *cancelled += amount as u64,
+                    None => return false,
+                }
+                // `u`'s remaining out-edges are revisited from the frontier.
+                st.push(u, pot);
+            }
+        }
+    }
+}
+
+/// Saturates a negative-cost residual cycle: pushes the bottleneck
+/// capacity around every edge, which keeps all flow-conservation values
+/// intact and strictly lowers total cost. The cycle's nodes are severed
+/// from the parent graph (their inbound parent edges may now be saturated)
+/// and re-queued, which also covers the reverse edges the pushes just
+/// opened — each has its tail on the cycle. Returns the units pushed, or
+/// `None` once [`MAX_CANCELS`] cancellations have been spent.
+fn cancel_cycle(
+    res: &mut Residual,
+    cycle: &[u32],
+    pot: &[i64],
+    st: &mut Repair,
+    cancels: &mut u32,
+) -> Option<i64> {
+    *cancels += 1;
+    if *cancels > MAX_CANCELS {
+        return None;
+    }
+    debug_assert!(cycle.iter().map(|&e| res.cost_of(e)).sum::<i64>() < 0);
+    let amount = cycle
+        .iter()
+        .map(|&e| res.cap_of(e))
+        .min()
+        .expect("cycles are non-empty");
+    debug_assert!(amount > 0, "extraction verified liveness");
+    for &e in cycle {
+        res.push(e, amount);
+        let h = res.head(e);
+        st.parent[h] = u32::MAX;
+        st.push(h, pot);
+    }
+    Some(amount)
 }
 
 #[cfg(test)]

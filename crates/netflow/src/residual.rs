@@ -134,10 +134,6 @@ pub(crate) struct Residual {
     built: Option<BuiltMeta>,
     /// Mutation journal; see [`BuiltMeta`].
     journal: Vec<JournalOp>,
-    /// Per node: end of the kept prefix written by
-    /// [`Residual::regroup_kept`] — the working set of the pruned SSP path
-    /// is `first_out[u]..kept_end[u]`. Meaningless otherwise.
-    pub kept_end: Vec<u32>,
 }
 
 impl Default for Residual {
@@ -164,7 +160,6 @@ impl Residual {
             monotone: false,
             built: None,
             journal: Vec::new(),
-            kept_end: Vec::new(),
         }
     }
 
@@ -663,60 +658,6 @@ impl Residual {
         self.journal.push(op);
     }
 
-    /// Regroups every node's slot range as `[kept | other active | dormant]`,
-    /// where `keep` selects the kept edges by id, and records the kept
-    /// boundary in [`Residual::kept_end`]. Only kept slots are moved (by
-    /// swaps, so the other groups' orders change deterministically); the
-    /// kept ones stay in their previous order.
-    ///
-    /// Kept slots land inside the active prefix whatever their capacity
-    /// (the prefix may hold saturated slots), so [`Residual::activate`]
-    /// never moves them again: a push on a kept edge makes its kept partner
-    /// live in place, and the kept prefixes stay exact for the whole solve.
-    /// The layout no longer matches the build, so the rollback cache is
-    /// dropped: the next build of the same request rebuilds.
-    pub fn regroup_kept(&mut self, keep: impl Fn(u32) -> bool) {
-        self.built = None;
-        self.journal.clear();
-        self.kept_end.clear();
-        self.kept_end.resize(self.nodes, 0);
-        for u in 0..self.nodes {
-            let (lo, hi) = (self.first_out[u] as usize, self.first_out[u + 1] as usize);
-            let active_end = self.active_end[u] as usize;
-            // The row is `[kept | other active | dormant]` up to `i`, with
-            // the kept run ending at `k` and the other active one at `a`.
-            let mut k = lo;
-            for i in lo..active_end {
-                if keep(self.slots[i].edge) {
-                    self.swap_slots(i, k);
-                    k += 1;
-                }
-            }
-            // A kept dormant slot steps to the end of the active runs, then
-            // trades places with the first other active slot.
-            let mut a = active_end;
-            for i in active_end..hi {
-                if keep(self.slots[i].edge) {
-                    self.swap_slots(i, a);
-                    self.swap_slots(a, k);
-                    k += 1;
-                    a += 1;
-                }
-            }
-            self.kept_end[u] = k as u32;
-            self.active_end[u] = a as u32;
-        }
-    }
-
-    /// Swaps two slots, keeping `slot_of` in step.
-    fn swap_slots(&mut self, a: usize, b: usize) {
-        if a != b {
-            self.slots.swap(a, b);
-            self.slot_of[self.slots[a].edge as usize] = a as u32;
-            self.slot_of[self.slots[b].edge as usize] = b as u32;
-        }
-    }
-
     /// Moves edge `e` (at `slot`) into its tail's active prefix if it is not
     /// there already, swapping it with the first dormant slot. The displaced
     /// edge has capacity ≤ 0, so the active-prefix invariant is preserved.
@@ -847,46 +788,6 @@ mod tests {
         assert_eq!(r.cap_of(e), 4);
         assert_eq!(r.cap_of(e ^ 1), 3);
         assert_eq!(r.cap_of(f), 2);
-    }
-
-    /// A regroup drops the rollback cache, so building the same request
-    /// again yields the build's exact layout, not the regrouped one.
-    #[test]
-    fn a_regroup_never_leaks_into_the_next_build() {
-        let mut net = FlowNetwork::new();
-        let ids = net.add_nodes(6);
-        for i in 0..5 {
-            for j in i + 1..6 {
-                net.add_arc_bounded(ids[i], ids[j], (i + j) as i64 % 2, 2, (i * 7 + j) as i64)
-                    .unwrap();
-            }
-        }
-        let (s, t) = (ids[0].index(), ids[5].index());
-        let layout = |r: &Residual| {
-            let order: Vec<u32> = r.slots[..r.first_out[r.node_count()] as usize]
-                .iter()
-                .map(|sl| sl.edge)
-                .collect();
-            (order, r.active_end.clone())
-        };
-        let mut r = Residual::default();
-        r.build_transformed(&net, s, t, 2);
-        let built = layout(&r);
-        r.regroup_kept(|e| e % 3 == 0 || (e ^ 1) % 3 == 0);
-        assert_ne!(layout(&r), built);
-        for u in 0..r.node_count() {
-            assert!(r.first_out[u] <= r.kept_end[u] && r.kept_end[u] <= r.active_end[u]);
-            let dormant = r.active_end[u] as usize..r.first_out[u + 1] as usize;
-            assert!(r.slots[dormant].iter().all(|sl| sl.cap <= 0));
-        }
-        for e in [0, 2, 4] {
-            r.push(e, 1);
-        }
-        r.build_transformed(&net, s, t, 2);
-        assert_eq!(layout(&r), built);
-        for e in 0..r.slots.len() as u32 {
-            assert_eq!(r.slots[r.slot_of[e as usize] as usize].edge, e);
-        }
     }
 
     #[test]

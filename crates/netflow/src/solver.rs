@@ -80,7 +80,7 @@ impl Backend {
     /// | shape | choice | why |
     /// |---|---|---|
     /// | negative costs on a cyclic positive-capacity graph | [`CostScaling`](Backend::CostScaling) | the SSP family must refuse negative cycles (cyclicity is the cheap sound over-approximation); push-relabel ε-scaling saturates them natively and — per Király–Kovács — is the consistently strongest general-purpose algorithm on exactly these dense mixed-sign nets |
-    /// | otherwise | [`Ssp`](Backend::Ssp) | the unit-capacity DAGs the allocator builds always land here; the blocking-flow rebuild routes many shortest paths per Dijkstra round, and from 100 000 arcs on each round settles a pruned working set |
+    /// | otherwise | [`Ssp`](Backend::Ssp) | the unit-capacity DAGs the allocator builds always land here; the blocking-flow rebuild routes many shortest paths per Dijkstra round |
     pub fn select(self, net: &FlowNetwork) -> Backend {
         if self != Backend::Auto {
             return self;
@@ -319,8 +319,8 @@ mod tests {
         dead_cyc.add_arc(b, a, 0, -1).unwrap();
         assert_eq!(Backend::Auto.select(&dead_cyc), Backend::Ssp);
 
-        // Size alone never leaves SSP: large networks prune inside it, and
-        // the no-op `ParSolve` argument changes nothing.
+        // Size alone never leaves SSP, and the no-op `ParSolve` argument
+        // changes nothing.
         let mut huge = FlowNetwork::new();
         let nodes: Vec<_> = (0..=25_000).map(|_| huge.add_node()).collect();
         for w in nodes.windows(2) {

@@ -18,9 +18,8 @@
 
 use crate::canon::CacheStamp;
 use crate::graph::{FlowNetwork, NodeId};
-use crate::prune::{certificate_holds, pruned_phases, PRUNE_MIN_ARCS};
 use crate::residual::{idx, Residual};
-use crate::workspace::{with_thread_workspace, SolverWorkspace, INF};
+use crate::workspace::{with_thread_workspace, NodeState, SolverWorkspace, INF};
 use crate::{FlowSolution, NetflowError};
 
 /// Solves for a minimum-cost flow of **exactly** `target` units from `s` to
@@ -80,12 +79,8 @@ pub fn min_cost_flow(
 ///
 /// Identical contract; the workspace's buffers are reused across calls,
 /// which removes all per-solve allocation beyond the residual graph itself.
-///
-/// Networks of 100 000 arcs or more run the pruned exact phases of
-/// `netflow::prune`: each settling round scans a per-node working set of
-/// the cheapest residual arcs, and a price repair keeps the result exact.
-/// Smaller networks run the plain phases. Either way the answer is checked
-/// by an O(E) optimality certificate before it is returned.
+/// The answer is checked by an O(E) optimality certificate before it is
+/// returned.
 ///
 /// # Errors
 ///
@@ -97,20 +92,6 @@ pub fn min_cost_flow_with(
     target: i64,
     ws: &mut SolverWorkspace,
 ) -> Result<FlowSolution, NetflowError> {
-    let prune = net.arc_count() >= PRUNE_MIN_ARCS;
-    min_cost_flow_ssp(net, s, t, target, ws, prune)
-}
-
-/// [`min_cost_flow_with`] with the pruning decision made by the caller
-/// instead of the arc-count gate (the tests force it both ways).
-pub(crate) fn min_cost_flow_ssp(
-    net: &FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    target: i64,
-    ws: &mut SolverWorkspace,
-    prune: bool,
-) -> Result<FlowSolution, NetflowError> {
     check_endpoints_with(net, s, t, target, ws)?;
 
     // The guard returns the arena to the pool even if the solve panics, so
@@ -119,26 +100,8 @@ pub(crate) fn min_cost_flow_ssp(
     let (res, ws) = guard.parts();
     let (super_s, super_t, required) = transform_into(net, s, t, target, res);
 
-    let pruned = if prune {
-        pruned_phases(res, super_s, super_t, required, ws)?
-    } else {
-        None
-    };
-    let pushed = match pruned {
-        Some(pushed) => pushed,
-        None => {
-            if prune {
-                // The repair or the certificate failed: re-solve unpruned
-                // from the pristine residual (the regroup dropped the
-                // rollback journal, so this rebuilds it).
-                ws.prune_fallbacks += 1;
-                transform_into(net, s, t, target, res);
-            }
-            let pushed = ssp_run(res, super_s, super_t, required, ws)?;
-            certify(res, ws)?;
-            pushed
-        }
-    };
+    let pushed = ssp_run(res, super_s, super_t, required, ws)?;
+    certify(res, ws)?;
     if pushed < required {
         return Err(NetflowError::Infeasible {
             required,
@@ -148,11 +111,11 @@ pub(crate) fn min_cost_flow_ssp(
     Ok(solution_from_residual(net, res, target))
 }
 
-/// The optimality certificate of the plain phases and of every
-/// [`Reoptimizer`](crate::Reoptimizer) solve (the pruned phases check
-/// their own): every positive-capacity residual edge between reachable
-/// nodes has a non-negative reduced cost under the final potentials, so the
-/// flow is minimum-cost at its value.
+/// The optimality certificate of every SSP and
+/// [`Reoptimizer`](crate::Reoptimizer) solve: every positive-capacity
+/// residual edge between reachable nodes has a non-negative reduced cost
+/// under the final potentials ([`certificate_holds`]), so the flow is
+/// minimum-cost at its value.
 ///
 /// # Errors
 ///
@@ -167,6 +130,21 @@ pub(crate) fn certify(res: &Residual, ws: &SolverWorkspace) -> Result<(), Netflo
                 .to_owned(),
         })
     }
+}
+
+/// The O(E) check behind [`certify`]. Nodes the initial potentials left at
+/// `INF` are unreachable from the source, and pushes only ever add residual
+/// edges between reachable nodes, so they stay out of every augmenting path
+/// and are exempt.
+pub(crate) fn certificate_holds(res: &Residual, node: &[NodeState]) -> bool {
+    (0..res.node_count()).all(|u| {
+        let pu = node[u].potential;
+        pu >= INF
+            || res.slots[res.active_slots(u)].iter().all(|sl| {
+                let pv = node[sl.to as usize].potential;
+                sl.cap <= 0 || pv >= INF || sl.cost + pu - pv >= 0
+            })
+    })
 }
 
 /// Excess/deficit transformation shared by the SSP-family solvers, built
@@ -285,23 +263,7 @@ pub(crate) fn ssp_run(
         rounds += 1;
         flow += crate::dinic::blocking_flow_admissible(res, s, t, ws, target - flow);
     }
-    Ok(flow + ssp_rounds(res, s, t, target - flow, ws, rounds)?)
-}
-
-/// The settling rounds of [`ssp_run`] from valid potentials: moves at
-/// most `limit` more units; `rounds` carries the budget count so far. The
-/// pruned path finishes with these after its repair.
-pub(crate) fn ssp_rounds(
-    res: &mut Residual,
-    s: usize,
-    t: usize,
-    limit: i64,
-    ws: &mut SolverWorkspace,
-    mut rounds: u64,
-) -> Result<i64, NetflowError> {
-    let budget = ws.budget;
-    let mut flow = 0i64;
-    while flow < limit {
+    while flow < target {
         budget.check_rounds("ssp", "augment", rounds)?;
         rounds += 1;
         let dist_t = dijkstra_settle(res, s, t, ws);
@@ -309,7 +271,7 @@ pub(crate) fn ssp_rounds(
             break;
         }
         update_potentials(ws, dist_t);
-        let pushed = crate::dinic::blocking_flow_admissible(res, s, t, ws, limit - flow);
+        let pushed = crate::dinic::blocking_flow_admissible(res, s, t, ws, target - flow);
         debug_assert!(pushed > 0, "reachable sink must admit a blocking flow");
         flow += pushed;
     }
@@ -508,19 +470,6 @@ fn potentials_from(
 /// parent tree: callers route flow through the admissible subgraph instead
 /// of a single parent path.
 pub(crate) fn dijkstra_settle(res: &Residual, s: usize, t: usize, ws: &mut SolverWorkspace) -> i64 {
-    settle_within(res, &res.active_end, s, t, ws)
-}
-
-/// [`dijkstra_settle`] over the slot ranges `first_out[u]..ends[u]`: the
-/// active prefixes (`res.active_end`) for a full round, the kept prefixes
-/// (`res.kept_end`) for a pruned one.
-pub(crate) fn settle_within(
-    res: &Residual,
-    ends: &[u32],
-    s: usize,
-    t: usize,
-    ws: &mut SolverWorkspace,
-) -> i64 {
     ws.begin_round();
     ws.set_dist(s, 0);
     ws.heap.push(0, s as u32);
@@ -541,7 +490,7 @@ pub(crate) fn settle_within(
         if pu >= INF {
             continue;
         }
-        for sl in &res.slots[res.first_out[u] as usize..ends[u] as usize] {
+        for sl in &res.slots[res.active_slots(u)] {
             if sl.cap <= 0 {
                 continue;
             }
@@ -587,6 +536,32 @@ pub(crate) fn update_potentials(ws: &mut SolverWorkspace, dist_t: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_certificate_rejects_a_violated_edge() {
+        let mut res = Residual::new(3);
+        res.add_edge(0, 1, 1, 5);
+        res.add_edge(1, 2, 1, 5);
+        res.finalize();
+        let mut node = vec![
+            NodeState {
+                potential: 0,
+                dist: INF,
+                stamp: 0,
+                level: 0,
+            };
+            3
+        ];
+        node[1].potential = 5;
+        node[2].potential = 10;
+        assert!(certificate_holds(&res, &node));
+        // Edge 1 -> 2 at reduced cost 5 + 5 - 11 < 0.
+        node[2].potential = 11;
+        assert!(!certificate_holds(&res, &node));
+        // Unreachable heads are exempt.
+        node[2].potential = INF;
+        assert!(certificate_holds(&res, &node));
+    }
 
     fn diamond() -> (FlowNetwork, NodeId, NodeId) {
         // s -> a -> t (cost 1+1), s -> b -> t (cost 3+3), caps 1 each

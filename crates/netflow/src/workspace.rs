@@ -15,7 +15,6 @@
 
 use crate::budget::SolveBudget;
 use crate::canon::CacheStamp;
-use crate::prune::PruneScratch;
 use crate::radix::RadixHeap;
 use crate::residual::Residual;
 use std::cell::RefCell;
@@ -76,11 +75,6 @@ pub struct SolverStats {
     /// aggregators (e.g. the allocation pipeline) fold their incident counts
     /// in here so one struct carries the whole effort/health picture.
     pub incidents: u64,
-    /// Pruned solves (networks of 100 000 arcs or more) whose price repair
-    /// or optimality certificate failed and that were re-solved without
-    /// pruning. Expected to stay 0; a non-zero count flags a working-set
-    /// miss the certificate caught.
-    pub prune_fallbacks: u64,
 }
 
 impl std::ops::Sub for SolverStats {
@@ -90,7 +84,6 @@ impl std::ops::Sub for SolverStats {
             dijkstra_rounds: self.dijkstra_rounds.saturating_sub(rhs.dijkstra_rounds),
             pushed_units: self.pushed_units.saturating_sub(rhs.pushed_units),
             incidents: self.incidents.saturating_sub(rhs.incidents),
-            prune_fallbacks: self.prune_fallbacks.saturating_sub(rhs.prune_fallbacks),
         }
     }
 }
@@ -102,7 +95,6 @@ impl std::ops::Add for SolverStats {
             dijkstra_rounds: self.dijkstra_rounds + rhs.dijkstra_rounds,
             pushed_units: self.pushed_units + rhs.pushed_units,
             incidents: self.incidents + rhs.incidents,
-            prune_fallbacks: self.prune_fallbacks + rhs.prune_fallbacks,
         }
     }
 }
@@ -191,11 +183,6 @@ pub struct SolverWorkspace {
     /// invalidates it; only passing scans are cached (errors are terminal
     /// and re-deriving their message is fine). Survives [`Self::prepare`].
     pub(crate) validate_cache: Option<(CacheStamp, i64)>,
-    /// Scratch of the pruned SSP path; empty until the first pruned solve
-    /// on this workspace.
-    pub(crate) prune: PruneScratch,
-    /// Pruned solves re-solved without pruning, cumulative across solves.
-    pub(crate) prune_fallbacks: u64,
 }
 
 impl SolverWorkspace {
@@ -273,7 +260,6 @@ impl SolverWorkspace {
             dijkstra_rounds: self.dijkstra_rounds,
             pushed_units: self.pushed_units,
             incidents: 0,
-            prune_fallbacks: self.prune_fallbacks,
         }
     }
 
@@ -282,7 +268,6 @@ impl SolverWorkspace {
     pub(crate) fn clear_stats(&mut self) {
         self.dijkstra_rounds = 0;
         self.pushed_units = 0;
-        self.prune_fallbacks = 0;
     }
 
     /// Installs a [`SolveBudget`] that every subsequent solve on this

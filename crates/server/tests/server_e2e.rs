@@ -36,11 +36,19 @@ fn start(overrides: impl FnOnce(&mut ServerConfig)) -> Server {
     Server::start(cfg).expect("bind loopback")
 }
 
-/// A textfmt spec big enough that a debug-mode solve takes real time.
+/// A textfmt spec whose solve at [`HEAVY_REGISTERS`] takes real time in
+/// debug and release builds alike — tens of milliseconds even in release —
+/// so the queueing, deadline and drain tests below always have a request
+/// in flight. Its 1000 variables build the linear-size time-line network,
+/// and the solve's cost grows with the register count (one shortest-path
+/// round per register), not with a quadratic hand-off block.
 fn heavy_spec() -> String {
-    let table = random_lifetimes(&RandomConfig::scaled(400, 11));
+    let table = random_lifetimes(&RandomConfig::scaled(1000, 11));
     format_block_spec(&table, &[])
 }
+
+/// Register count of every [`heavy_spec`] request.
+const HEAVY_REGISTERS: u32 = 128;
 
 #[test]
 fn ping_allocate_and_byte_identical_duplicates() {
@@ -213,7 +221,7 @@ fn full_queue_sheds_with_overloaded() {
     });
     let addr = server.addr();
     let spec = heavy_spec();
-    let payload = format_allocate_payload(&spec, 4, None);
+    let payload = format_allocate_payload(&spec, HEAVY_REGISTERS, None);
 
     let responses: Vec<Status> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
@@ -256,7 +264,7 @@ fn expired_deadlines_get_deadline_exceeded() {
     let mut server = start(|_| {});
     let mut client = Client::connect(server.addr()).unwrap();
     let spec = heavy_spec();
-    let response = client.allocate(&spec, 4, Some(1)).unwrap();
+    let response = client.allocate(&spec, HEAVY_REGISTERS, Some(1)).unwrap();
     assert_eq!(
         response.status,
         Status::DeadlineExceeded,
@@ -264,7 +272,7 @@ fn expired_deadlines_get_deadline_exceeded() {
         response.payload
     );
     // The same request without the 1 ms deadline succeeds.
-    let response = client.allocate(&spec, 4, None).unwrap();
+    let response = client.allocate(&spec, HEAVY_REGISTERS, None).unwrap();
     assert_eq!(response.status, Status::Ok);
     server.join();
 }
@@ -274,7 +282,7 @@ fn graceful_drain_finishes_in_flight_requests() {
     let mut server = start(|cfg| cfg.workers = 1);
     let addr = server.addr();
     let spec = heavy_spec();
-    let payload = format_allocate_payload(&spec, 4, None);
+    let payload = format_allocate_payload(&spec, HEAVY_REGISTERS, None);
 
     let mut client = Client::connect(addr).unwrap();
     // Expected response bytes, computed offline before the drain.
