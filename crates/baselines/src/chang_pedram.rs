@@ -255,4 +255,50 @@ mod tests {
         let r = two_phase(&p).unwrap();
         assert_eq!(r.symbolic_chains.len(), 0);
     }
+
+    /// Phase 1 on the headline `fir8` instance has several equal-switching
+    /// optima, and which one SSP returns decides the baseline's energy (the
+    /// `repro` headline's two-phase row). Pinning the chains here makes any
+    /// change to the solver's augmentation order fail a unit test, not only
+    /// the `repro` golden.
+    #[test]
+    fn fir8_headline_tie_resolution_is_pinned() {
+        let block = lemra_workloads::dsp::fir(8).unwrap();
+        let schedule = lemra_ir::asap(&block).unwrap();
+        let table = LifetimeTable::from_schedule(&block, &schedule).unwrap();
+        let n = table.len();
+        let p = AllocationProblem::new(table, 4)
+            .with_activity(lemra_workloads::random::random_patterns(n, 42))
+            .with_style(lemra_core::GraphStyle::AllPairs)
+            .with_register_energy(lemra_energy::RegisterEnergyKind::Activity);
+        let chains: Vec<Vec<u32>> = min_switching_register_allocation(&p)
+            .unwrap()
+            .iter()
+            .map(|c| c.iter().map(|v| v.0).collect())
+            .collect();
+        let expected: [&[u32]; 16] = [
+            &[0, 30],
+            &[1, 24],
+            &[3, 2, 26],
+            &[4],
+            &[6, 17, 28],
+            &[7, 8],
+            &[9, 14],
+            &[10],
+            &[12, 23],
+            &[13, 27],
+            &[15],
+            &[16, 20],
+            &[18, 5, 25],
+            &[19],
+            &[21, 29],
+            &[22, 11],
+        ];
+        assert_eq!(chains, expected.map(<[u32]>::to_vec));
+        let r = two_phase(&p).unwrap();
+        assert_eq!(r.phase1_switching, 196.0);
+        let report = lemra_core::AllocationReport::new(&p, &r.allocation);
+        assert_eq!(report.static_energy, 314.3);
+        assert_eq!(report.activity_energy, 306.9);
+    }
 }

@@ -1,13 +1,14 @@
-//! Dinic's max-flow algorithm.
+//! Dinic's max-flow algorithm, and the blocking-flow walk of the SSP
+//! phases ([`blocking_flow_admissible`]).
 //!
-//! Used directly for maximum-flow queries (e.g. feasibility probes and the
-//! Chang–Pedram baseline in `lemra-baselines`) and as the feasibility
-//! check of the cost-scaling min-cost solver.
+//! Dinic is used directly for maximum-flow queries (e.g. feasibility probes
+//! and the Chang–Pedram baseline in `lemra-baselines`) and as the
+//! feasibility check of the cost-scaling min-cost solver.
 
 use crate::graph::{FlowNetwork, NodeId};
 use crate::residual::{idx, Residual};
 use crate::ssp::{check_endpoints, solution_from_residual};
-use crate::workspace::{SolverWorkspace, INF};
+use crate::workspace::{SolverWorkspace, NO_PRED};
 use crate::{FlowSolution, NetflowError};
 use std::collections::VecDeque;
 
@@ -125,23 +126,25 @@ pub(crate) fn dinic(res: &mut Residual, s: usize, t: usize) -> i64 {
 /// reduced cost under the node potentials. Returns the units pushed (0 when `t`
 /// is not admissible-reachable).
 ///
-/// The fast path runs current-arc DFS walks straight over the admissible
-/// subgraph — no BFS levelling pass at all. Any admissible `s → t` path is a
-/// shortest path (reduced costs telescope to the same total), so unlike
-/// general Dinic the DFS needs no level graph for *optimality*; an on-stack
-/// marker (epoch-stamped `level` doubling as the flag) keeps each walk
-/// acyclic through zero-cost admissible cycles, and persistent cursors
-/// retire each arc at most once per phase. On the near-unit-capacity
-/// networks the allocator produces, phases push only a few units each, so
-/// skipping the full-subgraph BFS roughly halves the cost of a phase.
+/// The phase first stamps *alive* every node whose tight-in-arc list
+/// connects it to `t` (the lists the labelling pass before the phase left in
+/// `ws.pred_head`; see [`dijkstra_settle`](crate::ssp::dijkstra_settle)),
+/// then runs current-arc DFS walks from `s` that enter alive nodes only — no
+/// BFS levelling pass. Any admissible `s → t` path is a shortest path
+/// (reduced costs telescope to the same total), so the walk needs no level
+/// graph for *optimality*; an on-stack flag keeps each walk acyclic through
+/// zero-cost admissible cycles, and persistent cursors retire each arc at
+/// most once per phase. The caller guarantees the potentials are exact, so
+/// every unit pushed here is a min-cost unit.
 ///
-/// Skipping an on-stack head advances the cursor past an arc that could
-/// become usable once that node pops, so a walk can miss paths a levelled
-/// search would find; when the fast path pushes nothing at all it falls
-/// back to the levelled scheme below, which restores the full
-/// blocking-flow guarantee. The caller guarantees the potentials are exact
-/// (see [`dijkstra_settle`](crate::ssp::dijkstra_settle)); every unit
-/// pushed here is a min-cost unit.
+/// Skipping the dead nodes changes no push. Every arc of an admissible
+/// path the walk can take from `s` to `t` is listed, so at phase start
+/// every node the walk can enter and that reaches `t` is alive. A push
+/// changes arcs only between nodes of its path, all alive, so no dead node
+/// the walk can enter ever reaches `t` during the phase: the unpruned walk
+/// would only have exhausted its cursor. The first walk starts with fresh
+/// cursors, and an exhausted cursor or the on-stack flag both act as
+/// "visited", so it is a plain DFS and reaches `t` whenever `s` is alive.
 pub(crate) fn blocking_flow_admissible(
     res: &mut Residual,
     s: usize,
@@ -149,10 +152,11 @@ pub(crate) fn blocking_flow_admissible(
     ws: &mut SolverWorkspace,
     limit: i64,
 ) -> i64 {
-    let n = res.node_count();
     ws.begin_phase();
-    ws.cursor.clear();
-    ws.cursor.resize(n, 0);
+    mark_alive(ws, t, res.node_count());
+    if ws.node[s].stamp != ws.epoch {
+        return 0;
+    }
     let mut total = 0i64;
     while total < limit {
         let pushed = admissible_dfs_first(res, ws, s, t, limit - total);
@@ -161,16 +165,37 @@ pub(crate) fn blocking_flow_admissible(
         }
         total += pushed;
     }
-    if total == 0 {
-        return blocking_flow_levelled(res, s, t, ws, limit);
-    }
     ws.pushed_units += total as u64;
     total
 }
 
-/// One walk of the unlevelled fast path: DFS along admissible arcs with
-/// per-node current-arc cursors and an on-stack guard (`level` 1 = on the
-/// current path, 0 = retired) in the epoch-stamped node state.
+/// Stamps `t` and every node its tight-in-arc lists reach, walking them
+/// backwards, with the current phase epoch (walk flag 0), and rewinds those
+/// nodes' cursors: only they are ever entered by this phase's walks.
+fn mark_alive(ws: &mut SolverWorkspace, t: usize, n: usize) {
+    ws.cursor.resize(n, 0);
+    ws.set_level(t, 0);
+    ws.cursor[t] = 0;
+    ws.order.clear();
+    ws.order.push(t as u32);
+    while let Some(v) = ws.order.pop() {
+        let mut cell = ws.pred_head[v as usize];
+        while cell != NO_PRED {
+            let (u, next) = ws.pred[cell as usize];
+            let u = u as usize;
+            if ws.node[u].stamp != ws.epoch {
+                ws.set_level(u, 0);
+                ws.cursor[u] = 0;
+                ws.order.push(u as u32);
+            }
+            cell = next;
+        }
+    }
+}
+
+/// One walk of a blocking-flow phase: DFS along admissible arcs into alive
+/// heads with per-node current-arc cursors and an on-stack guard (`level` 1
+/// = on the current path, 0 = not) in the epoch-stamped node state.
 fn admissible_dfs_first(
     res: &mut Residual,
     ws: &mut SolverWorkspace,
@@ -191,11 +216,7 @@ fn admissible_dfs_first(
         let sl = res.slots[slot];
         let v = sl.to as usize;
         let stv = ws.node[v];
-        if sl.cap > 0
-            && !(stv.stamp == epoch && stv.level == 1)
-            && stv.potential < INF
-            && sl.cost + pu - stv.potential == 0
-        {
+        if sl.cap > 0 && stv.stamp == epoch && stv.level != 1 && sl.cost + pu - stv.potential == 0 {
             let pushed = admissible_dfs_first(res, ws, v, t, limit.min(sl.cap));
             if pushed > 0 {
                 res.push(sl.edge, pushed);
@@ -206,111 +227,6 @@ fn admissible_dfs_first(
         ws.cursor[u] += 1;
     }
     ws.set_level(u, 0);
-    0
-}
-
-/// Levelled fallback of [`blocking_flow_admissible`]: BFS level graph over
-/// the admissible subgraph + current-arc DFS, the level-restricted scheme of
-/// [`dinic`]. Complete (finds every admissible path the on-stack skips of
-/// the fast path can miss) at the price of a full-subgraph BFS per phase.
-fn blocking_flow_levelled(
-    res: &mut Residual,
-    s: usize,
-    t: usize,
-    ws: &mut SolverWorkspace,
-    limit: i64,
-) -> i64 {
-    let n = res.node_count();
-    // Levels are epoch-stamped in the packed node state, so starting a
-    // phase is an O(1) epoch bump instead of an O(V) fill, and the
-    // admissibility test below reads level and potential from one record.
-    ws.begin_phase();
-    ws.set_level(s, 0);
-    ws.queue.clear();
-    ws.queue.push_back(s as u32);
-    let epoch = ws.epoch;
-    let mut level_t = u32::MAX;
-    while let Some(u) = ws.queue.pop_front() {
-        let u = u as usize;
-        // Once the sink is levelled, deeper layers cannot lie on a shortest
-        // admissible path; arcs out of the sink itself never extend one.
-        if u == t || ws.node[u].level >= level_t {
-            continue;
-        }
-        let pu = ws.node[u].potential;
-        let lvl = ws.node[u].level + 1;
-        for sl in &res.slots[res.active_slots(u)] {
-            if sl.cap <= 0 {
-                continue;
-            }
-            let v = sl.to as usize;
-            let stv = ws.node[v];
-            if stv.stamp == epoch || stv.potential >= INF {
-                continue;
-            }
-            if sl.cost + pu - stv.potential != 0 {
-                continue;
-            }
-            ws.set_level(v, lvl);
-            if v == t {
-                level_t = lvl;
-            }
-            ws.queue.push_back(v as u32);
-        }
-    }
-    if level_t == u32::MAX {
-        return 0;
-    }
-    ws.cursor.clear();
-    ws.cursor.resize(n, 0);
-    let mut total = 0i64;
-    while total < limit {
-        let pushed = admissible_dfs(res, ws, s, t, limit - total);
-        if pushed == 0 {
-            break;
-        }
-        total += pushed;
-    }
-    ws.pushed_units += total as u64;
-    total
-}
-
-/// One augmenting walk of the admissible blocking flow: DFS along level+1
-/// admissible edges with per-node current-arc cursors.
-fn admissible_dfs(
-    res: &mut Residual,
-    ws: &mut SolverWorkspace,
-    u: usize,
-    t: usize,
-    limit: i64,
-) -> i64 {
-    if u == t {
-        return limit;
-    }
-    let pu = ws.node[u].potential;
-    // Every node on the DFS path was levelled by this phase's BFS, so the
-    // direct field reads below see valid stamps.
-    let lvl = ws.node[u].level.wrapping_add(1);
-    // The active prefix can grow mid-phase (pushes activate backward
-    // edges), so the bound is re-read every iteration.
-    while ws.cursor[u] < res.active_end[u] - res.first_out[u] {
-        let slot = (res.first_out[u] + ws.cursor[u]) as usize;
-        let sl = res.slots[slot];
-        let v = sl.to as usize;
-        let stv = ws.node[v];
-        if sl.cap > 0
-            && stv.stamp == ws.epoch
-            && stv.level == lvl
-            && sl.cost + pu - stv.potential == 0
-        {
-            let pushed = admissible_dfs(res, ws, v, t, limit.min(sl.cap));
-            if pushed > 0 {
-                res.push(sl.edge, pushed);
-                return pushed;
-            }
-        }
-        ws.cursor[u] += 1;
-    }
     0
 }
 
@@ -342,6 +258,9 @@ fn dfs(
     }
     0
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -13,8 +13,8 @@
 //!   production solver, polynomial time, requires the network to be free of
 //!   negative-cost cycles (allocation networks are DAGs, so this holds). The
 //!   flow value is the register count R, so it needs at most R augmenting
-//!   rounds, and every solve is checked by an O(E) optimality certificate
-//!   before it returns.
+//!   rounds, and every solve is checked by an O(V + E) feasibility and
+//!   optimality certificate before it returns.
 //! * [`min_cost_flow_cost_scaling`] — Goldberg–Tarjan push-relabel with
 //!   ε-scaling (push-lookahead, price refinement and set-relabel
 //!   heuristics); handles negative-cost cycles natively and is the
@@ -42,17 +42,21 @@
 //! builds — the initial potentials come from a single O(V+E) topological
 //! relaxation instead of Bellman–Ford;
 //! cyclic networks fall back to deque-based SPFA. Dijkstra's frontier is a
-//! monotone radix heap rather than a binary heap — profiling the 512-variable
-//! allocation showed the solve heap-bound (≈490k pushes and 170k pops per
-//! solve), and bucketed O(1) pushes are what the counting favours.
+//! monotone radix heap rather than a binary heap, because bucketed O(1)
+//! pushes are what the counting favours: a 512-variable allocation runs 63
+//! full-settle rounds of ≈4 200 pushes and ≈2 990 pops each. Every round
+//! also records each node's tight in-arcs, so the blocking flow that
+//! follows enters only the ≈190 nodes per phase that can still reach the
+//! sink.
 //!
 //! The end-to-end cost of one 512-variable allocation is measured by the
 //! `block_512` workload of the performance ledger (`ledger/` at the
 //! repository root), with its Solve layer broken out.
 //!
 //! Every SSP solve and every [`Reoptimizer`] solve, warm or cold, checks
-//! the reduced-cost optimality certificate over the final residual graph
-//! before it returns, and reports a violation as
+//! that its flow respects every arc's bounds and conserves flow at every
+//! node, and the reduced-cost optimality certificate over the final
+//! residual graph, before it returns, and reports a violation as
 //! [`NetflowError::InvalidSolution`] instead of a silently suboptimal flow.
 //!
 //! # Examples

@@ -47,9 +47,10 @@
 //! error).
 //!
 //! **Certificate.** Every answer, warm or cold, is checked before it
-//! returns: each positive-capacity residual edge between covered nodes must
-//! have a non-negative reduced cost under the retained potentials, an O(E)
-//! pass. A violation is [`NetflowError::InvalidSolution`], which a
+//! returns, an O(V + E) pass: the flow must respect every arc's bounds and
+//! conserve flow at every node, and each positive-capacity residual edge
+//! between covered nodes must have a non-negative reduced cost under the
+//! retained potentials. A violation is [`NetflowError::InvalidSolution`], which a
 //! [`ResilientSolver`](crate::ResilientSolver) absorbs as an incident and
 //! answers with a cold solve.
 //!
@@ -174,8 +175,8 @@ impl Reoptimizer {
     /// Same as [`min_cost_flow`](crate::min_cost_flow); infeasibility and
     /// negative-cycle errors are always diagnosed by a cold solve, so the
     /// error values are identical to the cold path's. Warm and cold answers
-    /// alike return [`NetflowError::InvalidSolution`] when the retained
-    /// potentials fail the reduced-cost optimality certificate. After an
+    /// alike return [`NetflowError::InvalidSolution`] when the retained flow
+    /// or potentials fail the feasibility-and-optimality certificate. After an
     /// error the retained state is dropped and the next call starts cold.
     pub fn solve(
         &mut self,
@@ -188,8 +189,8 @@ impl Reoptimizer {
         if let Some(state) = self.state.as_mut() {
             state.ws.budget = self.budget;
             let warm = state.try_warm(net, s, t, target).and_then(|warm| {
-                if matches!(warm, Warm::Done(_)) {
-                    certify(&state.res, &state.ws)?;
+                if let Warm::Done(sol) = &warm {
+                    certify(net, s, t, &state.res, &state.ws, sol)?;
                 }
                 Ok(warm)
             });
@@ -270,7 +271,6 @@ impl Reoptimizer {
         ws.budget = self.budget;
         let (super_s, super_t, required) = transform_into(net, s, t, target, &mut res);
         let pushed = ssp_run(&mut res, super_s, super_t, required, &mut ws)?;
-        certify(&res, &ws)?;
         if pushed < required {
             return Err(NetflowError::Infeasible {
                 required,
@@ -278,6 +278,7 @@ impl Reoptimizer {
             });
         }
         let sol = solution_from_residual(net, &res, target);
+        certify(net, s, t, &res, &ws, &sol)?;
         lower_bounds.clear();
         lower_bounds.extend(
             (0u32..)
@@ -1099,6 +1100,31 @@ mod tests {
     fn corrupt_potential(reopt: &mut Reoptimizer, v: NodeId) {
         let state = reopt.state.as_mut().expect("a solve retained state");
         state.ws.node[v.index()].potential += 100;
+    }
+
+    #[test]
+    fn corrupted_retained_flow_fails_the_certificate() {
+        // At F = 2 both units take s -> a -> t. Re-solving the identical
+        // problem repairs nothing, so each corruption reaches the
+        // certificate as it is.
+        let (net, s, t, sa, at, _) = sweep_net();
+        let mut reopt = Reoptimizer::new();
+        reopt.solve(&net, s, t, 2).unwrap();
+        // Flow: return one unit of a -> t, so a keeps it.
+        let state = reopt.state.as_mut().unwrap();
+        state.res.push(state.res.edge_of_arc[at.index()] ^ 1, 1);
+        let err = reopt.solve(&net, s, t, 2).unwrap_err().to_string();
+        assert!(err.contains("violates conservation"), "{err}");
+
+        // Capacity: s -> a claims 3 units of flow at an unchanged headroom
+        // of 2, so the warm path sees no delta.
+        reopt.solve(&net, s, t, 2).unwrap();
+        let state = reopt.state.as_mut().unwrap();
+        let e = state.res.edge_of_arc[sa.index()];
+        state.res.set_cap_of(e, -1);
+        state.res.set_cap_of(e ^ 1, 3);
+        let err = reopt.solve(&net, s, t, 2).unwrap_err().to_string();
+        assert!(err.contains("outside [0, 2]"), "{err}");
     }
 
     #[test]

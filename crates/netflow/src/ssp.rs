@@ -4,9 +4,13 @@
 //! topological order when the positive-capacity residual graph is a DAG
 //! (always true for the allocation networks of `lemra-core`), and from SPFA
 //! with a deque otherwise (the general case, including negative arc costs on
-//! cyclic networks). After that, reduced costs are non-negative and Dijkstra
-//! with a binary heap takes over, terminating early as soon as the sink is
-//! settled.
+//! cyclic networks). After that, reduced costs are non-negative and each
+//! phase runs one Dijkstra round over a monotone radix heap that settles
+//! every node within the sink's distance (ties included), folds those exact
+//! distances into the potentials and pushes a blocking flow over the
+//! zero-reduced-cost arcs. Every labelling pass also records each node's
+//! tight in-arcs, so a phase's walk visits only nodes that can still reach
+//! the sink; see [`ssp_run`].
 //!
 //! All per-node scratch state lives in a [`SolverWorkspace`] reused across
 //! augmentations and across solves; see [`min_cost_flow_with`].
@@ -19,7 +23,7 @@
 use crate::canon::CacheStamp;
 use crate::graph::{FlowNetwork, NodeId};
 use crate::residual::{idx, Residual};
-use crate::workspace::{with_thread_workspace, NodeState, SolverWorkspace, INF};
+use crate::workspace::{with_thread_workspace, NodeState, SolverWorkspace, INF, NO_PRED};
 use crate::{FlowSolution, NetflowError};
 
 /// Solves for a minimum-cost flow of **exactly** `target` units from `s` to
@@ -46,8 +50,8 @@ use crate::{FlowSolution, NetflowError};
 ///   self-loops, negative target, overflow-prone magnitudes).
 /// * [`NetflowError::BudgetExceeded`] if a [`SolveBudget`](crate::SolveBudget)
 ///   installed on the workspace runs out before the solve converges.
-/// * [`NetflowError::InvalidSolution`] if the optimality certificate fails
-///   (a solver bug, never a property of the input).
+/// * [`NetflowError::InvalidSolution`] if the feasibility-and-optimality
+///   certificate fails (a solver bug, never a property of the input).
 ///
 /// # Examples
 ///
@@ -79,8 +83,8 @@ pub fn min_cost_flow(
 ///
 /// Identical contract; the workspace's buffers are reused across calls,
 /// which removes all per-solve allocation beyond the residual graph itself.
-/// The answer is checked by an O(E) optimality certificate before it is
-/// returned.
+/// The answer is checked by an O(V + E) feasibility-and-optimality
+/// certificate before it is returned.
 ///
 /// # Errors
 ///
@@ -101,26 +105,38 @@ pub fn min_cost_flow_with(
     let (super_s, super_t, required) = transform_into(net, s, t, target, res);
 
     let pushed = ssp_run(res, super_s, super_t, required, ws)?;
-    certify(res, ws)?;
     if pushed < required {
         return Err(NetflowError::Infeasible {
             required,
             achieved: pushed,
         });
     }
-    Ok(solution_from_residual(net, res, target))
+    let sol = solution_from_residual(net, res, target);
+    certify(net, s, t, res, ws, &sol)?;
+    Ok(sol)
 }
 
-/// The optimality certificate of every SSP and
-/// [`Reoptimizer`](crate::Reoptimizer) solve: every positive-capacity
-/// residual edge between reachable nodes has a non-negative reduced cost
-/// under the final potentials ([`certificate_holds`]), so the flow is
-/// minimum-cost at its value.
+/// The O(V + E) certificate of every SSP and
+/// [`Reoptimizer`](crate::Reoptimizer) answer. `sol` must be a feasible
+/// flow of its value: every arc within `0 ≤ flow − lower ≤ capacity −
+/// lower`, conservation at every node but `s` and `t`, and the claimed
+/// value and cost ([`validate`](crate::validate)). And every
+/// positive-capacity residual edge between reachable nodes must have a
+/// non-negative reduced cost under the final potentials
+/// ([`certificate_holds`]), so the flow is minimum-cost at its value.
 ///
 /// # Errors
 ///
-/// [`NetflowError::InvalidSolution`] when the certificate fails.
-pub(crate) fn certify(res: &Residual, ws: &SolverWorkspace) -> Result<(), NetflowError> {
+/// [`NetflowError::InvalidSolution`] when either half fails.
+pub(crate) fn certify(
+    net: &FlowNetwork,
+    s: NodeId,
+    t: NodeId,
+    res: &Residual,
+    ws: &SolverWorkspace,
+    sol: &FlowSolution,
+) -> Result<(), NetflowError> {
+    crate::validate(net, s, t, sol)?;
     if certificate_holds(res, &ws.node) {
         Ok(())
     } else {
@@ -239,6 +255,11 @@ pub(crate) fn check_endpoints_with(
 /// guarantees the next round's `dist_t` is strictly larger, so the phase
 /// count is bounded by the number of distinct shortest-path lengths.
 ///
+/// The labelling pass before each phase (the initial potentials for phase
+/// 0, the round's Dijkstra after that) leaves every node's tight in-arcs in
+/// the workspace, and the walk is confined to the nodes those lists connect
+/// to `t`; see [`blocking_flow_admissible`](crate::dinic::blocking_flow_admissible).
+///
 /// `res` must be finalized; `ws` is prepared here.
 pub(crate) fn ssp_run(
     res: &mut Residual,
@@ -246,6 +267,26 @@ pub(crate) fn ssp_run(
     t: usize,
     target: i64,
     ws: &mut SolverWorkspace,
+) -> Result<i64, NetflowError> {
+    ssp_phases(
+        res,
+        s,
+        t,
+        target,
+        ws,
+        crate::dinic::blocking_flow_admissible,
+    )
+}
+
+/// [`ssp_run`] with the blocking-flow walk as a parameter, so tests can run
+/// the same phases over a reference walk and compare.
+pub(crate) fn ssp_phases(
+    res: &mut Residual,
+    s: usize,
+    t: usize,
+    target: i64,
+    ws: &mut SolverWorkspace,
+    mut blocking_flow: impl FnMut(&mut Residual, usize, usize, &mut SolverWorkspace, i64) -> i64,
 ) -> Result<i64, NetflowError> {
     ws.prepare(res.node_count());
     initial_potentials(res, s, ws)?;
@@ -261,7 +302,7 @@ pub(crate) fn ssp_run(
     if flow < target && ws.node[t].potential < INF {
         budget.check_rounds("ssp", "augment", rounds)?;
         rounds += 1;
-        flow += crate::dinic::blocking_flow_admissible(res, s, t, ws, target - flow);
+        flow += blocking_flow(res, s, t, ws, target - flow);
     }
     while flow < target {
         budget.check_rounds("ssp", "augment", rounds)?;
@@ -271,7 +312,7 @@ pub(crate) fn ssp_run(
             break;
         }
         update_potentials(ws, dist_t);
-        let pushed = crate::dinic::blocking_flow_admissible(res, s, t, ws, target - flow);
+        let pushed = blocking_flow(res, s, t, ws, target - flow);
         debug_assert!(pushed > 0, "reachable sink must admit a blocking flow");
         flow += pushed;
     }
@@ -279,7 +320,8 @@ pub(crate) fn ssp_run(
 }
 
 /// Computes initial shortest-path potentials from `s` over positive-capacity
-/// residual edges, writing them into `ws.potential` (`INF` = unreachable).
+/// residual edges, writing them into `ws.potential` (`INF` = unreachable),
+/// and every node's tight in-arcs into `ws.pred_head` / `ws.pred`.
 ///
 /// When the positive-capacity subgraph is a DAG (detected with Kahn's
 /// algorithm), one relaxation pass in topological order suffices — O(V+E).
@@ -307,14 +349,37 @@ pub(crate) fn valid_potentials(
     potentials_from(res, None, ws)
 }
 
+/// Lowers `v`'s label to `nd` through the arc `u → v` if that is smaller,
+/// keeping `v`'s tight-in-arc list (a drop resets it to `[u]`, a tie adds
+/// `u`). Returns whether the label dropped.
+#[inline]
+fn relax_label(ws: &mut SolverWorkspace, u: usize, v: usize, nd: i64) -> bool {
+    let dv = ws.node[v].potential;
+    if nd < dv {
+        ws.node[v].potential = nd;
+        ws.add_pred(v, u, true);
+        true
+    } else {
+        if nd == dv {
+            ws.add_pred(v, u, false);
+        }
+        false
+    }
+}
+
 /// Shared body: `Some(s)` seeds single-source distances, `None` seeds every
-/// node at 0 (multi-source).
+/// node at 0 (multi-source). Every pass relaxes through [`relax_label`], so
+/// each finished label's tight in-arcs are listed: the DAG passes scan each
+/// tail once with its final label, and SPFA rescans a tail after every drop,
+/// which resets the lists of the heads it lowers.
 fn potentials_from(
     res: &Residual,
     source: Option<usize>,
     ws: &mut SolverWorkspace,
 ) -> Result<(), NetflowError> {
     let n = res.node_count();
+    ws.pred_head[..n].fill(NO_PRED);
+    ws.pred.clear();
     let seed = |ws: &mut SolverWorkspace| match source {
         Some(s) => {
             for st in &mut ws.node[..n] {
@@ -344,10 +409,7 @@ fn potentials_from(
             }
             for sl in &res.slots[res.active_slots(u)] {
                 if sl.cap > 0 {
-                    let v = sl.to as usize;
-                    if du + sl.cost < ws.node[v].potential {
-                        ws.node[v].potential = du + sl.cost;
-                    }
+                    relax_label(ws, u, sl.to as usize, du + sl.cost);
                 }
             }
         }
@@ -399,10 +461,7 @@ fn potentials_from(
             }
             for sl in &res.slots[res.active_slots(u)] {
                 if sl.cap > 0 {
-                    let v = sl.to as usize;
-                    if du + sl.cost < ws.node[v].potential {
-                        ws.node[v].potential = du + sl.cost;
-                    }
+                    relax_label(ws, u, sl.to as usize, du + sl.cost);
                 }
             }
         }
@@ -432,25 +491,22 @@ fn potentials_from(
             }
             let v = res.slots[slot].to as usize;
             let nd = du + res.slots[slot].cost;
-            if nd < ws.node[v].potential {
-                ws.node[v].potential = nd;
-                if !ws.in_queue[v] {
-                    ws.enqueues[v] += 1;
-                    if ws.enqueues[v] > limit {
-                        return Err(NetflowError::NegativeCycle);
-                    }
-                    // Small-label-first: likely-final labels jump the queue.
-                    if ws
-                        .queue
-                        .front()
-                        .is_some_and(|&f| nd < ws.node[f as usize].potential)
-                    {
-                        ws.queue.push_front(v as u32);
-                    } else {
-                        ws.queue.push_back(v as u32);
-                    }
-                    ws.in_queue[v] = true;
+            if relax_label(ws, u, v, nd) && !ws.in_queue[v] {
+                ws.enqueues[v] += 1;
+                if ws.enqueues[v] > limit {
+                    return Err(NetflowError::NegativeCycle);
                 }
+                // Small-label-first: likely-final labels jump the queue.
+                if ws
+                    .queue
+                    .front()
+                    .is_some_and(|&f| nd < ws.node[f as usize].potential)
+                {
+                    ws.queue.push_front(v as u32);
+                } else {
+                    ws.queue.push_back(v as u32);
+                }
+                ws.in_queue[v] = true;
             }
         }
     }
@@ -468,10 +524,16 @@ fn potentials_from(
 ///
 /// Returns the sink's distance (`INF` if unreachable). Does not build the
 /// parent tree: callers route flow through the admissible subgraph instead
-/// of a single parent path.
+/// of a single parent path. Instead every relaxation keeps the head's
+/// tight-in-arc list (`<` resets it, `==` adds the tail, settled heads
+/// included), so after the round each node within `dist_t` lists exactly
+/// the positive-capacity arcs `u → v` with `d(u) + reduced = d(v)`: such an
+/// arc's tail was scanned at its final label, and `d(v)` never drops below
+/// that value afterwards, so no later reset drops it.
 pub(crate) fn dijkstra_settle(res: &Residual, s: usize, t: usize, ws: &mut SolverWorkspace) -> i64 {
     ws.begin_round();
     ws.set_dist(s, 0);
+    ws.pred_head[s] = NO_PRED;
     ws.heap.push(0, s as u32);
     let mut dist_t = INF;
     while let Some((d, u)) = ws.heap.pop() {
@@ -504,9 +566,13 @@ pub(crate) fn dijkstra_settle(res: &Residual, s: usize, t: usize, ws: &mut Solve
             let reduced = sl.cost + pu - ws.node[v].potential;
             debug_assert!(reduced >= 0, "negative reduced cost");
             let nd = d + reduced;
-            if nd < ws.dist_of(v) {
+            let dv = ws.dist_of(v);
+            if nd < dv {
                 ws.set_dist(v, nd);
                 ws.heap.push(nd, v as u32);
+                ws.add_pred(v, u, true);
+            } else if nd == dv {
+                ws.add_pred(v, u, false);
             }
         }
     }
@@ -731,12 +797,36 @@ mod tests {
         let (res, ws) = guard.parts();
         let (super_s, super_t, required) = transform_into(&net, s, t, 1, res);
         assert_eq!(ssp_run(res, super_s, super_t, required, ws).unwrap(), 1);
-        assert_eq!(certify(res, ws), Ok(()));
+        let sol = solution_from_residual(&net, res, 1);
+        assert_eq!(certify(&net, s, t, res, ws, &sol), Ok(()));
         // One unit took s -> a -> t, so b -> t (cost 3) is still open;
         // raising t's potential past its cost makes that edge negative.
         ws.node[idx(t)].potential += 100;
-        let err = certify(res, ws).unwrap_err();
+        let err = certify(&net, s, t, res, ws, &sol).unwrap_err();
         assert!(matches!(err, NetflowError::InvalidSolution { .. }), "{err}");
         assert!(err.to_string().contains("certificate"), "{err}");
+    }
+
+    #[test]
+    fn certificate_rejects_a_broken_flow_and_a_breached_bound() {
+        let (net, s, t) = diamond();
+        let mut ws = SolverWorkspace::new();
+        let mut guard = ws.lease_arena();
+        let (res, ws) = guard.parts();
+        let (super_s, super_t, required) = transform_into(&net, s, t, 1, res);
+        assert_eq!(ssp_run(res, super_s, super_t, required, ws).unwrap(), 1);
+        let sol = solution_from_residual(&net, res, 1);
+        // The unit took s -> a -> t: a capacity below it breaches a bound.
+        let mut shrunk = net.clone();
+        shrunk
+            .set_arc_capacity(crate::ArcId(0), 0)
+            .expect("a valid capacity");
+        let err = certify(&shrunk, s, t, res, ws, &sol).unwrap_err();
+        assert!(err.to_string().contains("outside [0, 0]"), "{err}");
+        // A unit on b -> t that never entered b breaks conservation.
+        res.push(res.edge_of_arc[3], 1);
+        let sol = solution_from_residual(&net, res, 1);
+        let err = certify(&net, s, t, res, ws, &sol).unwrap_err();
+        assert!(err.to_string().contains("violates conservation"), "{err}");
     }
 }

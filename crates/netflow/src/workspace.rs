@@ -22,8 +22,11 @@ use std::collections::VecDeque;
 
 pub(crate) const INF: i64 = i64::MAX / 4;
 
+/// End of a tight-in-arc list in [`SolverWorkspace::pred`].
+pub(crate) const NO_PRED: u32 = u32::MAX;
+
 /// Hot per-node solver state: the potential, the epoch-stamped tentative
-/// distance and the blocking-flow BFS level, packed into one 24-byte record.
+/// distance and the blocking-flow walk flag, packed into one 24-byte record.
 /// An edge relaxation or admissibility test makes one random access at the
 /// head node; packing turns what used to be two or three parallel-array
 /// touches into a single cache line.
@@ -35,10 +38,11 @@ pub(crate) struct NodeState {
     pub dist: i64,
     /// Epoch stamp validating `dist` (Dijkstra rounds) or `level`
     /// (blocking-flow phases); each phase bumps the epoch, so the two uses
-    /// never overlap.
+    /// never overlap. In a blocking-flow phase the stamp is the *alive*
+    /// mark: only nodes stamped with the phase's epoch can reach the sink.
     pub stamp: u32,
-    /// BFS level of the admissible subgraph; valid while `stamp` equals the
-    /// epoch of the current blocking-flow phase.
+    /// Blocking-flow walk state: 1 while the node is on the walk's stack,
+    /// 0 otherwise; valid while `stamp` equals the phase's epoch.
     pub level: u32,
 }
 
@@ -146,8 +150,21 @@ pub struct SolverWorkspace {
     pub(crate) enqueues: Vec<u32>,
     /// Kahn in-degrees over positive-capacity edges.
     pub(crate) indegree: Vec<u32>,
-    /// Topological order buffer.
+    /// Topological order buffer; doubles as the stack of a blocking-flow
+    /// phase's alive marking.
     pub(crate) order: Vec<u32>,
+    /// Head of each node's tight-in-arc list in [`Self::pred`] (`NO_PRED`
+    /// when empty). A shortest-path labelling pass (the initial potentials
+    /// or a Dijkstra round) resets `v`'s list to `[u]` whenever `u` lowers
+    /// `v`'s label and appends `u` whenever `u` ties it, so after the pass
+    /// the list holds every positive-capacity arc `u → v` with
+    /// `label(u) + reduced cost = label(v)` among scanned tails. Valid for
+    /// every node the pass labelled; the blocking-flow phase walks these
+    /// lists backwards from the sink.
+    pub(crate) pred_head: Vec<u32>,
+    /// Arena of tight-in-arc list cells `(tail, next cell)`, cleared per
+    /// labelling pass. A reset orphans the node's old cells until then.
+    pub(crate) pred: Vec<(u32, u32)>,
     /// Distance labels of the cost-scaling set-relabel sweep.
     pub(crate) level: Vec<u32>,
     /// Per-node cursor into the active slot range: the current-arc pointer
@@ -218,6 +235,9 @@ impl SolverWorkspace {
         self.indegree.clear();
         self.indegree.resize(n, 0);
         self.order.clear();
+        self.pred_head.clear();
+        self.pred_head.resize(n, NO_PRED);
+        self.pred.clear();
         // `level`, `cursor`, `excess`, `price` and `dist_scratch` are
         // deliberately *not* sized here: only the blocking-flow and
         // cost-scaling solvers use them, and they reset exactly the prefix
@@ -278,9 +298,9 @@ impl SolverWorkspace {
         std::mem::replace(&mut self.budget, budget)
     }
 
-    /// Starts a new label phase (a Dijkstra round or a blocking-flow BFS):
-    /// invalidates all distance and level labels in O(1) by bumping the
-    /// epoch.
+    /// Starts a new label phase (a Dijkstra round or a blocking-flow
+    /// phase): invalidates all distance labels and alive marks in O(1) by
+    /// bumping the epoch.
     pub(crate) fn begin_phase(&mut self) {
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
@@ -294,11 +314,22 @@ impl SolverWorkspace {
     }
 
     /// Starts a new shortest-path round: [`Self::begin_phase`] plus the
-    /// frontier reset and the effort counter.
+    /// frontier and tight-in-arc arena resets and the effort counter.
     pub(crate) fn begin_round(&mut self) {
         self.dijkstra_rounds += 1;
         self.begin_phase();
         self.heap.reset();
+        self.pred.clear();
+    }
+
+    /// Records the tight arc `u → v` in `v`'s tight-in-arc list: `fresh`
+    /// (the arc lowered `v`'s label) starts the list over, otherwise (the
+    /// arc tied it) the arc is prepended.
+    #[inline]
+    pub(crate) fn add_pred(&mut self, v: usize, u: usize, fresh: bool) {
+        let next = if fresh { NO_PRED } else { self.pred_head[v] };
+        self.pred_head[v] = self.pred.len() as u32;
+        self.pred.push((u as u32, next));
     }
 
     /// Distance label of `v` this round (`INF` if untouched).
@@ -320,7 +351,7 @@ impl SolverWorkspace {
         st.dist = d;
     }
 
-    /// Sets the BFS level of `v` for this phase.
+    /// Sets the walk flag of `v` for this phase (stamping it alive).
     #[inline]
     pub(crate) fn set_level(&mut self, v: usize, level: u32) {
         let st = &mut self.node[v];
