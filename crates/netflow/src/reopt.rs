@@ -50,9 +50,9 @@
 //! returns, an O(V + E) pass: the flow must respect every arc's bounds and
 //! conserve flow at every node, and each positive-capacity residual edge
 //! between covered nodes must have a non-negative reduced cost under the
-//! retained potentials. A violation is [`NetflowError::InvalidSolution`], which a
-//! [`ResilientSolver`](crate::ResilientSolver) absorbs as an incident and
-//! answers with a cold solve.
+//! retained potentials. A violation is [`NetflowError::InvalidSolution`],
+//! which a [`ResilientSolver`](crate::ResilientSolver) absorbs as an
+//! incident and answers with a cold solve.
 //!
 //! # Examples
 //!
@@ -176,8 +176,8 @@ impl Reoptimizer {
     /// negative-cycle errors are always diagnosed by a cold solve, so the
     /// error values are identical to the cold path's. Warm and cold answers
     /// alike return [`NetflowError::InvalidSolution`] when the retained flow
-    /// or potentials fail the feasibility-and-optimality certificate. After an
-    /// error the retained state is dropped and the next call starts cold.
+    /// or potentials fail the feasibility-and-optimality certificate. After
+    /// an error the retained state is dropped and the next call starts cold.
     pub fn solve(
         &mut self,
         net: &FlowNetwork,

@@ -156,7 +156,7 @@ pub struct SolverWorkspace {
     /// Head of each node's tight-in-arc list in [`Self::pred`] (`NO_PRED`
     /// when empty). A shortest-path labelling pass (the initial potentials
     /// or a Dijkstra round) resets `v`'s list to `[u]` whenever `u` lowers
-    /// `v`'s label and appends `u` whenever `u` ties it, so after the pass
+    /// `v`'s label and adds `u` whenever `u` ties it, so after the pass
     /// the list holds every positive-capacity arc `u → v` with
     /// `label(u) + reduced cost = label(v)` among scanned tails. Valid for
     /// every node the pass labelled; the blocking-flow phase walks these
