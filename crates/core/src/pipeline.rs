@@ -144,6 +144,7 @@ impl PipelineStats {
         solver: SolverStats {
             dijkstra_rounds: 0,
             pushed_units: 0,
+            settled_nodes: 0,
             incidents: 0,
         },
         warm_solves: 0,

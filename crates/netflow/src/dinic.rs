@@ -126,11 +126,17 @@ pub(crate) fn dinic(res: &mut Residual, s: usize, t: usize) -> i64 {
 /// reduced cost under the node potentials. Returns the units pushed (0 when `t`
 /// is not admissible-reachable).
 ///
-/// The phase first stamps *alive* every node whose tight-in-arc list
-/// connects it to `t` (the lists the labelling pass before the phase left in
-/// `ws.pred_head`; see [`dijkstra_settle`](crate::ssp::dijkstra_settle)),
-/// then runs current-arc DFS walks from `s` that enter alive nodes only — no
-/// BFS levelling pass. Any admissible `s → t` path is a shortest path
+/// The phase first stamps *alive* every node that lies on a shortest `s → t`
+/// path, using the tight-arc lists the labelling pass before the phase left
+/// in `ws.pred_head`: after a source-side pass
+/// ([`dijkstra_settle`](crate::ssp::dijkstra_settle) or the initial
+/// potentials) they hold in-arcs and the marking walks them backwards from
+/// `t`; after a sink-side round
+/// ([`dijkstra_settle_to_sink`](crate::ssp::dijkstra_settle_to_sink)) they
+/// hold out-arcs and it walks them forwards from `s`. Either way the alive
+/// set is the nodes `v` with `d(v) + d'(v) = d(s, t)`. The phase then runs
+/// current-arc DFS walks from `s` that enter alive nodes only — no BFS
+/// levelling pass. Any admissible `s → t` path is a shortest path
 /// (reduced costs telescope to the same total), so the walk needs no level
 /// graph for *optimality*; an on-stack flag keeps each walk acyclic through
 /// zero-cost admissible cycles, and persistent cursors retire each arc at
@@ -144,7 +150,13 @@ pub(crate) fn dinic(res: &mut Residual, s: usize, t: usize) -> i64 {
 /// the walk can enter ever reaches `t` during the phase: the unpruned walk
 /// would only have exhausted its cursor. The first walk starts with fresh
 /// cursors, and an exhausted cursor or the on-stack flag both act as
-/// "visited", so it is a plain DFS and reaches `t` whenever `s` is alive.
+/// "visited", so it is a plain DFS and reaches `t` whenever both ends are
+/// alive.
+///
+/// The two sides' potentials differ only off the alive set: on it both
+/// updates add `d(v)`, so the admissible arcs between alive nodes, the
+/// cursors rewound and hence every push are the same whichever side
+/// labelled last.
 pub(crate) fn blocking_flow_admissible(
     res: &mut Residual,
     s: usize,
@@ -153,8 +165,9 @@ pub(crate) fn blocking_flow_admissible(
     limit: i64,
 ) -> i64 {
     ws.begin_phase();
-    mark_alive(ws, t, res.node_count());
-    if ws.node[s].stamp != ws.epoch {
+    let root = if ws.out_lists { s } else { t };
+    mark_alive(ws, root, res.node_count());
+    if ws.node[s].stamp != ws.epoch || ws.node[t].stamp != ws.epoch {
         return 0;
     }
     let mut total = 0i64;
@@ -169,15 +182,17 @@ pub(crate) fn blocking_flow_admissible(
     total
 }
 
-/// Stamps `t` and every node its tight-in-arc lists reach, walking them
-/// backwards, with the current phase epoch (walk flag 0), and rewinds those
-/// nodes' cursors: only they are ever entered by this phase's walks.
-fn mark_alive(ws: &mut SolverWorkspace, t: usize, n: usize) {
+/// Stamps `root` and every node its tight-arc lists reach with the current
+/// phase epoch (walk flag 0), and rewinds those nodes' cursors: only they
+/// are ever entered by this phase's walks. The root is `t` when the lists
+/// hold in-arcs (the marking walks them backwards) and `s` when they hold
+/// out-arcs (forwards).
+fn mark_alive(ws: &mut SolverWorkspace, root: usize, n: usize) {
     ws.cursor.resize(n, 0);
-    ws.set_level(t, 0);
-    ws.cursor[t] = 0;
+    ws.set_level(root, 0);
+    ws.cursor[root] = 0;
     ws.order.clear();
-    ws.order.push(t as u32);
+    ws.order.push(root as u32);
     while let Some(v) = ws.order.pop() {
         let mut cell = ws.pred_head[v as usize];
         while cell != NO_PRED {

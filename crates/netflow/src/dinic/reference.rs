@@ -3,12 +3,13 @@
 //! used to run when its first walk pushed nothing. The identity tests below
 //! run the SSP phases over both walks and demand identical outcomes, and
 //! that the fallback never pushes a unit — the invariant that let the
-//! production walk drop it.
+//! production walk drop it. They also run the phases with alternating and
+//! with source-side-only Dijkstra rounds and demand identical outcomes.
 
 use super::blocking_flow_admissible;
 use crate::graph::{FlowNetwork, NodeId};
 use crate::residual::Residual;
-use crate::ssp::{ssp_phases, transform_into};
+use crate::ssp::{certificate_holds, ssp_phases, transform_into};
 use crate::workspace::{SolverWorkspace, INF};
 use crate::NetflowError;
 
@@ -175,26 +176,33 @@ fn admissible_dfs(
 }
 
 /// Everything a solve's phases decide: the outcome, the flow on every
-/// residual edge pair (supply edges included), and the effort counters.
+/// residual edge pair (supply edges included), the effort counters, and
+/// whether the final potentials pass the reduced-cost certificate.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     result: Result<i64, NetflowError>,
     flows: Vec<i64>,
     dijkstra_rounds: u64,
     pushed_units: u64,
+    certified: bool,
 }
 
+/// Runs the SSP phases over `walk`, with alternating rounds when
+/// `alternate`, else source-side rounds only.
 fn run(
     net: &FlowNetwork,
     s: NodeId,
     t: NodeId,
     target: i64,
+    alternate: bool,
     walk: impl FnMut(&mut Residual, usize, usize, &mut SolverWorkspace, i64) -> i64,
 ) -> Outcome {
     let mut ws = SolverWorkspace::new();
     let mut res = Residual::default();
     let (super_s, super_t, required) = transform_into(net, s, t, target, &mut res);
-    let result = ssp_phases(&mut res, super_s, super_t, required, &mut ws, walk);
+    let result = ssp_phases(
+        &mut res, super_s, super_t, required, &mut ws, alternate, walk,
+    );
     let flows = (0..res.edge_count() as u32)
         .step_by(2)
         .map(|e| res.flow_on(e))
@@ -205,6 +213,7 @@ fn run(
         flows,
         dijkstra_rounds: stats.dijkstra_rounds,
         pushed_units: stats.pushed_units,
+        certified: certificate_holds(&res, &ws.node),
     }
 }
 
@@ -218,12 +227,29 @@ fn versus_reference(
     walk: impl FnMut(&mut Residual, usize, usize, &mut SolverWorkspace, i64) -> i64,
 ) -> (Outcome, Outcome, i64) {
     let mut fallback_units = 0;
-    let reference = run(net, s, t, target, |res, s, t, ws, limit| {
+    let reference = run(net, s, t, target, true, |res, s, t, ws, limit| {
         let (pushed, fallback) = blocking_flow_unpruned(res, s, t, ws, limit);
         fallback_units += fallback;
         pushed
     });
-    (run(net, s, t, target, walk), reference, fallback_units)
+    (
+        run(net, s, t, target, true, walk),
+        reference,
+        fallback_units,
+    )
+}
+
+/// Solves with alternating rounds over `walk` and with source-side rounds
+/// only over the production walk. Returns the two outcomes.
+fn versus_source_side(
+    net: &FlowNetwork,
+    s: NodeId,
+    t: NodeId,
+    target: i64,
+    walk: impl FnMut(&mut Residual, usize, usize, &mut SolverWorkspace, i64) -> i64,
+) -> (Outcome, Outcome) {
+    let source_side = run(net, s, t, target, false, blocking_flow_admissible);
+    (run(net, s, t, target, true, walk), source_side)
 }
 
 mod tests {
@@ -297,6 +323,22 @@ mod tests {
             prop_assert_eq!(pruned, reference);
             prop_assert_eq!(fallback_units, 0);
         }
+
+        /// Alternating source-side and sink-side rounds decide exactly what
+        /// source-side rounds alone decide: same outcome, same flow on
+        /// every edge, same Dijkstra rounds and pushed units. The final
+        /// potentials differ off the shortest paths but pass the
+        /// certificate on both sides.
+        #[test]
+        fn alternating_rounds_match_source_side_rounds(net in random_net(), target in 0i64..8) {
+            let (net, s, t) = build(&net);
+            let (alternating, source_side) =
+                versus_source_side(&net, s, t, target, blocking_flow_admissible);
+            if alternating.result.is_ok() {
+                prop_assert!(alternating.certified);
+            }
+            prop_assert_eq!(alternating, source_side);
+        }
     }
 
     /// The identity check is not vacuous: dropping one tight arc from a
@@ -327,5 +369,41 @@ mod tests {
         assert_eq!(pruned.result, reference.result);
         assert_ne!(pruned, reference);
         assert_eq!(pruned.dijkstra_rounds, 1);
+    }
+
+    /// The alternating identity is not vacuous: after phase 0 routes the
+    /// free unit through `a`, one sink-side round ties `s → b → t` and
+    /// `s → c → t`, and `s` lists both out-arcs. Dropping one leaves a
+    /// shortest path unwalked, and the extra round shows.
+    #[test]
+    fn a_dropped_tight_out_arc_breaks_the_identity() {
+        let mut net = FlowNetwork::new();
+        let [s, a, b, c, t] = [(); 5].map(|()| net.add_node());
+        for (u, v, cost) in [
+            (s, a, 0),
+            (a, t, 0),
+            (s, b, 1),
+            (b, t, 0),
+            (s, c, 1),
+            (c, t, 0),
+        ] {
+            net.add_arc(u, v, 1, cost).unwrap();
+        }
+        let source = s.index();
+        let (intact, source_side) = versus_source_side(&net, s, t, 3, blocking_flow_admissible);
+        assert_eq!(intact, source_side);
+        assert_eq!(source_side.dijkstra_rounds, 1, "one round after phase 0");
+        let (corrupted, source_side) =
+            versus_source_side(&net, s, t, 3, |res, super_s, super_t, ws, limit| {
+                if ws.out_lists {
+                    // `s` lists both `s -> b` and `s -> c`; drop one.
+                    let head = ws.pred_head[source] as usize;
+                    ws.pred_head[source] = ws.pred[head].1;
+                }
+                blocking_flow_admissible(res, super_s, super_t, ws, limit)
+            });
+        assert_eq!(corrupted.result, source_side.result);
+        assert_ne!(corrupted, source_side);
+        assert_eq!(corrupted.dijkstra_rounds, 2);
     }
 }

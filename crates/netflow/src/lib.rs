@@ -43,11 +43,14 @@
 //! relaxation instead of Bellman–Ford;
 //! cyclic networks fall back to deque-based SPFA. Dijkstra's frontier is a
 //! monotone radix heap rather than a binary heap, because bucketed O(1)
-//! pushes are what the counting favours: a 512-variable allocation runs 63
-//! full-settle rounds of ≈4 200 pushes and ≈2 990 pops each. Every round
-//! also records each node's tight in-arcs, so the blocking flow that
-//! follows enters only the ≈190 nodes per phase that can still reach the
-//! sink.
+//! pushes are what the counting favours. After the first phase the rounds
+//! alternate between labelling from the source and from the sink, and each
+//! side's potentials make the other side's search goal-directed: a
+//! 512-variable allocation runs 63 rounds that settle ≈1 340 of its ≈2 830
+//! nodes each, with ≈2 780 pushes and ≈1 410 pops per round on average,
+//! where source-side rounds alone settled every node. Every round also
+//! records each node's tight arcs, so the blocking flow that follows
+//! enters only the ≈190 nodes per phase that lie on a shortest path.
 //!
 //! The end-to-end cost of one 512-variable allocation is measured by the
 //! `block_512` workload of the performance ledger (`ledger/` at the

@@ -643,6 +643,7 @@ impl State {
             if d > self.ws.dist_of(u) {
                 continue;
             }
+            self.ws.settled_nodes += 1;
             if self.excess[u] < 0 {
                 return Some((u, d));
             }

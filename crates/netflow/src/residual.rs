@@ -30,6 +30,13 @@
 //!
 //! After `finalize`, the slot arrays are the single source of truth for
 //! capacities; [`ResEdge::initial_cap`] is only the staging value.
+//!
+//! A scan of `v`'s whole slot range also sees every residual edge *into*
+//! `v`: each slot's edge `e` runs `v → w`, and its partner `e ^ 1` runs
+//! `w → v` at cost `-cost` with capacity `pair_cap[e >> 1] − cap`.
+//! [`Residual::pair_cap`] holds each pair's capacity sum, which pushes
+//! leave invariant, so sink-side shortest-path rounds read partner
+//! capacities without growing [`Slot`] or chasing `slot_of`.
 
 use crate::canon::CacheStamp;
 use crate::graph::{FlowNetwork, NodeId};
@@ -63,6 +70,11 @@ pub(crate) struct Slot {
     /// Index of the edge occupying this slot.
     pub edge: u32,
 }
+
+// Scans stream slots; a wider record (say, a partner-capacity field) costs
+// every solve cache lines and peak memory. Partner capacities come from
+// `Residual::pair_cap` instead.
+const _: () = assert!(std::mem::size_of::<Slot>() == 24);
 
 /// Identity of the [`Residual::build_transformed`] call that produced the
 /// current CSR layout, kept alongside a mutation journal so a repeat of the
@@ -113,6 +125,11 @@ pub(crate) struct Residual {
     pub active_end: Vec<u32>,
     /// CSR slot of each edge index (inverse of `adj`).
     slot_of: Vec<u32>,
+    /// Per edge pair `k`: `cap(2k) + cap(2k + 1)`, the pair's capacity
+    /// sum. Pushes only move capacity within a pair, so only builds and
+    /// [`Residual::set_cap_of`] write it; the partner of the edge in any
+    /// slot has residual capacity `pair_cap[edge >> 1] − slot.cap`.
+    pub pair_cap: Vec<i64>,
     /// Placement cursor scratch for [`Residual::finalize`] and
     /// [`Residual::build_transformed`], kept here so arena-reused graphs
     /// rebuild without allocating.
@@ -154,6 +171,7 @@ impl Residual {
             slots: Vec::new(),
             active_end: Vec::new(),
             slot_of: Vec::new(),
+            pair_cap: Vec::new(),
             cursor: Vec::new(),
             cursor2: Vec::new(),
             excess: Vec::new(),
@@ -310,6 +328,8 @@ impl Residual {
             self.slots.resize(m, Slot::default());
             self.slot_of.resize(m, 0);
         }
+        self.pair_cap.clear();
+        self.pair_cap.reserve(m / 2);
 
         // Pass 2: placement, writing the live slots directly. The
         // destructuring borrow keeps both array bases in registers across
@@ -322,6 +342,7 @@ impl Residual {
             cursor2,
             excess,
             edge_of_arc,
+            pair_cap,
             ..
         } = self;
         let mut place = |u: usize, v: usize, c: i64, w: i64, e: u32, active: bool| {
@@ -348,6 +369,7 @@ impl Residual {
             let e = (2 * i) as u32;
             place(u, v, rc, arc.cost, e, rc > 0);
             place(v, u, 0, -arc.cost, e + 1, false);
+            pair_cap.push(rc);
         }
         let mut e = (2 * arcs.len()) as u32;
         for (v, &ex) in excess.iter().enumerate().take(n) {
@@ -360,6 +382,7 @@ impl Residual {
             } else {
                 continue;
             }
+            pair_cap.push(ex.abs());
             e += 2;
         }
         edge_of_arc.extend((0..arcs.len() as u32).map(|i| 2 * i));
@@ -387,6 +410,7 @@ impl Residual {
         self.slots.clear();
         self.active_end.clear();
         self.slot_of.clear();
+        self.pair_cap.clear();
     }
 
     /// Adds a forward/backward edge pair; returns the forward edge index.
@@ -430,6 +454,12 @@ impl Residual {
         self.slots.resize(m, Slot::default());
         self.slot_of.clear();
         self.slot_of.resize(m, 0);
+        self.pair_cap.clear();
+        self.pair_cap.extend(
+            self.edges
+                .chunks_exact(2)
+                .map(|pair| pair[0].initial_cap + pair[1].initial_cap),
+        );
         // Two placement passes per node: initially-positive edges first (the
         // active prefix), then the zero-capacity ones; insertion order is
         // preserved within each group.
@@ -571,6 +601,7 @@ impl Residual {
         self.built = None;
         self.journal.clear();
         let slot = self.slot_of[e as usize] as usize;
+        self.pair_cap[(e >> 1) as usize] += cap - self.slots[slot].cap;
         self.slots[slot].cap = cap;
         if cap > 0 {
             self.activate(e, slot);
@@ -788,6 +819,55 @@ mod tests {
         assert_eq!(r.cap_of(e), 4);
         assert_eq!(r.cap_of(e ^ 1), 3);
         assert_eq!(r.cap_of(f), 2);
+    }
+
+    /// `pair_cap[k]` is `cap(2k) + cap(2k + 1)` for every pair, through
+    /// pushes, the activations they cause, a journal rewind and
+    /// `set_cap_of`, on both build paths.
+    #[test]
+    fn pair_capacities_track_every_mutation() {
+        fn assert_pairs(r: &Residual) {
+            for (k, &sum) in r.pair_cap.iter().enumerate() {
+                let e = 2 * k as u32;
+                assert_eq!(sum, r.cap_of(e) + r.cap_of(e + 1), "pair {k}");
+            }
+        }
+        let mut net = FlowNetwork::new();
+        let [s, a, b, t] = [(); 4].map(|()| net.add_node());
+        net.add_arc_bounded(s, a, 1, 3, 2).unwrap();
+        net.add_arc(a, b, 2, -1).unwrap();
+        net.add_arc(b, t, 4, 0).unwrap();
+        net.add_arc(s, t, 1, 5).unwrap();
+        let mut r = Residual::default();
+        let built = r.build_transformed(&net, s.index(), t.index(), 2);
+        assert_eq!(r.pair_cap.len(), r.edge_count() / 2);
+        assert_pairs(&r);
+        let (a_b, b_t) = (r.edge_of_arc[1], r.edge_of_arc[2]);
+        let dormant = r.active_slots(b.index()).len();
+        r.push(a_b, 2);
+        r.push(b_t, 1);
+        assert!(
+            r.active_slots(b.index()).len() > dormant,
+            "a push activated b -> a"
+        );
+        assert_pairs(&r);
+        // The same request again rewinds the journal instead of rebuilding.
+        assert_eq!(r.build_transformed(&net, s.index(), t.index(), 2), built);
+        assert_eq!(r.flow_on(a_b), 0);
+        assert_pairs(&r);
+        r.set_cap_of(a_b, 1);
+        r.set_cap_of(a_b ^ 1, 3);
+        assert_pairs(&r);
+        assert_eq!(r.pair_cap[(a_b >> 1) as usize], 4);
+
+        let mut r = Residual::new(3);
+        let e = r.add_edge(0, 1, 5, 1);
+        r.add_edge(1, 2, 2, 1);
+        r.finalize();
+        assert_pairs(&r);
+        r.push(e, 3);
+        r.set_cap_of(e ^ 1, 0);
+        assert_pairs(&r);
     }
 
     #[test]

@@ -5,12 +5,16 @@
 //! (always true for the allocation networks of `lemra-core`), and from SPFA
 //! with a deque otherwise (the general case, including negative arc costs on
 //! cyclic networks). After that, reduced costs are non-negative and each
-//! phase runs one Dijkstra round over a monotone radix heap that settles
-//! every node within the sink's distance (ties included), folds those exact
+//! phase runs one Dijkstra round over a monotone radix heap, folds its exact
 //! distances into the potentials and pushes a blocking flow over the
-//! zero-reduced-cost arcs. Every labelling pass also records each node's
-//! tight in-arcs, so a phase's walk visits only nodes that can still reach
-//! the sink; see [`ssp_run`].
+//! zero-reduced-cost arcs. The rounds alternate sides: one labels distances
+//! from the source and settles every node within the sink's distance, the
+//! next labels distances to the sink and settles every node within the
+//! source's ([`dijkstra_settle_to_sink`]). Each round's potentials make the
+//! other side's search goal-directed, so it settles only nodes near a
+//! shortest path. Every labelling pass also records each node's tight arcs
+//! towards the side it started from, so a phase's walk visits only nodes on
+//! a shortest path; see [`ssp_run`].
 //!
 //! All per-node scratch state lives in a [`SolverWorkspace`] reused across
 //! augmentations and across solves; see [`min_cost_flow_with`].
@@ -245,8 +249,9 @@ pub(crate) fn check_endpoints_with(
 /// moved from `s` to `t` or `t` becomes unreachable. Returns the units
 /// moved.
 ///
-/// Each phase settles every node within the sink's distance with a full
-/// Dijkstra round ([`dijkstra_settle`]), folds those *exact* distances into
+/// Each phase labels every node that can lie on a shortest path exactly,
+/// with a Dijkstra round from the source ([`dijkstra_settle`]) or from the
+/// sink ([`dijkstra_settle_to_sink`]), folds those *exact* distances into
 /// the potentials, and then pushes a blocking flow over the admissible
 /// subgraph — the arcs whose reduced cost is zero. Any admissible `s → t`
 /// path telescopes to reduced length exactly `dist_t`, i.e. it is a true
@@ -256,9 +261,15 @@ pub(crate) fn check_endpoints_with(
 /// count is bounded by the number of distinct shortest-path lengths.
 ///
 /// The labelling pass before each phase (the initial potentials for phase
-/// 0, the round's Dijkstra after that) leaves every node's tight in-arcs in
+/// 0, the round's Dijkstra after that) leaves every node's tight arcs in
 /// the workspace, and the walk is confined to the nodes those lists connect
-/// to `t`; see [`blocking_flow_admissible`](crate::dinic::blocking_flow_admissible).
+/// to `t` or to `s`; see
+/// [`blocking_flow_admissible`](crate::dinic::blocking_flow_admissible).
+///
+/// After phase 0 the rounds alternate sides, starting from the sink. Both
+/// sides leave the same potentials on every node of a shortest path, so
+/// the walks, and hence the flows and round counts, are exactly those of
+/// source-side rounds alone; only the number of settled nodes differs.
 ///
 /// `res` must be finalized; `ws` is prepared here.
 pub(crate) fn ssp_run(
@@ -274,18 +285,22 @@ pub(crate) fn ssp_run(
         t,
         target,
         ws,
+        true,
         crate::dinic::blocking_flow_admissible,
     )
 }
 
-/// [`ssp_run`] with the blocking-flow walk as a parameter, so tests can run
-/// the same phases over a reference walk and compare.
+/// [`ssp_run`] with the round sides and the blocking-flow walk as
+/// parameters, so tests can run the same phases with source-side rounds
+/// only, or over a reference walk, and compare. `alternate` false runs
+/// every round from the source.
 pub(crate) fn ssp_phases(
     res: &mut Residual,
     s: usize,
     t: usize,
     target: i64,
     ws: &mut SolverWorkspace,
+    alternate: bool,
     mut blocking_flow: impl FnMut(&mut Residual, usize, usize, &mut SolverWorkspace, i64) -> i64,
 ) -> Result<i64, NetflowError> {
     ws.prepare(res.node_count());
@@ -304,16 +319,34 @@ pub(crate) fn ssp_phases(
         rounds += 1;
         flow += blocking_flow(res, s, t, ws, target - flow);
     }
+    let mut from_sink = alternate;
     while flow < target {
         budget.check_rounds("ssp", "augment", rounds)?;
         rounds += 1;
-        let dist_t = dijkstra_settle(res, s, t, ws);
-        if dist_t >= INF {
-            break;
+        if from_sink {
+            let dist_s = dijkstra_settle_to_sink(res, s, t, ws);
+            if dist_s >= INF {
+                break;
+            }
+            update_potentials_to_sink(ws, dist_s);
+        } else {
+            let dist_t = dijkstra_settle(res, s, t, ws);
+            if dist_t >= INF {
+                break;
+            }
+            update_potentials(ws, dist_t);
         }
-        update_potentials(ws, dist_t);
+        from_sink = alternate && !from_sink;
         let pushed = blocking_flow(res, s, t, ws, target - flow);
-        debug_assert!(pushed > 0, "reachable sink must admit a blocking flow");
+        if pushed == 0 {
+            // A shortest path exists, so exact potentials admit at least
+            // one unit; pushing none means stale lists or cursors, and
+            // another round would find the same path forever.
+            return Err(NetflowError::InvalidSolution {
+                reason: "a blocking-flow phase pushed no flow although the sink is reachable"
+                    .to_owned(),
+            });
+        }
         flow += pushed;
     }
     Ok(flow)
@@ -321,7 +354,8 @@ pub(crate) fn ssp_phases(
 
 /// Computes initial shortest-path potentials from `s` over positive-capacity
 /// residual edges, writing them into `ws.potential` (`INF` = unreachable),
-/// and every node's tight in-arcs into `ws.pred_head` / `ws.pred`.
+/// and every node's tight in-arcs into `ws.pred_head` / `ws.pred`, which
+/// the blocking flow of phase 0 walks.
 ///
 /// When the positive-capacity subgraph is a DAG (detected with Kahn's
 /// algorithm), one relaxation pass in topological order suffices — O(V+E).
@@ -380,6 +414,7 @@ fn potentials_from(
     let n = res.node_count();
     ws.pred_head[..n].fill(NO_PRED);
     ws.pred.clear();
+    ws.out_lists = false;
     let seed = |ws: &mut SolverWorkspace| match source {
         Some(s) => {
             for st in &mut ws.node[..n] {
@@ -530,8 +565,13 @@ fn potentials_from(
 /// the positive-capacity arcs `u → v` with `d(u) + reduced = d(v)`: such an
 /// arc's tail was scanned at its final label, and `d(v)` never drops below
 /// that value afterwards, so no later reset drops it.
+///
+/// Run after a sink-side round, whose potentials make each node's reduced
+/// distance from `s` its detour over a shortest path, the round settles
+/// only nodes near the shortest paths; see [`dijkstra_settle_to_sink`].
 pub(crate) fn dijkstra_settle(res: &Residual, s: usize, t: usize, ws: &mut SolverWorkspace) -> i64 {
     ws.begin_round();
+    ws.out_lists = false;
     ws.set_dist(s, 0);
     ws.pred_head[s] = NO_PRED;
     ws.heap.push(0, s as u32);
@@ -544,6 +584,7 @@ pub(crate) fn dijkstra_settle(res: &Residual, s: usize, t: usize, ws: &mut Solve
         if d > ws.dist_of(u) {
             continue;
         }
+        ws.settled_nodes += 1;
         if u == t {
             dist_t = d;
             continue;
@@ -595,6 +636,92 @@ pub(crate) fn update_potentials(ws: &mut SolverWorkspace, dist_t: i64) {
                 dist_t
             };
             st.potential += d;
+        }
+    }
+}
+
+/// The mirror of [`dijkstra_settle`]: a Dijkstra round from `t` over
+/// residual in-arcs that labels `d'(v)`, the reduced distance from `v` to
+/// `t`, and settles every node with `d' ≤ d'(s)`, ties included. Returns
+/// `d'(s)` (`INF` if `s` cannot reach `t`).
+///
+/// The in-arcs of `v` are the partners of the edges in `v`'s whole slot
+/// range: edge `e = v → u` in a slot means `e ^ 1 = u → v`, at cost
+/// `-cost` and with capacity `pair_cap[e >> 1] − cap`. Every relaxation
+/// keeps the tail's tight-*out*-arc list (`<` resets it, `==` adds the
+/// head), so after the round each node within `d'(s)` lists exactly the
+/// positive-capacity arcs `u → v` with `d'(u) = reduced + d'(v)`.
+///
+/// After a source-side round every node that round settled has its exact
+/// distance from `s` as its potential, so its reduced distance to `t` is
+/// its detour over a shortest path: this search settles only nodes near
+/// the shortest paths, where a source-side one would settle nearly every
+/// node, the sink being the farthest.
+pub(crate) fn dijkstra_settle_to_sink(
+    res: &Residual,
+    s: usize,
+    t: usize,
+    ws: &mut SolverWorkspace,
+) -> i64 {
+    ws.begin_round();
+    ws.out_lists = true;
+    if ws.node[t].potential >= INF {
+        return INF;
+    }
+    ws.set_dist(t, 0);
+    ws.pred_head[t] = NO_PRED;
+    ws.heap.push(0, t as u32);
+    let mut dist_s = INF;
+    while let Some((d, v)) = ws.heap.pop() {
+        if d > dist_s {
+            break;
+        }
+        let v = v as usize;
+        if d > ws.dist_of(v) {
+            continue;
+        }
+        ws.settled_nodes += 1;
+        if v == s {
+            dist_s = d;
+            continue;
+        }
+        let pv = ws.node[v].potential;
+        for sl in &res.slots[res.all_slots(v)] {
+            if res.pair_cap[(sl.edge >> 1) as usize] - sl.cap <= 0 {
+                continue;
+            }
+            let u = sl.to as usize;
+            let pu = ws.node[u].potential;
+            if pu >= INF {
+                continue;
+            }
+            let reduced = pu - sl.cost - pv;
+            debug_assert!(reduced >= 0, "negative reduced cost");
+            let nd = d + reduced;
+            let du = ws.dist_of(u);
+            if nd < du {
+                ws.set_dist(u, nd);
+                ws.heap.push(nd, u as u32);
+                ws.add_pred(u, v, true);
+            } else if nd == du {
+                ws.add_pred(u, v, false);
+            }
+        }
+    }
+    dist_s
+}
+
+/// Folds a sink-side round's distances into the potentials:
+/// `π(v) += d'(s) − min(d'(v), d'(s))`, unlabelled nodes counting as
+/// `d'(s)`. This is the mirror of [`update_potentials`], so it keeps every
+/// reduced cost non-negative. On a node of a shortest path `d(v) + d'(v) =
+/// d'(s)`, so there it adds exactly the source-side update's `d(v)`, and
+/// reduced costs between such nodes come out the same on both sides.
+pub(crate) fn update_potentials_to_sink(ws: &mut SolverWorkspace, dist_s: i64) {
+    let epoch = ws.epoch;
+    for st in &mut ws.node {
+        if st.potential < INF && st.stamp == epoch && st.dist < dist_s {
+            st.potential += dist_s - st.dist;
         }
     }
 }
@@ -805,6 +932,39 @@ mod tests {
         let err = certify(&net, s, t, res, ws, &sol).unwrap_err();
         assert!(matches!(err, NetflowError::InvalidSolution { .. }), "{err}");
         assert!(err.to_string().contains("certificate"), "{err}");
+    }
+
+    /// A phase that pushes nothing while the sink is reachable is a solver
+    /// bug (stale lists or cursors); the next round would find the same
+    /// path again, so the phases report it instead of looping.
+    #[test]
+    fn a_phase_that_pushes_nothing_is_an_error_not_a_hang() {
+        let (net, s, t) = diamond();
+        let mut ws = SolverWorkspace::new();
+        let mut guard = ws.lease_arena();
+        let (res, ws) = guard.parts();
+        let (super_s, super_t, required) = transform_into(&net, s, t, 2, res);
+        let mut phases = 0;
+        // Phase 0 moves the unit over `a`; the unit over `b` needs a round.
+        let err = ssp_phases(
+            res,
+            super_s,
+            super_t,
+            required,
+            ws,
+            true,
+            |res, s, t, ws, limit| {
+                phases += 1;
+                if phases == 1 {
+                    crate::dinic::blocking_flow_admissible(res, s, t, ws, limit)
+                } else {
+                    0
+                }
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(err, NetflowError::InvalidSolution { .. }), "{err}");
+        assert_eq!(phases, 2);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 pub(crate) const INF: i64 = i64::MAX / 4;
 
-/// End of a tight-in-arc list in [`SolverWorkspace::pred`].
+/// End of a tight-arc list in [`SolverWorkspace::pred`].
 pub(crate) const NO_PRED: u32 = u32::MAX;
 
 /// Hot per-node solver state: the potential, the epoch-stamped tentative
@@ -74,6 +74,9 @@ pub struct SolverStats {
     pub dijkstra_rounds: u64,
     /// Flow units pushed along augmenting paths or cancelled cycles.
     pub pushed_units: u64,
+    /// Nodes popped from a Dijkstra frontier at their final label, summed
+    /// over all rounds: the search effort behind `dijkstra_rounds`.
+    pub settled_nodes: u64,
     /// Solver incidents absorbed by a [`ResilientSolver`](crate::ResilientSolver)
     /// fallback chain. Always 0 in a raw workspace snapshot; resilience-aware
     /// aggregators (e.g. the allocation pipeline) fold their incident counts
@@ -87,6 +90,7 @@ impl std::ops::Sub for SolverStats {
         SolverStats {
             dijkstra_rounds: self.dijkstra_rounds.saturating_sub(rhs.dijkstra_rounds),
             pushed_units: self.pushed_units.saturating_sub(rhs.pushed_units),
+            settled_nodes: self.settled_nodes.saturating_sub(rhs.settled_nodes),
             incidents: self.incidents.saturating_sub(rhs.incidents),
         }
     }
@@ -98,6 +102,7 @@ impl std::ops::Add for SolverStats {
         SolverStats {
             dijkstra_rounds: self.dijkstra_rounds + rhs.dijkstra_rounds,
             pushed_units: self.pushed_units + rhs.pushed_units,
+            settled_nodes: self.settled_nodes + rhs.settled_nodes,
             incidents: self.incidents + rhs.incidents,
         }
     }
@@ -153,18 +158,25 @@ pub struct SolverWorkspace {
     /// Topological order buffer; doubles as the stack of a blocking-flow
     /// phase's alive marking.
     pub(crate) order: Vec<u32>,
-    /// Head of each node's tight-in-arc list in [`Self::pred`] (`NO_PRED`
-    /// when empty). A shortest-path labelling pass (the initial potentials
-    /// or a Dijkstra round) resets `v`'s list to `[u]` whenever `u` lowers
-    /// `v`'s label and adds `u` whenever `u` ties it, so after the pass
-    /// the list holds every positive-capacity arc `u → v` with
-    /// `label(u) + reduced cost = label(v)` among scanned tails. Valid for
-    /// every node the pass labelled; the blocking-flow phase walks these
-    /// lists backwards from the sink.
+    /// Head of each node's tight-arc list in [`Self::pred`] (`NO_PRED`
+    /// when empty). The lists hold in-arcs or out-arcs, depending on the
+    /// side the last labelling pass ran from ([`Self::out_lists`]). A
+    /// source-side pass (the initial potentials or a source-side Dijkstra
+    /// round) resets `v`'s list to `[u]` whenever `u` lowers `v`'s label
+    /// and adds `u` whenever `u` ties it, so after the pass the list holds
+    /// every positive-capacity arc `u → v` with `label(u) + reduced cost =
+    /// label(v)` among scanned tails. A sink-side round labels distances
+    /// *to* the sink and lists, the same way, every arc `v → w` with
+    /// `label(v) = reduced cost + label(w)`. Valid for every node the pass
+    /// labelled; the blocking-flow phase walks these lists backwards from
+    /// the sink or forwards from the source.
     pub(crate) pred_head: Vec<u32>,
-    /// Arena of tight-in-arc list cells `(tail, next cell)`, cleared per
+    /// Arena of tight-arc list cells `(other end, next cell)`, cleared per
     /// labelling pass. A reset orphans the node's old cells until then.
     pub(crate) pred: Vec<(u32, u32)>,
+    /// Whether [`Self::pred_head`] holds tight out-arcs (the last labelling
+    /// pass was a sink-side round) rather than tight in-arcs.
+    pub(crate) out_lists: bool,
     /// Distance labels of the cost-scaling set-relabel sweep.
     pub(crate) level: Vec<u32>,
     /// Per-node cursor into the active slot range: the current-arc pointer
@@ -190,6 +202,9 @@ pub struct SolverWorkspace {
     /// Flow units pushed along augmenting paths or cancelled cycles,
     /// cumulative across solves.
     pub(crate) pushed_units: u64,
+    /// Nodes popped at their final label by shortest-path rounds,
+    /// cumulative across solves.
+    pub(crate) settled_nodes: u64,
     /// Cooperative work limits consulted by the solvers at phase boundaries.
     /// Defaults to unlimited; survives [`Self::prepare`] so a budget set once
     /// governs every solve run on this workspace.
@@ -279,6 +294,7 @@ impl SolverWorkspace {
         SolverStats {
             dijkstra_rounds: self.dijkstra_rounds,
             pushed_units: self.pushed_units,
+            settled_nodes: self.settled_nodes,
             incidents: 0,
         }
     }
@@ -288,6 +304,7 @@ impl SolverWorkspace {
     pub(crate) fn clear_stats(&mut self) {
         self.dijkstra_rounds = 0;
         self.pushed_units = 0;
+        self.settled_nodes = 0;
     }
 
     /// Installs a [`SolveBudget`] that every subsequent solve on this
@@ -314,7 +331,7 @@ impl SolverWorkspace {
     }
 
     /// Starts a new shortest-path round: [`Self::begin_phase`] plus the
-    /// frontier and tight-in-arc arena resets and the effort counter.
+    /// frontier and tight-arc arena resets and the effort counter.
     pub(crate) fn begin_round(&mut self) {
         self.dijkstra_rounds += 1;
         self.begin_phase();
@@ -322,9 +339,9 @@ impl SolverWorkspace {
         self.pred.clear();
     }
 
-    /// Records the tight arc `u → v` in `v`'s tight-in-arc list: `fresh`
-    /// (the arc lowered `v`'s label) starts the list over, otherwise (the
-    /// arc tied it) the arc is prepended.
+    /// Records the tight arc between `v` and `u` in `v`'s tight-arc list:
+    /// `fresh` (the arc lowered `v`'s label) starts the list over,
+    /// otherwise (the arc tied it) the arc is prepended.
     #[inline]
     pub(crate) fn add_pred(&mut self, v: usize, u: usize, fresh: bool) {
         let next = if fresh { NO_PRED } else { self.pred_head[v] };
