@@ -169,6 +169,8 @@ struct BuildArena {
     var_of: Vec<u32>,
     by_start: Vec<u32>,
     by_end: Vec<u32>,
+    /// [`refresh`]'s per-arc raw costs, by arc index.
+    raw_cost: Vec<i64>,
 }
 
 impl BuildArena {
@@ -181,6 +183,7 @@ impl BuildArena {
         self.var_of.clear();
         self.by_start.clear();
         self.by_end.clear();
+        self.raw_cost.clear();
     }
 }
 
@@ -680,95 +683,118 @@ fn build_with_regions_in(
 /// Re-prices a previously [`build`]-t network for a new parameter point over
 /// the *same* topology (lifetimes, split, style, relief and register-carry
 /// sets unchanged, and the same [`NetworkForm`]): every arc's raw cost is
-/// recomputed from the new problem's energy model, the bypass and tick-arc
-/// capacities are reset to the new register count, and the tie-break
-/// transform is re-applied. The result is bit-identical to what a fresh
-/// [`build`] would produce — only ~3× cheaper, because the segmentation
-/// scan, region profile and hand-off window search are all skipped.
-/// [`PipelineCx::allocate_warm`](crate::PipelineCx::allocate_warm) calls
-/// this on topology-stable sweep points so warm solves don't pay
+/// recomputed from the new problem's energy model into the per-thread
+/// arena, the bypass and tick-arc capacities take the new register count,
+/// and the tie-break transform is re-applied. The result is bit-identical to
+/// what a fresh [`build`] would produce — only ~3× cheaper, because the
+/// segmentation scan, region profile and hand-off window search are all
+/// skipped. [`PipelineCx::allocate_warm`](crate::PipelineCx::allocate_warm)
+/// calls this on topology-stable sweep points so warm solves don't pay
 /// construction costs.
+///
+/// Returns whether the network changed. When the recomputed raw costs and
+/// the register count equal what the network already encodes — a repeated
+/// loop tile — it is left untouched: no tie-break re-application and no
+/// version bump, so the retained optimum still answers the point.
 pub(crate) fn refresh(
     problem: &AllocationProblem,
     segmentation: &Segmentation,
     built: &mut BuiltNetwork,
-) -> Result<(), CoreError> {
+) -> Result<bool, CoreError> {
     let costs = CostCalculator::for_problem(problem);
     let registers = i64::from(problem.registers);
-    // Capacity before costs: `apply_tie_break` reads capacities when sizing
-    // the weight resolution, and the bypass and tick arcs carry the
-    // register count.
-    for &arc in std::iter::once(&built.bypass).chain(&built.tick_arcs) {
-        built
-            .net
-            .set_arc_capacity(arc, registers)
-            .map_err(CoreError::Flow)?;
-        built.net.set_arc_cost(arc, 0);
-    }
-    for &arc in &built.segment_arc {
-        built.net.set_arc_cost(arc, 0);
-    }
-    for &(arc, from) in &built.chain_of {
-        let cost = costs.chain(segmentation.segment(from));
-        built.net.set_arc_cost(arc, cost.raw());
-    }
-    match built.form {
-        // Same one-endpoint precompute as `build`, in the same per-thread
-        // arena: the hand-off list is the quadratic part of the network.
-        NetworkForm::Bipartite => BUILD_ARENA.with(|arena| {
-            let mut arena = arena.borrow_mut();
-            arena.clear();
-            for (_, seg) in segmentation.iter() {
-                arena.exit_cost.push(costs.exit(seg));
-                arena.enter_cost.push(costs.enter(seg));
+    BUILD_ARENA.with(|arena| {
+        let mut arena = arena.borrow_mut();
+        arena.clear();
+        let BuildArena {
+            exit_cost,
+            enter_cost,
+            raw_cost: raw,
+            ..
+        } = &mut *arena;
+        // Segment, bypass and tick arcs stay at zero.
+        raw.resize(built.net.arc_count(), 0);
+        for &(arc, from) in &built.chain_of {
+            raw[arc.index()] = costs.chain(segmentation.segment(from)).raw();
+        }
+        match built.form {
+            // Same one-endpoint precompute as `build`: the hand-off list is
+            // the quadratic part of the network.
+            NetworkForm::Bipartite => {
+                for (_, seg) in segmentation.iter() {
+                    exit_cost.push(costs.exit(seg));
+                    enter_cost.push(costs.enter(seg));
+                }
+                for &(arc, from_id, to_id) in &built.handoff_of {
+                    let from = segmentation.segment(from_id);
+                    let to = segmentation.segment(to_id);
+                    let cost = exit_cost[from_id.index()]
+                        + enter_cost[to_id.index()]
+                        + costs.transition(from, to);
+                    debug_assert_eq!(cost, costs.handoff(from, to));
+                    raw[arc.index()] = cost.raw();
+                }
             }
-            for &(arc, from_id, to_id) in &built.handoff_of {
-                let from = segmentation.segment(from_id);
-                let to = segmentation.segment(to_id);
-                let cost = arena.exit_cost[from_id.index()]
-                    + arena.enter_cost[to_id.index()]
-                    + costs.transition(from, to);
-                debug_assert_eq!(cost, costs.handoff(from, to));
-                built.net.set_arc_cost(arc, cost.raw());
-            }
-        }),
-        NetworkForm::TimeLine => {
-            let transition = costs
-                .split_transition()
-                .expect("a time-line network is only retained for split costs");
-            for &(arc, seg) in &built.exit_of {
-                let cost = costs.exit(segmentation.segment(seg)) + transition;
-                built.net.set_arc_cost(arc, cost.raw());
-            }
-            for &(arc, seg) in &built.enter_of {
-                let cost = costs.enter(segmentation.segment(seg));
-                built.net.set_arc_cost(arc, cost.raw());
+            NetworkForm::TimeLine => {
+                let transition = costs
+                    .split_transition()
+                    .expect("a time-line network is only retained for split costs");
+                for &(arc, seg) in &built.exit_of {
+                    raw[arc.index()] = (costs.exit(segmentation.segment(seg)) + transition).raw();
+                }
+                for &(arc, seg) in &built.enter_of {
+                    raw[arc.index()] = costs.enter(segmentation.segment(seg)).raw();
+                }
             }
         }
-    }
-    for &(arc, seg) in &built.source_of {
-        let cost = costs.source(segmentation.segment(seg));
-        built.net.set_arc_cost(arc, cost.raw());
-    }
-    for &(arc, seg) in &built.sink_of {
-        let cost = costs.sink(segmentation.segment(seg));
-        built.net.set_arc_cost(arc, cost.raw());
-    }
-    // The preference mask is topology-only and the splitmix64 weights are a
-    // pure function of (arc index, resolution, preference), so both carry
-    // over from the previous point. Only the resolution choice depends on
-    // the new costs; when it lands on the same width — the common case in a
-    // sweep — the cached weight vector is reused bit-for-bit and the refresh
-    // reduces to the arc-cost rewrite.
-    let cached =
-        (built.tie_bits > 0).then(|| (built.tie_bits, std::mem::take(&mut built.tie_weights)));
-    let (cost_scale, cost_unit, tie_weights, tie_bits) =
-        apply_tie_break(&mut built.net, &built.preferred, cached);
-    built.cost_scale = cost_scale;
-    built.cost_unit = cost_unit;
-    built.tie_weights = tie_weights;
-    built.tie_bits = tie_bits;
-    Ok(())
+        for &(arc, seg) in &built.source_of {
+            raw[arc.index()] = costs.source(segmentation.segment(seg)).raw();
+        }
+        for &(arc, seg) in &built.sink_of {
+            raw[arc.index()] = costs.sink(segmentation.segment(seg)).raw();
+        }
+        if built.net.arc(built.bypass).capacity == registers && encodes(built, raw) {
+            return Ok(false);
+        }
+        // Capacity before costs: `apply_tie_break` reads capacities when
+        // sizing the weight resolution, and the bypass and tick arcs carry
+        // the register count.
+        for &arc in std::iter::once(&built.bypass).chain(&built.tick_arcs) {
+            built
+                .net
+                .set_arc_capacity(arc, registers)
+                .map_err(CoreError::Flow)?;
+        }
+        built.net.map_costs(|id, _| raw[id.index()]);
+        // The preference mask is topology-only and the splitmix64 weights
+        // are a pure function of (arc index, resolution, preference), so
+        // both carry over from the previous point. Only the resolution
+        // choice depends on the new costs; when it lands on the same width —
+        // the common case in a sweep — the cached weight vector is reused
+        // bit-for-bit.
+        let cached =
+            (built.tie_bits > 0).then(|| (built.tie_bits, std::mem::take(&mut built.tie_weights)));
+        let (cost_scale, cost_unit, tie_weights, tie_bits) =
+            apply_tie_break(&mut built.net, &built.preferred, cached);
+        built.cost_scale = cost_scale;
+        built.cost_unit = cost_unit;
+        built.tie_weights = tie_weights;
+        built.tie_bits = tie_bits;
+        Ok(true)
+    })
+}
+
+/// True if `built`'s tie-broken costs encode exactly the raw costs `raw`.
+/// [`apply_tie_break`] stores `(c / unit) · scale + w` with `unit` dividing
+/// every raw cost `c`, so `(cost − w) · unit = c · scale` recovers the
+/// comparison without a division; 128-bit products cannot overflow.
+fn encodes(built: &BuiltNetwork, raw: &[i64]) -> bool {
+    let (scale, unit) = (i128::from(built.cost_scale), i128::from(built.cost_unit));
+    // No weights when the perturbation was skipped (scale and unit are 1).
+    let weight = |i: usize| built.tie_weights.get(i).copied().unwrap_or(0);
+    built.net.arcs().zip(raw).all(|((id, arc), &c)| {
+        i128::from(arc.cost - weight(id.index())) * unit == i128::from(c) * scale
+    })
 }
 
 /// Deterministic per-arc tie-break weight at a given resolution: the top
@@ -1183,6 +1209,63 @@ mod tests {
                 refreshed.tick_arcs.is_empty(),
                 form == NetworkForm::Bipartite
             );
+        }
+    }
+
+    /// Raw arc costs, recovered from a built network's tie-broken ones.
+    fn raw_costs(built: &BuiltNetwork) -> Vec<i64> {
+        built
+            .net
+            .arcs()
+            .map(|(id, arc)| {
+                let weight = built.tie_weights.get(id.index()).copied().unwrap_or(0);
+                (arc.cost - weight) / built.cost_scale * built.cost_unit
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refresh_leaves_an_unchanged_point_untouched() {
+        // A pair-table activity source: the (a, e) entry prices exactly one
+        // hand-off arc, a's read at tick 3 into e's write at tick 5.
+        let table = figure1_table();
+        let point = |hamming: f64, registers: u32| {
+            crate::AllocationProblem::new(table.clone(), registers)
+                .with_style(GraphStyle::AllPairs)
+                .with_register_energy(lemra_energy::RegisterEnergyKind::Activity)
+                .with_activity(lemra_ir::ActivitySource::from_pairs([(
+                    lemra_ir::VarId(0),
+                    lemra_ir::VarId(4),
+                    hamming,
+                )]))
+        };
+        let p = point(0.2, 2);
+        let segs = Segmentation::new(&p.lifetimes, &p.split);
+        let mut retained = build(&p, &segs).unwrap();
+        let encoded: Vec<i64> = retained.net.arcs().map(|(_, arc)| arc.cost).collect();
+        assert!(!refresh(&p, &segs, &mut retained).unwrap(), "same point");
+        let after: Vec<i64> = retained.net.arcs().map(|(_, arc)| arc.cost).collect();
+        assert_eq!(after, encoded, "an unchanged point must not be re-encoded");
+
+        // One arc's raw cost, then only the register count: each re-prices
+        // into exactly the fresh build of the new point.
+        let moved = point(0.7, 2);
+        let differing = raw_costs(&build(&moved, &segs).unwrap())
+            .iter()
+            .zip(raw_costs(&retained))
+            .filter(|(x, y)| **x != *y)
+            .count();
+        assert_eq!(differing, 1);
+        for next in [moved, point(0.7, 3)] {
+            assert!(refresh(&next, &segs, &mut retained).unwrap());
+            let fresh = build(&next, &segs).unwrap();
+            assert_eq!(retained.cost_scale, fresh.cost_scale);
+            assert_eq!(retained.cost_unit, fresh.cost_unit);
+            assert_eq!(retained.tie_weights, fresh.tie_weights);
+            for ((_, x), (_, y)) in retained.net.arcs().zip(fresh.net.arcs()) {
+                assert_eq!((x.capacity, x.cost), (y.capacity, y.cost));
+            }
+            assert!(!refresh(&next, &segs, &mut retained).unwrap(), "repeat");
         }
     }
 

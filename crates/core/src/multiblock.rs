@@ -21,11 +21,15 @@
 //! [`PipelineCx`] with [`PipelineCx::allocate_warm`]. When a block has the
 //! same topology as the one before it (loop tiles, unrolled kernels), the
 //! context re-prices the retained network and repairs the previous optimum
-//! instead of solving cold. Any topology change (other lifetimes, or a
-//! boundary that moves a variable between register- and memory-carried)
-//! rebuilds the network at the cost of a cold solve. The tie-break
-//! transform makes every optimum unique, so the bytes equal a cold
-//! [`allocate`](crate::allocate) of each boundary-threaded problem.
+//! instead of solving cold. When the re-priced network is the one it
+//! already holds and the block carries the same variables in memory (a
+//! loop tile whose boundary matches its predecessor's), the previous
+//! block's allocation is returned with no Solve or Bind stage. Any
+//! topology change (other lifetimes, or a boundary that moves a variable
+//! between register- and memory-carried) rebuilds the network at the cost
+//! of a cold solve. The tie-break transform makes every optimum unique, so
+//! the bytes equal a cold [`allocate`](crate::allocate) of each
+//! boundary-threaded problem.
 
 use crate::allocator::{Allocation, Placement};
 use crate::pipeline::PipelineCx;
@@ -433,7 +437,12 @@ mod tests {
             .problems
             .iter()
             .all(|p| p.carried_in_register == [VarId(0)]));
-        assert_eq!((cx.cold_solves(), cx.warm_solves()), (1, 7));
+        // The tiles are bit-identical too: the first solves cold and the
+        // seven after it re-price to the same network and reuse its answer.
+        assert_eq!(
+            (cx.cold_solves(), cx.warm_solves(), cx.reused_answers()),
+            (1, 0, 7)
+        );
     }
 
     #[test]

@@ -136,6 +136,10 @@ pub struct PipelineStats {
     /// Solves that (re)built solver state from scratch — cold pipeline
     /// solves and reoptimizer rebuilds alike.
     pub cold_solves: u64,
+    /// Warm points answered with the retained allocation because their
+    /// network came out of the re-price unchanged: neither a warm nor a
+    /// cold solve, since no Solve or Bind stage ran.
+    pub reused_answers: u64,
 }
 
 impl PipelineStats {
@@ -149,6 +153,7 @@ impl PipelineStats {
         },
         warm_solves: 0,
         cold_solves: 0,
+        reused_answers: 0,
     };
 
     /// Timing of one stage.
@@ -172,6 +177,7 @@ impl PipelineStats {
         self.solver = self.solver + other.solver;
         self.warm_solves += other.warm_solves;
         self.cold_solves += other.cold_solves;
+        self.reused_answers += other.reused_answers;
     }
 }
 
@@ -192,6 +198,11 @@ pub(crate) fn pipeline_stats() -> PipelineStats {
 /// picks the [`NetworkForm`](crate::NetworkForm) on networks past the gate
 /// ([`form_for`]); beyond that, registers, energies and activity only move
 /// costs and the bypass and tick capacities, which [`refresh`] re-prices.
+///
+/// `answer` is the validated allocation last bound from this network, with
+/// the memory-carried set it was bound for: the one Bind input the fields
+/// above do not pin. A point that re-prices to the same network and carries
+/// the same set gets that allocation back without a solve.
 #[derive(Debug)]
 struct RetainedNetwork {
     lifetimes: lemra_ir::LifetimeTable,
@@ -201,6 +212,7 @@ struct RetainedNetwork {
     carried_in_register: Vec<VarId>,
     segmentation: Segmentation,
     built: BuiltNetwork,
+    answer: Option<(Vec<VarId>, Allocation)>,
 }
 
 impl RetainedNetwork {
@@ -333,6 +345,12 @@ impl PipelineCx {
     /// Warm-path solves that had to (re)build solver state from scratch.
     pub fn cold_solves(&self) -> u64 {
         self.reopt.cold_solves()
+    }
+
+    /// Warm points answered with the retained allocation, without a Solve
+    /// or Bind stage ([`Self::allocate_warm`]).
+    pub fn reused_answers(&self) -> u64 {
+        self.stats.reused_answers
     }
 
     /// Cumulative effort counters of the warm-start engine's retained
@@ -628,16 +646,28 @@ impl PipelineCx {
     /// The network builder is deterministic (see
     /// [`NetworkView`](crate::NetworkView)), so two problems over the same
     /// lifetime table produce networks differing only in arc costs and
-    /// capacities. Successive calls over such topology-identical problems
-    /// re-price the retained network in place and repair the previous
-    /// optimum instead of re-solving. Points whose topology *does* change
-    /// (a different access period, lifetime table or split set) silently
-    /// fall back to a cold solve, so one context can drive any sweep; it
-    /// just only pays off on the topology-stable ones.
+    /// capacities. Each call ends in one of three ways:
+    ///
+    /// * **Reuse.** The point has the previous point's topology, its
+    ///   re-priced arc costs and register count equal the retained
+    ///   network's, and it carries the same variables in memory (a repeated
+    ///   loop tile). The network is left untouched and the previous
+    ///   allocation is returned after the Validate stage; no Solve or Bind
+    ///   stage runs.
+    /// * **Warm repair.** Same topology, other costs or capacities: the
+    ///   retained network is re-priced in place and the previous optimum
+    ///   repaired instead of re-solved.
+    /// * **Cold rebuild.** The topology changed (a different access period,
+    ///   lifetime table, split set or register-carried set): the network is
+    ///   rebuilt and solved cold, so one context can drive any sweep; it
+    ///   just only pays off on the topology-stable ones.
     ///
     /// Every call returns exactly what [`allocate`](crate::allocate)
     /// would: the solver repairs the optimal basis, not an approximation of
-    /// it, and certifies its optimality before answering.
+    /// it, and certifies its optimality before answering. The tie-break
+    /// makes that optimum unique and Bind is a pure function of the
+    /// network, the segmentation and the carried sets, so a reused answer
+    /// is the same allocation too.
     ///
     /// # Examples
     ///
@@ -668,12 +698,26 @@ impl PipelineCx {
         // over from the previous point; rebuild otherwise. A network that
         // does not cover the point is dropped before the rebuild, so the
         // new one reuses its memory.
-        let retained = match self.cache.take().filter(|c| c.covers(problem)) {
+        let mut retained = match self.cache.take().filter(|c| c.covers(problem)) {
             Some(mut retained) => {
                 let t0 = Instant::now();
-                refresh(problem, &retained.segmentation, &mut retained.built)?;
+                let repriced = refresh(problem, &retained.segmentation, &mut retained.built)?;
                 self.record(Stage::Build, t0);
                 self.record_bytes(Stage::Build, retained.built.heap_bytes());
+                let reused = match &retained.answer {
+                    Some((carried_in_memory, allocation))
+                        if !repriced && *carried_in_memory == problem.carried_in_memory =>
+                    {
+                        Some(allocation.clone())
+                    }
+                    _ => None,
+                };
+                if let Some(allocation) = reused {
+                    self.cache = Some(retained);
+                    self.validate(problem, &allocation)?;
+                    self.stats.reused_answers += 1;
+                    return Ok(allocation);
+                }
                 retained
             }
             None => {
@@ -692,21 +736,28 @@ impl PipelineCx {
                     carried_in_register: problem.carried_in_register.clone(),
                     segmentation,
                     built,
+                    answer: None,
                 }
             }
         };
         let built = &retained.built;
         let target = i64::from(problem.registers);
-        let bound = self
+        let allocation = self
             .solve_stage(&built.net, built.s, built.t, target, Some((problem, built)))
             .map_err(|e| flow_error(problem, e))
             .and_then(|solution| {
                 self.bind(problem, retained.segmentation.clone(), built, &solution)
+            })
+            .and_then(|allocation| {
+                self.validate(problem, &allocation)?;
+                Ok(allocation)
             });
+        retained.answer = allocation
+            .as_ref()
+            .ok()
+            .map(|a| (problem.carried_in_memory.clone(), a.clone()));
         self.cache = Some(retained);
-        let allocation = bound?;
-        self.validate(problem, &allocation)?;
-        Ok(allocation)
+        allocation
     }
 }
 
@@ -980,6 +1031,97 @@ mod tests {
         assert_eq!(sweep.stats().cold_solves, 1);
         assert_eq!(sweep.stats().warm_solves, 2);
         assert_eq!(sweep.stats().stage(Stage::Solve).runs, 3);
+    }
+
+    /// A three-variable tile under the activity model with a pair-table
+    /// source whose `(0, 1)` entry prices the one hand-off from variable
+    /// 0's read into variable 1's write.
+    fn tile(hamming: f64) -> AllocationProblem {
+        let table = LifetimeTable::from_intervals(
+            9,
+            vec![
+                (1, vec![3], false),
+                (4, vec![7], false),
+                (2, vec![9], false),
+            ],
+        )
+        .unwrap();
+        AllocationProblem::new(table, 1)
+            .with_register_energy(RegisterEnergyKind::Activity)
+            .with_activity(lemra_ir::ActivitySource::from_pairs([(
+                VarId(0),
+                VarId(1),
+                hamming,
+            )]))
+    }
+
+    /// Runs `first` then `second` on one warm context and checks the second
+    /// answer against a cold [`allocate`](crate::allocate): returns it with
+    /// the number of reused answers and the Solve and Bind runs the second
+    /// point added.
+    fn second_point(
+        first: &AllocationProblem,
+        second: &AllocationProblem,
+    ) -> (Allocation, u64, u64, u64) {
+        let mut cx = cx_in(CacheMode::Off);
+        cx.allocate_warm(first).unwrap();
+        let before = cx.stats();
+        let answer = cx.allocate_warm(second).unwrap();
+        let after = cx.stats();
+        let runs = |stage| after.stage(stage).runs - before.stage(stage).runs;
+        assert_eq!(runs(Stage::Build), 1, "the point is re-priced");
+        assert_eq!(runs(Stage::Validate), 1, "the answer is validated");
+        let cold = crate::allocate(second).unwrap();
+        assert_eq!(format!("{answer:?}"), format!("{cold:?}"));
+        let reused = cx.reused_answers();
+        (answer, reused, runs(Stage::Solve), runs(Stage::Bind))
+    }
+
+    #[test]
+    fn an_unchanged_point_reuses_the_retained_answer() {
+        let p = tile(0.2);
+        let (_, reused, solves, binds) = second_point(&p, &p.clone());
+        assert_eq!((reused, solves, binds), (1, 0, 0));
+        // A point built from other values that price the network the same
+        // way is unchanged too: the reuse test compares arc costs, not
+        // problem fields.
+        let mut same_costs = tile(0.2);
+        same_costs.energy.mem_read += 1e-12;
+        assert_ne!(same_costs.energy, p.energy);
+        let (_, reused, solves, binds) = second_point(&p, &same_costs);
+        assert_eq!((reused, solves, binds), (1, 0, 0));
+    }
+
+    #[test]
+    fn a_changed_point_solves_and_binds_again() {
+        let base = tile(0.2);
+        let mut more_registers = base.clone();
+        more_registers.registers = 2;
+        let in_memory = base.clone().with_carried_in_memory(VarId(2));
+        for (what, changed) in [
+            ("one arc cost", tile(0.7)),
+            ("register count", more_registers),
+            ("memory-carried set", in_memory),
+        ] {
+            let (_, reused, solves, binds) = second_point(&base, &changed);
+            assert_eq!((reused, solves, binds), (0, 1, 1), "{what}");
+        }
+    }
+
+    #[test]
+    fn a_new_memory_carried_set_is_bound_again_on_an_unchanged_network() {
+        // With `E^m_w = −E^m_r` a memory-carried variable's entry fetch
+        // costs what a definition saves, so carrying variable 2 in memory
+        // prices the network exactly as before — but Bind starts its
+        // memory residency at block entry, so the answer differs.
+        let mut energy = lemra_energy::EnergyModel::default_16bit();
+        energy.mem_write = -energy.mem_read;
+        let base = AllocationProblem::new(tile(0.2).lifetimes, 0).with_energy(energy);
+        let carried = base.clone().with_carried_in_memory(VarId(2));
+        let (answer, reused, solves, binds) = second_point(&base, &carried);
+        assert_eq!((reused, solves, binds), (0, 1, 1));
+        let first = crate::allocate(&base).unwrap();
+        assert_ne!(format!("{answer:?}"), format!("{first:?}"));
     }
 
     #[test]

@@ -67,9 +67,11 @@ impl StatsSnapshot {
         }
         let _ = writeln!(
             out,
-            "  solves: {} warm, {} cold; {} dijkstra rounds, {} units pushed, {} incidents",
+            "  solves: {} warm, {} cold, {} reused; {} dijkstra rounds, {} units pushed, \
+             {} incidents",
             self.pipeline.warm_solves,
             self.pipeline.cold_solves,
+            self.pipeline.reused_answers,
             self.pipeline.solver.dijkstra_rounds,
             self.pipeline.solver.pushed_units,
             self.pipeline.solver.incidents
@@ -108,7 +110,7 @@ mod tests {
   solve            0        0.000          0.0
   bind             0        0.000          0.0
   validate         0        0.000          0.0
-  solves: 0 warm, 0 cold; 0 dijkstra rounds, 0 units pushed, 0 incidents
+  solves: 0 warm, 0 cold, 0 reused; 0 dijkstra rounds, 0 units pushed, 0 incidents
   cache: 0 exact hits, 0 misses, 0 insertions, 0 evictions; 0 entries resident
 ";
         assert_eq!(zero.render_timings(), expected);
@@ -119,10 +121,11 @@ mod tests {
         let mut snapshot = StatsSnapshot::default();
         snapshot.pipeline.warm_solves = 3;
         snapshot.pipeline.cold_solves = 2;
+        snapshot.pipeline.reused_answers = 4;
         snapshot.pipeline.solver.incidents = 1;
         snapshot.cache.exact_hits = 7;
         let text = snapshot.render_timings();
-        assert!(text.contains("solves: 3 warm, 2 cold;"));
+        assert!(text.contains("solves: 3 warm, 2 cold, 4 reused;"));
         assert!(text.contains("1 incidents"));
         assert!(text.contains("cache: 7 exact hits,"));
     }

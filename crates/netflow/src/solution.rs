@@ -39,7 +39,9 @@ impl FlowSolution {
     /// Returns `(arcs-of-path, units)` pairs whose units sum to
     /// [`FlowSolution::value`]. The decomposition is greedy and assumes the
     /// flow is acyclic (always true for the DAG networks built by
-    /// `lemra-core`).
+    /// `lemra-core`). Each walk leaves a node by its first out-arc, in arc
+    /// creation order, that still carries flow, so the paths and their order
+    /// depend only on the network and the flows.
     ///
     /// # Errors
     ///
@@ -52,14 +54,29 @@ impl FlowSolution {
         t: NodeId,
     ) -> Result<Vec<(Vec<ArcId>, i64)>, NetflowError> {
         let mut remaining = self.flows.clone();
-        // Outgoing arcs per node, with a cursor so each arc is scanned once.
-        let mut out: Vec<Vec<ArcId>> = vec![Vec::new(); net.node_count()];
+        // The flow-carrying out-arcs as one CSR array, in arc order: node
+        // `v`'s row is `out[row[v]..row[v + 1]]`, and `cursor[v]` walks it
+        // so each arc is scanned past once.
+        let nodes = net.node_count();
+        let mut row = vec![0usize; nodes + 1];
         for (id, arc) in net.arcs() {
             if remaining[id.index()] > 0 {
-                out[arc.from.index()].push(id);
+                row[arc.from.index() + 1] += 1;
             }
         }
-        let mut cursor = vec![0usize; net.node_count()];
+        for v in 0..nodes {
+            row[v + 1] += row[v];
+        }
+        let mut cursor = row[..nodes].to_vec();
+        let mut out = vec![ArcId(0); row[nodes]];
+        for (id, arc) in net.arcs() {
+            if remaining[id.index()] > 0 {
+                let next = &mut cursor[arc.from.index()];
+                out[*next] = id;
+                *next += 1;
+            }
+        }
+        cursor.copy_from_slice(&row[..nodes]);
         let mut paths = Vec::new();
         let mut delivered = 0i64;
         while delivered < self.value {
@@ -69,12 +86,14 @@ impl FlowSolution {
             while v != t {
                 let vi = v.index();
                 // Skip exhausted arcs.
-                while cursor[vi] < out[vi].len() && remaining[out[vi][cursor[vi]].index()] == 0 {
+                let end = row[vi + 1];
+                while cursor[vi] < end && remaining[out[cursor[vi]].index()] == 0 {
                     cursor[vi] += 1;
                 }
-                let Some(&a) = out[vi].get(cursor[vi]) else {
+                if cursor[vi] == end {
                     return Err(NetflowError::CyclicFlow { stuck_at: v });
-                };
+                }
+                let a = out[cursor[vi]];
                 units = units.min(remaining[a.index()]);
                 path.push(a);
                 v = net.arc(a).to;
@@ -211,6 +230,39 @@ mod tests {
             assert_eq!(net.arc(path[0]).from, s);
             assert_eq!(net.arc(*path.last().unwrap()).to, t);
         }
+    }
+
+    #[test]
+    fn decompose_order_is_pinned_on_crossing_multi_unit_paths() {
+        // s → b and s → a both carry several units; one unit crosses from
+        // a to b, and the idle s → t arc comes first. Walks leave each node
+        // by its first flow-carrying arc in creation order.
+        let mut net = FlowNetwork::new();
+        let s = net.add_node();
+        let a = net.add_node();
+        let b = net.add_node();
+        let t = net.add_node();
+        let arcs = [
+            net.add_arc(s, t, 4, 0).unwrap(),
+            net.add_arc(s, b, 2, 0).unwrap(),
+            net.add_arc(s, a, 3, 0).unwrap(),
+            net.add_arc(a, b, 1, 0).unwrap(),
+            net.add_arc(a, t, 2, 0).unwrap(),
+            net.add_arc(b, t, 3, 0).unwrap(),
+        ];
+        let sol = FlowSolution {
+            flows: vec![0, 2, 3, 1, 2, 3],
+            value: 5,
+            cost: 0,
+        };
+        validate(&net, s, t, &sol).unwrap();
+        let paths = sol.decompose_paths(&net, s, t).unwrap();
+        let expected = vec![
+            (vec![arcs[1], arcs[5]], 2),
+            (vec![arcs[2], arcs[3], arcs[5]], 1),
+            (vec![arcs[2], arcs[4]], 2),
+        ];
+        assert_eq!(paths, expected);
     }
 
     #[test]

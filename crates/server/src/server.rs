@@ -11,11 +11,13 @@
 //! immediate [`Status::Overloaded`] instead of unbounded tail latency.
 //!
 //! Shutdown (SIGTERM in the binary, [`ServerHandle::shutdown`] here) flips
-//! one flag and closes the queue: the listener stops accepting, connection
-//! threads answer further frames with [`Status::ShuttingDown`], workers
-//! drain what was already admitted, and every in-flight request still gets
-//! its response — the response socket is shared by `Arc`, so a connection
-//! thread exiting early never tears it down under a worker.
+//! one flag and closes the queue. Both listeners block in `accept`, so one
+//! loopback connect to each wakes it to see the flag. The listener stops
+//! accepting, connection threads answer further frames with
+//! [`Status::ShuttingDown`], workers drain what was already admitted, and
+//! every in-flight request still gets its response — the response socket is
+//! shared by `Arc`, so a connection thread exiting early never tears it
+//! down under a worker.
 
 use crate::config::ServerConfig;
 use crate::metrics::ServerMetrics;
@@ -27,15 +29,18 @@ use crate::wire::{
 use lemra_core::{allocate_program_with, AllocationReport, CoreError, PipelineCx};
 use lemra_netflow::{NetflowError, SolveBudget};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked accept/peek loops re-check the shutdown flag.
+/// How often a connection's peek loop re-checks the shutdown flag, and how
+/// long a listener backs off after a failed `accept`.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// Patience for the loopback connect that wakes a listener at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Patience for the rest of a frame once its first byte has arrived.
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -126,8 +131,6 @@ impl Server {
 
         let listener = TcpListener::bind(&cfg.listen)?;
         let admin_listener = TcpListener::bind(&cfg.admin)?;
-        listener.set_nonblocking(true)?;
-        admin_listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let admin_addr = admin_listener.local_addr()?;
 
@@ -196,7 +199,10 @@ impl Server {
     /// [`Status::ShuttingDown`], let the workers finish every admitted
     /// request. Idempotent; returns immediately.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        if !self.shared.shutdown.swap(true, Ordering::AcqRel) {
+            wake(self.addr);
+            wake(self.admin_addr);
+        }
         self.shared.queue.close();
     }
 
@@ -211,10 +217,29 @@ impl Server {
     }
 }
 
+/// Connects to a listener blocked in `accept` so it returns and sees the
+/// shutdown flag; the connection is dropped unserved. A listener bound to
+/// the unspecified address is reached over loopback.
+fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    // A failed connect is harmless when the listener's backlog is full:
+    // those pending connections wake it instead.
+    let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+}
+
 fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     let mut conn_threads = Vec::new();
-    while !shared.shutting_down() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutting_down() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 ServerMetrics::bump(&shared.metrics.conns_opened);
                 // Responses are small request/reply frames: send each at
@@ -223,9 +248,6 @@ fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 let shared = Arc::clone(shared);
                 reap_finished(&mut conn_threads);
                 conn_threads.push(std::thread::spawn(move || conn_loop(&shared, stream)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
             }
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
@@ -472,13 +494,14 @@ fn run_request(cx: &mut PipelineCx, job: &Job) -> (Status, String) {
 }
 
 fn admin_loop(shared: &Shared, listener: &TcpListener) {
-    while !shared.shutting_down() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutting_down() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let _ = serve_admin(shared, stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
             }
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
@@ -523,6 +546,49 @@ fn serve_admin(shared: &Shared, stream: TcpStream) -> io::Result<()> {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+
+    #[test]
+    fn fresh_connections_are_accepted_without_a_poll_sleep() {
+        // Each connection below arrives while its listener waits for the
+        // next one. A listener that polled `accept` and slept between polls
+        // would make it wait out the sleep: 25 ms a connection.
+        let mut server = Server::start(ServerConfig {
+            listen: "127.0.0.1:0".into(),
+            admin: "127.0.0.1:0".into(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let t0 = Instant::now();
+        for _ in 0..200 {
+            let mut client = crate::Client::connect(server.addr()).unwrap();
+            assert_eq!(client.ping().unwrap().status, Status::Ok);
+        }
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "200 pings took {elapsed:?}"
+        );
+        let t0 = Instant::now();
+        for _ in 0..100 {
+            let mut admin = TcpStream::connect(server.admin_addr()).unwrap();
+            admin.write_all(b"ping\nquit\n").unwrap();
+            let mut reply = String::new();
+            BufReader::new(admin).read_line(&mut reply).unwrap();
+            assert_eq!(reply, "PONG\n");
+        }
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "100 admin pings took {elapsed:?}"
+        );
+        // Shutdown wakes both blocked listeners at once.
+        let t0 = Instant::now();
+        server.shutdown();
+        server.join();
+        let elapsed = t0.elapsed();
+        assert!(elapsed < Duration::from_millis(20), "join took {elapsed:?}");
+    }
 
     #[test]
     fn reaping_drops_only_finished_connection_threads() {

@@ -8,8 +8,9 @@
 //!   of Domagała et al. (arXiv 1406.0582): a nest is tiled into
 //!   structurally **identical** blocks (one per tile) whose accumulators
 //!   are live-out and linked to the next tile. Identical topology across
-//!   tiles is the warm-start fast path — each worker re-prices one
-//!   retained network per tile instead of rebuilding it.
+//!   tiles is the warm-start fast path — the walk re-prices one retained
+//!   network per tile instead of rebuilding it, and a tile that prices it
+//!   the same way as its predecessor reuses that tile's answer.
 //! * [`min_reg_trace`] — min-register scheduling traces in the style of
 //!   Chen's GPU value-lifetime work (arXiv 2303.06855): bursty, per-block
 //!   *distinct* lifetime patterns with alternating register budgets, so
@@ -238,9 +239,14 @@ mod tests {
         let chain = loop_nest(&cfg);
         let mut cx = PipelineCx::new();
         let program = allocate_program_with(&mut cx, &chain).unwrap();
-        // One cold solve for the first tile; every later tile re-prices the
-        // retained network. A silent fall-back to cold solves fails here.
-        assert_eq!((cx.cold_solves(), cx.warm_solves()), (1, 5));
+        // One cold solve for the first tile. The second tile enters with
+        // another boundary than the first, so it is solved again, warm; the
+        // four after it re-price to the same network and reuse its answer.
+        // A silent fall-back to cold solves fails here.
+        assert_eq!(
+            (cx.cold_solves(), cx.warm_solves(), cx.reused_answers()),
+            (1, 1, 4)
+        );
         for (problem, report) in program.chain.problems.iter().zip(&program.chain.reports) {
             let cold = allocate(problem).unwrap();
             assert_eq!(*report, AllocationReport::new(problem, &cold));
