@@ -8,6 +8,7 @@
 //! family the solution induces.
 
 use crate::build::{raw_cost, BuiltNetwork};
+use crate::events::{trace_var_into, VarTrace};
 use crate::pipeline::PipelineCx;
 use crate::problem::AllocationProblem;
 use crate::segment::{SegmentId, Segmentation};
@@ -311,22 +312,27 @@ pub(crate) fn extract_allocation(
 
 /// Memory-residency interval per variable: from its first memory write to
 /// its last memory access (the value occupies its address continuously in
-/// between — values are write-once).
-#[allow(clippy::needless_range_loop)] // index drives parallel lookups
+/// between — values are write-once). Every variable replays into one
+/// reused trace buffer.
 fn residency_intervals(
     segmentation: &Segmentation,
     placements: &[Placement],
     problem: &AllocationProblem,
 ) -> Vec<Option<(Tick, Tick)>> {
-    let var_count = problem.lifetimes.len();
-    let mut out = vec![None; var_count];
-    for v in 0..var_count {
-        let var = VarId(v as u32);
-        let events =
-            crate::events::trace_var_carried(segmentation, placements, var, problem.carry_of(var));
-        out[v] = events.memory_residency;
-    }
-    out
+    let mut trace = VarTrace::default();
+    (0..problem.lifetimes.len() as u32)
+        .map(|v| {
+            let var = VarId(v);
+            trace_var_into(
+                segmentation,
+                placements,
+                var,
+                problem.carry_of(var),
+                &mut trace,
+            );
+            trace.memory_residency
+        })
+        .collect()
 }
 
 /// Left-edge interval assignment; returns per-variable addresses and the

@@ -690,12 +690,17 @@ fn build_with_regions_in(
 /// segmentation scan, region profile and hand-off window search are all
 /// skipped. [`PipelineCx::allocate_warm`](crate::PipelineCx::allocate_warm)
 /// calls this on topology-stable sweep points so warm solves don't pay
-/// construction costs.
+/// construction costs, and only when the point's pricing inputs (energy
+/// model, register-energy kind, register count, memory-carried set, and
+/// the activity source under the activity model) differ from those the
+/// network was last priced from: equal inputs price it the same, so that
+/// case skips this function altogether.
 ///
 /// Returns whether the network changed. When the recomputed raw costs and
-/// the register count equal what the network already encodes — a repeated
-/// loop tile — it is left untouched: no tie-break re-application and no
-/// version bump, so the retained optimum still answers the point.
+/// the register count equal what the network already encodes (other
+/// inputs that price it the same way), it is left untouched: no tie-break
+/// re-application and no version bump, so the retained optimum still
+/// answers the point.
 pub(crate) fn refresh(
     problem: &AllocationProblem,
     segmentation: &Segmentation,

@@ -76,6 +76,18 @@ impl VarTrace {
         self.touch(tick);
     }
 
+    /// Empties the trace for the next variable, keeping both access
+    /// buffers' capacity.
+    fn clear(&mut self) {
+        self.mem_reads = 0;
+        self.mem_writes = 0;
+        self.reg_reads = 0;
+        self.reg_writes = 0;
+        self.accesses.clear();
+        self.reg_accesses.clear();
+        self.memory_residency = None;
+    }
+
     pub(crate) fn touch(&mut self, tick: Tick) {
         self.memory_residency = Some(match self.memory_residency {
             None => (tick, tick),
@@ -101,19 +113,38 @@ pub fn trace_var(segmentation: &Segmentation, placements: &[Placement], var: Var
 /// # Panics
 ///
 /// Panics if `var` has no segments in `segmentation`.
-#[allow(clippy::needless_range_loop)] // index drives parallel lookups
 pub(crate) fn trace_var_carried(
     segmentation: &Segmentation,
     placements: &[Placement],
     var: VarId,
     carry: CarryIn,
 ) -> VarTrace {
+    let mut t = VarTrace::default();
+    trace_var_into(segmentation, placements, var, carry, &mut t);
+    t
+}
+
+/// [`trace_var_carried`] into a caller-owned buffer, which is cleared
+/// first: callers replaying every variable of a block reuse one buffer
+/// instead of allocating two access vectors per variable.
+///
+/// # Panics
+///
+/// Panics if `var` has no segments in `segmentation`.
+#[allow(clippy::needless_range_loop)] // index drives parallel lookups
+pub(crate) fn trace_var_into(
+    segmentation: &Segmentation,
+    placements: &[Placement],
+    var: VarId,
+    carry: CarryIn,
+    t: &mut VarTrace,
+) {
     let segs = segmentation.segments_of(var);
     assert!(!segs.is_empty(), "variable {var} has no segments");
     let base = segmentation.id_of(var, 0).index();
     let place = |i: usize| placements[base + i];
 
-    let mut t = VarTrace::default();
+    t.clear();
     let mut in_memory = false;
 
     // Block entry: where the value lands (or already lives).
@@ -202,7 +233,6 @@ pub(crate) fn trace_var_carried(
         }
     }
     debug_assert_eq!(t.reg_accesses.len() as u32, t.reg_reads + t.reg_writes);
-    t
 }
 
 #[cfg(test)]

@@ -20,15 +20,19 @@
 //! come from its predecessor's allocation, and the block is solved on one
 //! [`PipelineCx`] with [`PipelineCx::allocate_warm`]. When a block has the
 //! same topology as the one before it (loop tiles, unrolled kernels), the
-//! context re-prices the retained network and repairs the previous optimum
-//! instead of solving cold. When the re-priced network is the one it
-//! already holds and the block carries the same variables in memory (a
-//! loop tile whose boundary matches its predecessor's), the previous
-//! block's allocation is returned with no Solve or Bind stage. Any
-//! topology change (other lifetimes, or a boundary that moves a variable
-//! between register- and memory-carried) rebuilds the network at the cost
-//! of a cold solve. The tie-break transform makes every optimum unique, so
-//! the bytes equal a cold [`allocate`](crate::allocate) of each
+//! context keeps the retained network. A block with the same pricing
+//! inputs (energy model, register accounting, register count,
+//! memory-carried set, and activity under the activity model) as its
+//! predecessor, as in a loop tile whose boundary matches its
+//! predecessor's, gets the previous block's allocation back with no
+//! re-price and no Solve or Bind stage. A block with other inputs is
+//! re-priced; if that leaves the network as it was and the block carries
+//! the same variables in memory, the previous allocation is returned too,
+//! and otherwise the previous optimum is repaired instead of solved cold.
+//! Any topology change (other lifetimes, or a boundary that moves a
+//! variable between register- and memory-carried) rebuilds the network at
+//! the cost of a cold solve. The tie-break transform makes every optimum
+//! unique, so the bytes equal a cold [`allocate`](crate::allocate) of each
 //! boundary-threaded problem.
 
 use crate::allocator::{Allocation, Placement};
@@ -437,12 +441,14 @@ mod tests {
             .problems
             .iter()
             .all(|p| p.carried_in_register == [VarId(0)]));
-        // The tiles are bit-identical too: the first solves cold and the
-        // seven after it re-price to the same network and reuse its answer.
+        // The tiles are bit-identical too: the first builds and solves
+        // cold, and the seven after it have its pricing inputs, so they
+        // reuse its answer without a re-price.
         assert_eq!(
             (cx.cold_solves(), cx.warm_solves(), cx.reused_answers()),
             (1, 0, 7)
         );
+        assert_eq!(cx.stats().stage(crate::Stage::Build).runs, 1);
     }
 
     #[test]

@@ -31,8 +31,8 @@ use crate::build::{build_with_regions, form_for, profile_regions, refresh, Built
 use crate::problem::{AllocationProblem, GraphStyle};
 use crate::segment::{Segmentation, SplitOptions};
 use crate::CoreError;
-use lemra_energy::RegisterEnergyKind;
-use lemra_ir::{Tick, TickRange, VarId};
+use lemra_energy::{EnergyModel, RegisterEnergyKind};
+use lemra_ir::{ActivitySource, Tick, TickRange, VarId};
 use lemra_netflow::{
     instance_key, thread_solver_stats, Backend, CacheMode, FlowNetwork, FlowSolution, LemraConfig,
     NetflowError, NodeId, Reoptimizer, ResilientSolver, SolveBudget, SolverIncident, SolverStats,
@@ -199,10 +199,12 @@ pub(crate) fn pipeline_stats() -> PipelineStats {
 /// ([`form_for`]); beyond that, registers, energies and activity only move
 /// costs and the bypass and tick capacities, which [`refresh`] re-prices.
 ///
-/// `answer` is the validated allocation last bound from this network, with
-/// the memory-carried set it was bound for: the one Bind input the fields
-/// above do not pin. A point that re-prices to the same network and carries
-/// the same set gets that allocation back without a solve.
+/// `priced_for` holds the pricing inputs the network's costs and
+/// capacities were last computed from, and `answer` the validated
+/// allocation last bound from it for those inputs' memory-carried set (the
+/// one Bind input the topology fields do not pin). A point with the same
+/// pricing inputs, or one that re-prices to the same network and carries
+/// the same set, gets that allocation back without a solve.
 #[derive(Debug)]
 struct RetainedNetwork {
     lifetimes: lemra_ir::LifetimeTable,
@@ -212,7 +214,8 @@ struct RetainedNetwork {
     carried_in_register: Vec<VarId>,
     segmentation: Segmentation,
     built: BuiltNetwork,
-    answer: Option<(Vec<VarId>, Allocation)>,
+    priced_for: PricingInputs,
+    answer: Option<Allocation>,
 }
 
 impl RetainedNetwork {
@@ -223,6 +226,44 @@ impl RetainedNetwork {
             && self.relief_arcs == problem.relief_arcs
             && self.carried_in_register == problem.carried_in_register
             && self.built.form == form_for(problem, self.built.window_pairs)
+    }
+}
+
+/// What re-pricing a covered network reads from a problem: the fields the
+/// cost calculator and the bypass capacity take, less the register-carried
+/// set, which [`RetainedNetwork::covers`] already pins.
+#[derive(Debug)]
+struct PricingInputs {
+    energy: EnergyModel,
+    register_energy: RegisterEnergyKind,
+    registers: u32,
+    carried_in_memory: Vec<VarId>,
+    /// Kept under the activity model only: static pricing never reads it,
+    /// so tiles that differ only in activity share one pricing.
+    activity: Option<ActivitySource>,
+}
+
+impl PricingInputs {
+    fn of(problem: &AllocationProblem) -> Self {
+        Self {
+            energy: problem.energy.clone(),
+            register_energy: problem.register_energy,
+            registers: problem.registers,
+            carried_in_memory: problem.carried_in_memory.clone(),
+            activity: (problem.register_energy == RegisterEnergyKind::Activity)
+                .then(|| problem.activity.clone()),
+        }
+    }
+
+    fn matches(&self, problem: &AllocationProblem) -> bool {
+        self.energy == problem.energy
+            && self.register_energy == problem.register_energy
+            && self.registers == problem.registers
+            && self.carried_in_memory == problem.carried_in_memory
+            && self
+                .activity
+                .as_ref()
+                .is_none_or(|activity| *activity == problem.activity)
     }
 }
 
@@ -648,10 +689,16 @@ impl PipelineCx {
     /// lifetime table produce networks differing only in arc costs and
     /// capacities. Each call ends in one of three ways:
     ///
-    /// * **Reuse.** The point has the previous point's topology, its
-    ///   re-priced arc costs and register count equal the retained
-    ///   network's, and it carries the same variables in memory (a repeated
-    ///   loop tile). The network is left untouched and the previous
+    /// * **Reuse.** The point has the previous point's topology and the
+    ///   retained network is already priced for it (a repeated loop tile).
+    ///   Before any arc is priced, the point's pricing inputs are compared
+    ///   with those the network was priced from: the energy model, the
+    ///   register-energy kind, the register count, the memory-carried set,
+    ///   and, under the activity model only, the activity source. When
+    ///   they are equal nothing is re-priced. When they differ, the network
+    ///   is re-priced, and a point whose arc costs and register count come
+    ///   out equal to the retained network's and that carries the same
+    ///   variables in memory is unchanged too. Either way the previous
     ///   allocation is returned after the Validate stage; no Solve or Bind
     ///   stage runs.
     /// * **Warm repair.** Same topology, other costs or capacities: the
@@ -695,24 +742,27 @@ impl PipelineCx {
     /// Same as [`allocate`](crate::allocate).
     pub fn allocate_warm(&mut self, problem: &AllocationProblem) -> Result<Allocation, CoreError> {
         // Re-price the retained network in place when the topology carries
-        // over from the previous point; rebuild otherwise. A network that
-        // does not cover the point is dropped before the rebuild, so the
-        // new one reuses its memory.
+        // over from the previous point and its pricing inputs changed;
+        // rebuild when the topology changed. A network that does not cover
+        // the point is dropped before the rebuild, so the new one reuses its
+        // memory.
         let mut retained = match self.cache.take().filter(|c| c.covers(problem)) {
             Some(mut retained) => {
-                let t0 = Instant::now();
-                let repriced = refresh(problem, &retained.segmentation, &mut retained.built)?;
-                self.record(Stage::Build, t0);
-                self.record_bytes(Stage::Build, retained.built.heap_bytes());
-                let reused = match &retained.answer {
-                    Some((carried_in_memory, allocation))
-                        if !repriced && *carried_in_memory == problem.carried_in_memory =>
+                if !retained.priced_for.matches(problem) {
+                    let t0 = Instant::now();
+                    let repriced = refresh(problem, &retained.segmentation, &mut retained.built)?;
+                    self.record(Stage::Build, t0);
+                    self.record_bytes(Stage::Build, retained.built.heap_bytes());
+                    // A changed network, or another memory-carried set
+                    // (which Bind reads), makes the retained answer stale.
+                    if repriced
+                        || retained.priced_for.carried_in_memory != problem.carried_in_memory
                     {
-                        Some(allocation.clone())
+                        retained.answer = None;
                     }
-                    _ => None,
-                };
-                if let Some(allocation) = reused {
+                    retained.priced_for = PricingInputs::of(problem);
+                }
+                if let Some(allocation) = retained.answer.clone() {
                     self.cache = Some(retained);
                     self.validate(problem, &allocation)?;
                     self.stats.reused_answers += 1;
@@ -736,6 +786,7 @@ impl PipelineCx {
                     carried_in_register: problem.carried_in_register.clone(),
                     segmentation,
                     built,
+                    priced_for: PricingInputs::of(problem),
                     answer: None,
                 }
             }
@@ -752,10 +803,7 @@ impl PipelineCx {
                 self.validate(problem, &allocation)?;
                 Ok(allocation)
             });
-        retained.answer = allocation
-            .as_ref()
-            .ok()
-            .map(|a| (problem.carried_in_memory.clone(), a.clone()));
+        retained.answer = allocation.as_ref().ok().cloned();
         self.cache = Some(retained);
         allocation
     }
@@ -1057,39 +1105,43 @@ mod tests {
 
     /// Runs `first` then `second` on one warm context and checks the second
     /// answer against a cold [`allocate`](crate::allocate): returns it with
-    /// the number of reused answers and the Solve and Bind runs the second
-    /// point added.
+    /// the Build runs (re-prices) the second point added, the number of
+    /// reused answers, and the Solve and Bind runs the second point added.
     fn second_point(
         first: &AllocationProblem,
         second: &AllocationProblem,
-    ) -> (Allocation, u64, u64, u64) {
+    ) -> (Allocation, u64, (u64, u64, u64)) {
         let mut cx = cx_in(CacheMode::Off);
         cx.allocate_warm(first).unwrap();
         let before = cx.stats();
         let answer = cx.allocate_warm(second).unwrap();
         let after = cx.stats();
         let runs = |stage| after.stage(stage).runs - before.stage(stage).runs;
-        assert_eq!(runs(Stage::Build), 1, "the point is re-priced");
         assert_eq!(runs(Stage::Validate), 1, "the answer is validated");
         let cold = crate::allocate(second).unwrap();
         assert_eq!(format!("{answer:?}"), format!("{cold:?}"));
         let reused = cx.reused_answers();
-        (answer, reused, runs(Stage::Solve), runs(Stage::Bind))
+        (
+            answer,
+            runs(Stage::Build),
+            (reused, runs(Stage::Solve), runs(Stage::Bind)),
+        )
     }
 
     #[test]
     fn an_unchanged_point_reuses_the_retained_answer() {
+        // The same pricing inputs: nothing is re-priced.
         let p = tile(0.2);
-        let (_, reused, solves, binds) = second_point(&p, &p.clone());
-        assert_eq!((reused, solves, binds), (1, 0, 0));
+        let (_, builds, outcome) = second_point(&p, &p.clone());
+        assert_eq!((builds, outcome), (0, (1, 0, 0)));
         // A point built from other values that price the network the same
-        // way is unchanged too: the reuse test compares arc costs, not
-        // problem fields.
+        // way is unchanged too: its inputs differ, so it is re-priced, but
+        // the reuse test compares arc costs, not problem fields.
         let mut same_costs = tile(0.2);
         same_costs.energy.mem_read += 1e-12;
         assert_ne!(same_costs.energy, p.energy);
-        let (_, reused, solves, binds) = second_point(&p, &same_costs);
-        assert_eq!((reused, solves, binds), (1, 0, 0));
+        let (_, builds, outcome) = second_point(&p, &same_costs);
+        assert_eq!((builds, outcome), (1, (1, 0, 0)));
     }
 
     #[test]
@@ -1098,14 +1150,71 @@ mod tests {
         let mut more_registers = base.clone();
         more_registers.registers = 2;
         let in_memory = base.clone().with_carried_in_memory(VarId(2));
+        let lower_voltage = base
+            .clone()
+            .with_energy(lemra_energy::EnergyModel::default_16bit().with_memory_voltage(2.5));
         for (what, changed) in [
             ("one arc cost", tile(0.7)),
+            ("energy model", lower_voltage),
             ("register count", more_registers),
             ("memory-carried set", in_memory),
         ] {
-            let (_, reused, solves, binds) = second_point(&base, &changed);
-            assert_eq!((reused, solves, binds), (0, 1, 1), "{what}");
+            let (_, builds, outcome) = second_point(&base, &changed);
+            assert_eq!((builds, outcome), (1, (0, 1, 1)), "{what}");
         }
+    }
+
+    /// [`tile`] with an explicit pair-table source: `H(0, 1) = hamming`
+    /// and `initial` for every first write.
+    fn tile_with(kind: RegisterEnergyKind, hamming: f64, initial: f64) -> AllocationProblem {
+        let mut p = tile(hamming).with_register_energy(kind);
+        p.activity = lemra_ir::ActivitySource::PairTable {
+            table: [((VarId(0), VarId(1)), hamming)].into_iter().collect(),
+            default: 0.5,
+            initial,
+        };
+        p
+    }
+
+    #[test]
+    fn a_static_tile_with_other_activity_is_not_repriced() {
+        // The static model never reads the activity source, so a tile that
+        // differs from its predecessor only there keeps the retained
+        // pricing and answer. Its report still reads its own activity.
+        let first = tile_with(RegisterEnergyKind::Static, 0.2, 0.5);
+        let second = tile_with(RegisterEnergyKind::Static, 0.9, 0.25);
+        let (answer, builds, outcome) = second_point(&first, &second);
+        assert_eq!((builds, outcome), (0, (1, 0, 0)));
+        let switching = |p: &AllocationProblem, a: &Allocation| {
+            let r = crate::AllocationReport::new(p, a);
+            [r.register_switching, r.memory_switching, r.activity_energy].map(f64::to_bits)
+        };
+        let cold = crate::allocate(&second).unwrap();
+        let before = crate::allocate(&first).unwrap();
+        let report = switching(&second, &answer);
+        assert_eq!(report, switching(&second, &cold));
+        let previous = switching(&first, &before);
+        assert!(report.iter().zip(&previous).all(|(a, b)| a != b));
+    }
+
+    #[test]
+    fn an_activity_tile_compares_its_activity_source() {
+        let first = tile_with(RegisterEnergyKind::Activity, 0.2, 0.5);
+        // Another Hamming distance on the one hand-off arc: re-priced and
+        // solved again.
+        let other_cost = tile_with(RegisterEnergyKind::Activity, 0.7, 0.5);
+        let (_, builds, outcome) = second_point(&first, &other_cost);
+        assert_eq!((builds, outcome), (1, (0, 1, 1)));
+        // An entry for a pair with no hand-off arc (variables 0 and 2
+        // overlap): the source differs, so the point is re-priced, but
+        // every arc cost comes out the same and the answer is reused.
+        let mut no_arc = first.clone();
+        if let lemra_ir::ActivitySource::PairTable { table, .. } = &mut no_arc.activity {
+            table.insert((VarId(0), VarId(2)), 3.0);
+        }
+        assert_ne!(no_arc.activity, first.activity);
+        let (_, builds, outcome) = second_point(&first, &no_arc);
+        assert_eq!((builds, outcome), (1, (1, 0, 0)));
     }
 
     #[test]
@@ -1118,8 +1227,8 @@ mod tests {
         energy.mem_write = -energy.mem_read;
         let base = AllocationProblem::new(tile(0.2).lifetimes, 0).with_energy(energy);
         let carried = base.clone().with_carried_in_memory(VarId(2));
-        let (answer, reused, solves, binds) = second_point(&base, &carried);
-        assert_eq!((reused, solves, binds), (0, 1, 1));
+        let (answer, builds, outcome) = second_point(&base, &carried);
+        assert_eq!((builds, outcome), (1, (0, 1, 1)));
         let first = crate::allocate(&base).unwrap();
         assert_ne!(format!("{answer:?}"), format!("{first:?}"));
     }
