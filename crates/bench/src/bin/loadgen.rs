@@ -16,8 +16,9 @@
 //!   mixed sizes under globally unique request ids (so request-scoped fault
 //!   plans like `panic@solve:req7` key on stable ids), retrying sheds and
 //!   torn connections with backoff.
-//! - `dup`: every request is the same spec; proves byte-identical
-//!   duplicate responses (the CI cache-replay check).
+//! - `dup`: every request is the same spec (the Figure 1 block); proves
+//!   that repeated requests get byte-identical responses, whichever worker
+//!   and solve order serve them.
 //! - `program`: replays a `lemra-workloads` whole-program tier over the
 //!   socket and byte-compares the digest against offline
 //!   [`allocate_program`].

@@ -8,7 +8,7 @@
 //!
 //! The requested sections are computed through
 //! [`par_map`](lemra_bench::parallel::par_map) (they share nothing but the
-//! process-wide allocation cache) and printed in their fixed order
+//! process-wide stats registry) and printed in their fixed order
 //! afterwards, so the output is identical to running them one by one;
 //! `LEMRA_THREADS=1` runs them serially, in that order, on the main thread.
 //!

@@ -62,7 +62,6 @@
 
 mod allocator;
 mod build;
-mod cache;
 mod codegen;
 mod costs;
 mod events;
@@ -82,10 +81,8 @@ mod viz;
 
 pub use allocator::{allocate, Allocation, Placement};
 pub use build::{build_network, build_network_bipartite, NetworkForm, NetworkView};
-pub use cache::{cache_stats, clear_cache, CacheStats};
 pub use codegen::{storage_plan, Operand, StorageInstr, StoragePlan};
 pub use events::{trace_var, MemAccess, VarTrace};
-pub use lemra_netflow::{CacheMode, CACHE_CAP_ENV, CACHE_ENV};
 pub use modules::{partition_memory_modules, SleepPartition};
 pub use multiblock::{
     allocate_chain, allocate_chain_threads, allocate_program, allocate_program_threads,

@@ -253,7 +253,7 @@ pub fn allocate_program_threads(
 /// [`allocate_program`] composed onto an existing [`PipelineCx`]: the
 /// allocation server runs each request on its worker's long-lived context
 /// so per-request solve budgets and incident counters apply, and the
-/// context's cache/backend settings and warm state carry across requests.
+/// context's backend and warm state carry across requests.
 ///
 /// # Errors
 ///
@@ -398,10 +398,10 @@ mod tests {
 
     #[test]
     fn warm_walk_equals_cold_allocation_of_every_block() {
-        use lemra_netflow::{Backend, CacheMode};
+        use lemra_netflow::Backend;
         let chain = alternating_chain(16);
         for backend in [Backend::Ssp, Backend::CostScaling] {
-            let mut cx = PipelineCx::with_backend_cache(backend, CacheMode::Off);
+            let mut cx = PipelineCx::with_backend(backend);
             let walk = allocate_chain_with(&mut cx, &chain).unwrap();
             let carried: Vec<&Vec<VarId>> = walk
                 .problems
@@ -412,9 +412,7 @@ mod tests {
             assert!(carried.windows(2).any(|w| w[0] != w[1]), "no rebuild");
             assert!(cx.warm_solves() > 0, "{backend:?}: no block re-priced");
             for (i, problem) in walk.problems.iter().enumerate() {
-                let cold = PipelineCx::with_backend_cache(backend, CacheMode::Off)
-                    .allocate(problem)
-                    .unwrap();
+                let cold = PipelineCx::with_backend(backend).allocate(problem).unwrap();
                 assert_eq!(
                     walk.reports[i],
                     AllocationReport::new(problem, &cold),

@@ -1,9 +1,9 @@
 //! The staged allocation pipeline.
 //!
-//! Every flow-backed computation in this crate is the same seven steps:
+//! Every flow-backed computation in this crate is the same six steps:
 //!
 //! ```text
-//! Segment → Profile → BuildNetwork → Canon → Solve → Bind → Validate
+//! Segment → Profile → BuildNetwork → Solve → Bind → Validate
 //! ```
 //!
 //! lifetimes are segmented (§5.2), the maximum-density regions are profiled
@@ -34,8 +34,8 @@ use crate::CoreError;
 use lemra_energy::{EnergyModel, RegisterEnergyKind};
 use lemra_ir::{ActivitySource, Tick, TickRange, VarId};
 use lemra_netflow::{
-    instance_key, thread_solver_stats, Backend, CacheMode, FlowNetwork, FlowSolution, LemraConfig,
-    NetflowError, NodeId, Reoptimizer, ResilientSolver, SolveBudget, SolverIncident, SolverStats,
+    thread_solver_stats, Backend, FlowNetwork, FlowSolution, LemraConfig, NetflowError, NodeId,
+    Reoptimizer, ResilientSolver, SolveBudget, SolverIncident, SolverStats,
 };
 use std::sync::Mutex;
 use std::time::Instant;
@@ -52,10 +52,6 @@ pub enum Stage {
     /// Flow-network construction (§5.1), including re-pricing a retained
     /// network on warm sweep points.
     Build,
-    /// Content key of the built instance for the cross-request cache
-    /// ([`instance_key`]); skipped (zero-cost) when [`LemraConfig::cache`]
-    /// is off.
-    Canon,
     /// The min-cost-flow solve itself.
     Solve,
     /// Binding the flow back to domain objects: path decomposition into
@@ -67,11 +63,10 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 6] = [
         Stage::Segment,
         Stage::Profile,
         Stage::Build,
-        Stage::Canon,
         Stage::Solve,
         Stage::Bind,
         Stage::Validate,
@@ -83,7 +78,6 @@ impl Stage {
             Stage::Segment => "segment",
             Stage::Profile => "profile",
             Stage::Build => "build",
-            Stage::Canon => "canon",
             Stage::Solve => "solve",
             Stage::Bind => "bind",
             Stage::Validate => "validate",
@@ -128,7 +122,7 @@ impl StageTiming {
 /// has dropped).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    stages: [StageTiming; 7],
+    stages: [StageTiming; 6],
     /// Dijkstra rounds run and flow units pushed by the SSP-family solvers.
     pub solver: SolverStats,
     /// Solves answered from the reoptimizer's retained residual state.
@@ -144,7 +138,7 @@ pub struct PipelineStats {
 
 impl PipelineStats {
     const ZERO: PipelineStats = PipelineStats {
-        stages: [StageTiming::ZERO; 7],
+        stages: [StageTiming::ZERO; 6],
         solver: SolverStats {
             dijkstra_rounds: 0,
             pushed_units: 0,
@@ -302,13 +296,8 @@ pub struct PipelineCx {
     /// terms derate independently (distinct supply voltages), hence the two
     /// energy entries.
     prev_basis: Option<(i64, i64, i64, i64)>,
-    cache: Option<RetainedNetwork>,
+    retained: Option<RetainedNetwork>,
     stats: PipelineStats,
-    /// Cross-request cache mode this context runs under (a snapshot of
-    /// [`LemraConfig::cache`] unless the constructor overrode it).
-    cache_mode: CacheMode,
-    /// Solves this context answered by exact-hit replay.
-    exact_hits: u64,
 }
 
 impl Default for PipelineCx {
@@ -330,26 +319,22 @@ impl Drop for PipelineCx {
 }
 
 impl PipelineCx {
-    /// A context configured from the process-wide [`LemraConfig`] snapshot
-    /// (backend and cache mode).
+    /// A context solving with the process-wide [`LemraConfig`] snapshot's
+    /// backend.
     pub fn new() -> Self {
-        let cfg = LemraConfig::get();
-        Self::with_backend_cache(cfg.backend, cfg.cache)
+        Self::with_backend(LemraConfig::get().backend)
     }
 
-    /// A context with an explicit backend and cross-request cache mode.
-    /// Tests use this to pin either without mutating the process-wide
-    /// config snapshot.
-    pub fn with_backend_cache(backend: Backend, cache_mode: CacheMode) -> Self {
+    /// A context with an explicit backend. Tests use this to pin one
+    /// without mutating the process-wide config snapshot.
+    pub fn with_backend(backend: Backend) -> Self {
         Self {
             backend,
             reopt: Reoptimizer::new(),
             resilient: ResilientSolver::new(backend),
             prev_basis: None,
-            cache: None,
+            retained: None,
             stats: PipelineStats::ZERO,
-            cache_mode,
-            exact_hits: 0,
         }
     }
 
@@ -358,13 +343,12 @@ impl PipelineCx {
         self.backend
     }
 
-    /// A fresh context with this one's configuration (backend and cache
-    /// mode) but none of its state. The allocation server forks one context
-    /// per worker thread (and re-forks after containing a panicked
-    /// request); each fork's counters flush to the process-wide registry
-    /// when it drops, like any other context.
+    /// A fresh context with this one's backend but none of its state. The
+    /// allocation server forks one context per worker thread (and re-forks
+    /// after containing a panicked request); each fork's counters flush to
+    /// the process-wide registry when it drops, like any other context.
     pub fn fork(&self) -> Self {
-        Self::with_backend_cache(self.backend, self.cache_mode)
+        Self::with_backend(self.backend)
     }
 
     /// This context's accumulated stage timings and solver counters.
@@ -375,12 +359,6 @@ impl PipelineCx {
     /// Warm-start solves answered from retained residual state.
     pub fn warm_solves(&self) -> u64 {
         self.reopt.warm_solves()
-    }
-
-    /// Solves this context answered by replaying a cached solution from an
-    /// exact fingerprint hit.
-    pub fn cache_exact_hits(&self) -> u64 {
-        self.exact_hits
     }
 
     /// Warm-path solves that had to (re)build solver state from scratch.
@@ -503,104 +481,69 @@ impl PipelineCx {
         Ok(())
     }
 
-    /// Solve stage with the cross-request cache in front: a hit replays
-    /// the cached optimum; a miss solves cold through the configured
-    /// backend's fallback chain and populates the cache. The context's own
-    /// sweep reoptimizer is never touched, so [`Self::allocate_warm`]'s
-    /// intra-sweep state cannot be clobbered by an unrelated chain-flow or
-    /// block solve.
+    /// Solve stage, cold: one solve through the configured backend's
+    /// fallback chain. The context's own sweep reoptimizer is never
+    /// touched, so [`Self::allocate_warm`]'s intra-sweep state cannot be
+    /// clobbered by an unrelated chain-flow or block solve.
     ///
-    /// Public so callers holding a raw built network (the benches, external
-    /// drivers composing their own Build stage) can route a solve through
-    /// the same cache front the composed runs use.
+    /// Public so callers holding a raw built network (external drivers
+    /// composing their own Build stage) can solve it with this context's
+    /// backend, fallback chain and counters.
     ///
     /// # Errors
     ///
     /// Same as a cold solve through the configured backend's fallback
     /// chain: infeasibility, invalid endpoints, budget exhaustion.
-    pub fn cached_solve(
+    pub fn solve(
         &mut self,
         net: &FlowNetwork,
         s: NodeId,
         t: NodeId,
         target: i64,
     ) -> Result<FlowSolution, NetflowError> {
-        self.solve_stage(net, s, t, target, None)
-    }
-
-    /// The Solve stage every composed run goes through: key the instance
-    /// (Canon), replay an exact hit, otherwise solve, then count the cache
-    /// outcome and remember the optimum.
-    ///
-    /// `sweep` picks the solver state. `Some` is the retained path of
-    /// [`Self::allocate_warm`]: after a cache miss the point's rescale hint
-    /// is applied and the solve runs on this context's own reoptimizer.
-    /// `None` solves cold and leaves that reoptimizer alone.
-    fn solve_stage(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        sweep: Option<(&AllocationProblem, &BuiltNetwork)>,
-    ) -> Result<FlowSolution, NetflowError> {
-        let key = (self.cache_mode != CacheMode::Off).then(|| {
-            let t0 = Instant::now();
-            let key = instance_key(net, s, t, target);
-            self.record(Stage::Canon, t0);
-            key
-        });
-        if let Some(key) = key {
-            if let Some((flows, value)) = crate::cache::lookup_exact(key) {
-                if let Some(solution) = replay_exact(net, s, t, flows, value) {
-                    // Hit: skip the solve. A sweep's reoptimizer and rescale
-                    // basis still describe the point it last solved, so its
-                    // next miss repairs from there.
-                    self.exact_hits += 1;
-                    crate::cache::note_exact_hit();
-                    return Ok(solution);
-                }
-            }
-        }
-
-        if let Some((problem, built)) = sweep {
-            self.rescale_hint(problem, built);
-        }
         let t0 = Instant::now();
         let incidents = self.resilient.incident_count();
-        let result = if sweep.is_none() {
-            let before = thread_solver_stats();
-            let result = self.resilient.solve(net, s, t, target);
-            self.stats.solver = self.stats.solver + (thread_solver_stats() - before);
-            self.stats.cold_solves += 1;
-            result
-        } else {
-            let reopt = &mut self.reopt;
-            let (stats, warm, cold) = (reopt.stats(), reopt.warm_solves(), reopt.cold_solves());
-            let result = self.resilient.solve_with_fallback(reopt, net, s, t, target);
-            if self.resilient.incident_count() > incidents {
-                // The warm primary failed mid-solve (possibly mid-mutation
-                // after a contained panic): drop its state and the rescale
-                // basis rather than reuse them. The returned solution, if
-                // any, came from a stateless fallback backend.
-                reopt.reset();
-                self.prev_basis = None;
-            }
-            self.stats.solver = self.stats.solver + (reopt.stats() - stats);
-            self.stats.warm_solves += reopt.warm_solves() - warm;
-            self.stats.cold_solves += reopt.cold_solves() - cold;
-            result
-        };
+        let before = thread_solver_stats();
+        let result = self.resilient.solve(net, s, t, target);
+        self.stats.solver = self.stats.solver + (thread_solver_stats() - before);
+        self.stats.cold_solves += 1;
         self.stats.solver.incidents += self.resilient.incident_count() - incidents;
-        if key.is_some() {
-            crate::cache::note_miss();
-        }
         self.record(Stage::Solve, t0);
-        let solution = result?;
-        if let Some(key) = key {
-            crate::cache::insert_exact(key, solution.flows.clone(), solution.value);
+        result
+    }
+
+    /// Solve stage, warm: the retained path of [`Self::allocate_warm`].
+    /// Applies the point's rescale hint, then solves `built` for the
+    /// problem's register count on this context's own reoptimizer, with
+    /// the fallback chain behind it.
+    fn solve_warm(
+        &mut self,
+        problem: &AllocationProblem,
+        built: &BuiltNetwork,
+    ) -> Result<FlowSolution, NetflowError> {
+        self.rescale_hint(problem, built);
+        let t0 = Instant::now();
+        let incidents = self.resilient.incident_count();
+        let reopt = &mut self.reopt;
+        let (stats, warm, cold) = (reopt.stats(), reopt.warm_solves(), reopt.cold_solves());
+        let target = i64::from(problem.registers);
+        let result = self
+            .resilient
+            .solve_with_fallback(reopt, &built.net, built.s, built.t, target);
+        if self.resilient.incident_count() > incidents {
+            // The warm primary failed mid-solve (possibly mid-mutation
+            // after a contained panic): drop its state and the rescale
+            // basis rather than reuse them. The returned solution, if
+            // any, came from a stateless fallback backend.
+            reopt.reset();
+            self.prev_basis = None;
         }
-        Ok(solution)
+        self.stats.solver = self.stats.solver + (reopt.stats() - stats);
+        self.stats.warm_solves += reopt.warm_solves() - warm;
+        self.stats.cold_solves += reopt.cold_solves() - cold;
+        self.stats.solver.incidents += self.resilient.incident_count() - incidents;
+        self.record(Stage::Solve, t0);
+        result
     }
 
     /// Hints the sweep's reoptimizer when the tie-break encoding or an
@@ -674,7 +617,7 @@ impl PipelineCx {
         let regions = self.profile(problem, &segmentation);
         let built = self.build(problem, &segmentation, &regions)?;
         let solution = self
-            .cached_solve(&built.net, built.s, built.t, i64::from(problem.registers))
+            .solve(&built.net, built.s, built.t, i64::from(problem.registers))
             .map_err(|e| flow_error(problem, e))?;
         let allocation = self.bind(problem, segmentation, &built, &solution)?;
         self.validate(problem, &allocation)?;
@@ -746,7 +689,7 @@ impl PipelineCx {
         // rebuild when the topology changed. A network that does not cover
         // the point is dropped before the rebuild, so the new one reuses its
         // memory.
-        let mut retained = match self.cache.take().filter(|c| c.covers(problem)) {
+        let mut retained = match self.retained.take().filter(|r| r.covers(problem)) {
             Some(mut retained) => {
                 if !retained.priced_for.matches(problem) {
                     let t0 = Instant::now();
@@ -763,7 +706,7 @@ impl PipelineCx {
                     retained.priced_for = PricingInputs::of(problem);
                 }
                 if let Some(allocation) = retained.answer.clone() {
-                    self.cache = Some(retained);
+                    self.retained = Some(retained);
                     self.validate(problem, &allocation)?;
                     self.stats.reused_answers += 1;
                     return Ok(allocation);
@@ -792,9 +735,8 @@ impl PipelineCx {
             }
         };
         let built = &retained.built;
-        let target = i64::from(problem.registers);
         let allocation = self
-            .solve_stage(&built.net, built.s, built.t, target, Some((problem, built)))
+            .solve_warm(problem, built)
             .map_err(|e| flow_error(problem, e))
             .and_then(|solution| {
                 self.bind(problem, retained.segmentation.clone(), built, &solution)
@@ -804,7 +746,7 @@ impl PipelineCx {
                 Ok(allocation)
             });
         retained.answer = allocation.as_ref().ok().cloned();
-        self.cache = Some(retained);
+        self.retained = Some(retained);
         allocation
     }
 }
@@ -911,7 +853,7 @@ pub(crate) fn solve_chain_flow(
     cx.record_bytes(Stage::Build, net.heap_bytes());
 
     let sol = cx
-        .cached_solve(&net, s, t, i64::from(spec.capacity))
+        .solve(&net, s, t, i64::from(spec.capacity))
         .map_err(|e| match e {
             NetflowError::Infeasible { required, achieved } => CoreError::TooFewRegisters {
                 registers: spec.capacity,
@@ -948,51 +890,10 @@ pub(crate) fn solve_chain_flow(
     Ok(ChainFlowOutcome { chains })
 }
 
-/// Replays a cached creation-order flow onto `net` and re-checks its
-/// bounds, conservation, value and cost against the live network, so a
-/// corrupted entry or an infeasible collision degrades to a miss. The
-/// check does not cover optimality or the requested target; those rest on
-/// the 128-bit key. Panics
-/// inside the replay — the fault-injection hook, or a cost-recompute bug —
-/// are contained here and also degrade to a miss, which sends the caller
-/// down the ordinary cold path.
-fn replay_exact(
-    net: &FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    flows: Vec<i64>,
-    value: i64,
-) -> Option<FlowSolution> {
-    if flows.len() != net.arc_count() {
-        return None;
-    }
-    let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        #[cfg(feature = "fault-inject")]
-        if lemra_netflow::maybe_inject_cache() {
-            panic!("injected fault: cache-hit replay");
-        }
-        let mut sol = FlowSolution {
-            flows,
-            value,
-            cost: 0,
-        };
-        sol.cost = sol.recompute_cost(net);
-        sol
-    }));
-    let sol = replay.ok()?;
-    lemra_netflow::validate(net, s, t, &sol).ok()?;
-    Some(sol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lemra_ir::LifetimeTable;
-
-    /// A context with the configured backend and an explicit cache mode.
-    fn cx_in(mode: CacheMode) -> PipelineCx {
-        PipelineCx::with_backend_cache(LemraConfig::get().backend, mode)
-    }
 
     fn problem() -> AllocationProblem {
         let table =
@@ -1019,7 +920,7 @@ mod tests {
         let p = problem();
         let reference = crate::allocate(&p).unwrap();
         for backend in Backend::ALL.into_iter().chain([Backend::Auto]) {
-            let mut cx = PipelineCx::with_backend_cache(backend, CacheMode::Off);
+            let mut cx = PipelineCx::with_backend(backend);
             assert_eq!(cx.backend(), backend);
             let a = cx.allocate(&p).unwrap();
             assert_eq!(a.placements(), reference.placements(), "{backend}");
@@ -1070,7 +971,7 @@ mod tests {
         // A three-point voltage sweep builds solver state once and repairs
         // it twice.
         use lemra_energy::EnergyModel;
-        let mut sweep = cx_in(CacheMode::Off);
+        let mut sweep = PipelineCx::new();
         for volts in [3.3, 2.4, 1.8] {
             let point =
                 problem().with_energy(EnergyModel::default_16bit().with_memory_voltage(volts));
@@ -1111,7 +1012,7 @@ mod tests {
         first: &AllocationProblem,
         second: &AllocationProblem,
     ) -> (Allocation, u64, (u64, u64, u64)) {
-        let mut cx = cx_in(CacheMode::Off);
+        let mut cx = PipelineCx::new();
         cx.allocate_warm(first).unwrap();
         let before = cx.stats();
         let answer = cx.allocate_warm(second).unwrap();
@@ -1238,85 +1139,16 @@ mod tests {
         let names: Vec<_> = Stage::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
-            ["segment", "profile", "build", "canon", "solve", "bind", "validate"]
+            ["segment", "profile", "build", "solve", "bind", "validate"]
         );
         assert_eq!(Stage::Solve.to_string(), "solve");
     }
 
     #[test]
-    fn exact_hits_replay_byte_identical_reports_across_backends() {
-        // A lifetime shape used by no other test, so the first solve below
-        // is the process-wide cache's first sight of the instance.
-        let table = LifetimeTable::from_intervals(
-            11,
-            vec![
-                (1, vec![4], false),
-                (2, vec![7, 9], false),
-                (5, vec![11], false),
-            ],
-        )
-        .unwrap();
-        let p = AllocationProblem::new(table, 2);
-        let cold = crate::allocate(&p).unwrap();
-        for backend in Backend::ALL.into_iter().chain([Backend::Auto]) {
-            let mut seed = PipelineCx::with_backend_cache(backend, CacheMode::Exact);
-            let first = seed.allocate(&p).unwrap();
-            assert_eq!(first.placements(), cold.placements(), "{backend}");
-            let mut cx = PipelineCx::with_backend_cache(backend, CacheMode::Exact);
-            let hit = cx.allocate(&p).unwrap();
-            assert_eq!(cx.cache_exact_hits(), 1, "{backend} must replay, not solve");
-            assert_eq!(hit.placements(), cold.placements(), "{backend}");
-            assert_eq!(hit.chains(), cold.chains(), "{backend}");
-            assert_eq!(hit.flow_cost(), cold.flow_cost(), "{backend}");
-            for v in 0..3 {
-                let v = lemra_ir::VarId(v);
-                assert_eq!(hit.memory_address(v), cold.memory_address(v), "{backend}");
-            }
-        }
-    }
-
-    #[test]
-    fn warm_sweep_second_pass_replays_exact_hits() {
-        use lemra_energy::EnergyModel;
-        let table = LifetimeTable::from_intervals(
-            12,
-            vec![
-                (1, vec![5], false),
-                (3, vec![9], false),
-                (6, vec![12], false),
-            ],
-        )
-        .unwrap();
-        let points = [(3.2f64, 1u32), (2.6, 1), (2.0, 2)];
-        let run = || {
-            let mut cx = cx_in(CacheMode::Exact);
-            let mut out = Vec::new();
-            for (volts, regs) in points {
-                let p = AllocationProblem::new(table.clone(), regs)
-                    .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts));
-                out.push(cx.allocate_warm(&p).unwrap());
-            }
-            (cx.cache_exact_hits(), out)
-        };
-        let (_, first) = run();
-        let (hits, second) = run();
-        assert_eq!(hits, 3, "the repeat sweep must be answered from cache");
-        for ((a, b), (volts, regs)) in first.iter().zip(&second).zip(points) {
-            assert_eq!(a.placements(), b.placements());
-            assert_eq!(a.flow_cost(), b.flow_cost());
-            let p = AllocationProblem::new(table.clone(), regs)
-                .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts));
-            let cold = crate::allocate(&p).unwrap();
-            assert_eq!(b.placements(), cold.placements());
-            assert_eq!(b.flow_cost(), cold.flow_cost());
-        }
-    }
-
-    #[test]
-    fn refreshed_network_keys_like_a_fresh_build() {
-        // The exact key folds arcs in creation order, so it relies on
-        // `refresh` re-pricing the retained network into exactly what a
-        // fresh build of the same point emits.
+    fn refreshed_network_equals_a_fresh_build() {
+        // `refresh` must re-price the retained network into exactly what a
+        // fresh build of the same point emits: the same nodes and, in
+        // creation order, the same arcs with the same bounds and costs.
         use lemra_energy::EnergyModel;
         let table = LifetimeTable::from_intervals(
             15,
@@ -1332,60 +1164,27 @@ mod tests {
                 .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts))
         };
         let (p1, p2) = (point(3.1), point(2.2));
-        let mut sweep = cx_in(CacheMode::Exact);
+        let mut sweep = PipelineCx::new();
         sweep.allocate_warm(&p1).unwrap();
         let repriced = sweep.allocate_warm(&p2).unwrap();
-        assert_eq!(sweep.cache_exact_hits(), 0);
-        let mut cx = cx_in(CacheMode::Exact);
-        let fresh = cx.allocate(&p2).unwrap();
-        assert_eq!(cx.cache_exact_hits(), 1, "the fresh build must hit");
-        assert_eq!(fresh.placements(), repriced.placements());
-        assert_eq!(fresh.chains(), repriced.chains());
-        assert_eq!(fresh.flow_cost(), repriced.flow_cost());
-    }
+        // One build for the first point, one re-price for the second.
+        assert_eq!(sweep.stats().stage(Stage::Build).runs, 2);
+        assert_eq!(sweep.stats().warm_solves, 1);
 
-    #[test]
-    fn cache_off_contexts_never_touch_the_cache() {
-        let p = problem();
-        let mut cx = cx_in(CacheMode::Off);
-        cx.allocate(&p).unwrap();
-        cx.allocate_warm(&p).unwrap();
-        assert_eq!(cx.cache_exact_hits(), 0);
-    }
+        let retained = &sweep.retained.as_ref().expect("a retained network").built;
+        let fresh = crate::build_network(&p2).unwrap();
+        assert_eq!((retained.s, retained.t), (fresh.source, fresh.sink));
+        assert_eq!(retained.net.node_count(), fresh.net.node_count());
+        assert_eq!(retained.net.arc_count(), fresh.net.arc_count());
+        let fields = |a: &lemra_netflow::Arc| (a.from, a.to, a.lower_bound, a.capacity, a.cost);
+        for (i, ((_, got), (_, want))) in retained.net.arcs().zip(fresh.net.arcs()).enumerate() {
+            assert_eq!(fields(got), fields(want), "arc {i}");
+        }
 
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn replay_panic_degrades_to_a_byte_identical_cold_solve() {
-        use lemra_netflow::FaultPlan;
-        let table = LifetimeTable::from_intervals(
-            13,
-            vec![
-                (2, vec![6], false),
-                (4, vec![10], false),
-                (7, vec![13], false),
-            ],
-        )
-        .unwrap();
-        let p = AllocationProblem::new(table, 2);
-        let cold = crate::allocate(&p).unwrap();
-        let mut seed = cx_in(CacheMode::Exact);
-        seed.allocate(&p).unwrap();
-        // Arm a panic inside the next cache-hit replay; the hit must
-        // degrade to a miss and the cold path must commit the same bytes.
-        let plan: FaultPlan = "panic@0:cache".parse().unwrap();
-        plan.install();
-        let mut cx = cx_in(CacheMode::Exact);
-        let recovered = cx.allocate(&p).unwrap();
-        FaultPlan::clear();
-        assert_eq!(cx.cache_exact_hits(), 0, "the poisoned replay is not a hit");
-        assert_eq!(recovered.placements(), cold.placements());
-        assert_eq!(recovered.chains(), cold.chains());
-        assert_eq!(recovered.flow_cost(), cold.flow_cost());
-        // The fault fired once; a fresh context replays cleanly again.
-        let mut cx = cx_in(CacheMode::Exact);
-        let replayed = cx.allocate(&p).unwrap();
-        assert_eq!(cx.cache_exact_hits(), 1);
-        assert_eq!(replayed.placements(), cold.placements());
+        let cold = crate::allocate(&p2).unwrap();
+        assert_eq!(cold.placements(), repriced.placements());
+        assert_eq!(cold.chains(), repriced.chains());
+        assert_eq!(cold.flow_cost(), repriced.flow_cost());
     }
 
     #[test]

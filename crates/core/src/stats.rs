@@ -1,21 +1,19 @@
 //! One uniform counters surface: [`StatsSnapshot`] packages the pipeline
 //! stage timings ([`PipelineStats`], which embeds the solver's
-//! [`SolverStats`](lemra_netflow::SolverStats) counters) together with the
-//! cross-request cache counters ([`CacheStats`]) behind a single `collect`
-//! + `render` pair.
+//! [`SolverStats`](lemra_netflow::SolverStats) counters) behind a single
+//! `collect` + `render` pair.
 //!
 //! Every counter is always on; `--timings` only decides whether a driver
 //! prints the block. All four drivers — `repro`, `wholeprogram`, `lemra`
-//! and `lemra-server` — format this one snapshot, as does the server's
-//! admin endpoint. The rendering below is pinned byte-for-byte by a
-//! regression test because CI greps the `repro --timings` stderr lines.
+//! and `lemra-server` — format this one snapshot. The rendering below is
+//! pinned byte-for-byte by a regression test so the drivers' `--timings`
+//! blocks cannot drift apart.
 
-use crate::cache::{cache_stats, CacheStats};
 use crate::pipeline::{pipeline_stats, PipelineStats, Stage};
 use std::fmt::Write as _;
 
 /// A point-in-time copy of every process-wide counter the pipeline keeps:
-/// per-stage timings, solver effort, incidents and cache traffic.
+/// per-stage timings, solver effort and incidents.
 ///
 /// # Examples
 ///
@@ -30,22 +28,19 @@ pub struct StatsSnapshot {
     /// Stage timings, solve counts and solver counters of every dropped
     /// [`PipelineCx`](crate::PipelineCx).
     pub pipeline: PipelineStats,
-    /// Cross-request allocation cache counters.
-    pub cache: CacheStats,
 }
 
 impl StatsSnapshot {
-    /// Snapshots the process-wide stats registry and cache counters.
+    /// Snapshots the process-wide stats registry.
     pub fn collect() -> Self {
         StatsSnapshot {
             pipeline: pipeline_stats(),
-            cache: cache_stats(),
         }
     }
 
-    /// The `--timings` stderr block, exactly as `repro` has always printed
-    /// it: the stage table, the solves line, the cache line. Each line is
-    /// `\n`-terminated; print with `eprint!`, not `eprintln!`.
+    /// The `--timings` stderr block: the stage table and the solves line.
+    /// Each line is `\n`-terminated; print with `eprint!`, not
+    /// `eprintln!`.
     pub fn render_timings(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "-- pipeline stage timings --");
@@ -76,16 +71,6 @@ impl StatsSnapshot {
             self.pipeline.solver.pushed_units,
             self.pipeline.solver.incidents
         );
-        let _ = writeln!(
-            out,
-            "  cache: {} exact hits, {} misses, {} insertions, {} evictions; \
-             {} entries resident",
-            self.cache.exact_hits,
-            self.cache.misses,
-            self.cache.insertions,
-            self.cache.evictions,
-            self.cache.exact_entries
-        );
         out
     }
 }
@@ -94,9 +79,8 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
-    /// CI's cache-determinism and cache-fault jobs grep the `--timings`
-    /// stderr lines; this pins the rendering byte-for-byte so routing the
-    /// three old call sites through one snapshot can never drift them.
+    /// Pins the rendering byte-for-byte, so the drivers that print this one
+    /// snapshot can never drift apart.
     #[test]
     fn render_timings_format_is_pinned() {
         let zero = StatsSnapshot::default();
@@ -106,12 +90,10 @@ mod tests {
   segment          0        0.000          0.0
   profile          0        0.000          0.0
   build            0        0.000          0.0
-  canon            0        0.000          0.0
   solve            0        0.000          0.0
   bind             0        0.000          0.0
   validate         0        0.000          0.0
   solves: 0 warm, 0 cold, 0 reused; 0 dijkstra rounds, 0 units pushed, 0 incidents
-  cache: 0 exact hits, 0 misses, 0 insertions, 0 evictions; 0 entries resident
 ";
         assert_eq!(zero.render_timings(), expected);
     }
@@ -123,10 +105,8 @@ mod tests {
         snapshot.pipeline.cold_solves = 2;
         snapshot.pipeline.reused_answers = 4;
         snapshot.pipeline.solver.incidents = 1;
-        snapshot.cache.exact_hits = 7;
         let text = snapshot.render_timings();
         assert!(text.contains("solves: 3 warm, 2 cold, 4 reused;"));
         assert!(text.contains("1 incidents"));
-        assert!(text.contains("cache: 7 exact hits,"));
     }
 }

@@ -1,10 +1,10 @@
 //! Process-wide runtime configuration, read once.
 //!
-//! The runtime knobs — backend, worker threads, cache mode and capacity —
-//! live in one [`LemraConfig`], parsed from the environment exactly once
-//! per process (or installed explicitly by a binary's flag parser before
-//! first use). Every consumer reads the same snapshot, so two
-//! parallel drivers can never disagree about the thread count mid-run.
+//! The runtime knobs — backend and worker threads — live in one
+//! [`LemraConfig`], parsed from the environment exactly once per process
+//! (or installed explicitly by a binary's flag parser before first use).
+//! Every consumer reads the same snapshot, so two parallel drivers can
+//! never disagree about the thread count mid-run.
 //!
 //! Parsing is strict: a malformed variable is an error carrying the list of
 //! accepted values, never a silent fallback (a mistyped
@@ -21,45 +21,6 @@ pub const BACKEND_ENV: &str = "LEMRA_BACKEND";
 /// Environment variable overriding the worker-thread count (`1` forces
 /// serial execution; useful for debugging and timing comparisons).
 pub const THREADS_ENV: &str = "LEMRA_THREADS";
-
-/// Environment variable selecting the cross-request allocation cache mode
-/// (`off` — default, no cache; `exact` — replay byte-identical solutions on
-/// fingerprint hits).
-pub const CACHE_ENV: &str = "LEMRA_CACHE";
-
-/// Environment variable capping the allocation cache's entry count
-/// (positive integer; default 128). Above the cap the entry with the
-/// fewest recorded accesses is evicted, oldest first on ties.
-pub const CACHE_CAP_ENV: &str = "LEMRA_CACHE_CAP";
-
-/// Cross-request allocation cache mode, parsed from [`CACHE_ENV`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CacheMode {
-    /// No cross-request caching (the default; byte-identical to the
-    /// pre-cache pipeline by construction).
-    #[default]
-    Off,
-    /// Fingerprint hits replay the cached solution; misses solve and
-    /// populate the cache.
-    Exact,
-}
-
-impl std::str::FromStr for CacheMode {
-    type Err = NetflowError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(CacheMode::Off),
-            "exact" => Ok(CacheMode::Exact),
-            other => Err(NetflowError::InvalidArc {
-                reason: format!(
-                    "{CACHE_ENV}=`{other}` is not a cache mode \
-                     (expected off or exact)"
-                ),
-            }),
-        }
-    }
-}
 
 /// Former switch for the region-parallel solver backend, which has been
 /// removed: every network now solves in the plain SSP backend. No value has
@@ -101,10 +62,6 @@ pub struct LemraConfig {
     /// No effect (see [`ParSolve`]); always [`ParSolve::Auto`] from the
     /// environment. To be removed.
     pub par_solve: ParSolve,
-    /// Cross-request allocation cache mode (default off).
-    pub cache: CacheMode,
-    /// Allocation cache capacity in entries (default 128).
-    pub cache_cap: usize,
 }
 
 impl Default for LemraConfig {
@@ -113,8 +70,6 @@ impl Default for LemraConfig {
             backend: Backend::Ssp,
             threads: None,
             par_solve: ParSolve::Auto,
-            cache: CacheMode::Off,
-            cache_cap: 128,
         }
     }
 }
@@ -123,8 +78,7 @@ static CONFIG: OnceLock<LemraConfig> = OnceLock::new();
 
 impl LemraConfig {
     /// Builds a configuration from the environment ([`BACKEND_ENV`],
-    /// [`THREADS_ENV`], [`CACHE_ENV`], [`CACHE_CAP_ENV`]);
-    /// unset variables fall back to the defaults.
+    /// [`THREADS_ENV`]); unset variables fall back to the defaults.
     ///
     /// # Errors
     ///
@@ -136,8 +90,6 @@ impl LemraConfig {
         Self::from_vars(
             std::env::var(BACKEND_ENV).ok().as_deref(),
             std::env::var(THREADS_ENV).ok().as_deref(),
-            std::env::var(CACHE_ENV).ok().as_deref(),
-            std::env::var(CACHE_CAP_ENV).ok().as_deref(),
         )
     }
 
@@ -147,12 +99,7 @@ impl LemraConfig {
     /// # Errors
     ///
     /// Same as [`from_env`](Self::from_env).
-    pub fn from_vars(
-        backend: Option<&str>,
-        threads: Option<&str>,
-        cache: Option<&str>,
-        cache_cap: Option<&str>,
-    ) -> Result<Self, NetflowError> {
+    pub fn from_vars(backend: Option<&str>, threads: Option<&str>) -> Result<Self, NetflowError> {
         let backend = backend.map_or(Ok(Backend::default()), str::parse)?;
         let threads = threads
             .map(|v| {
@@ -164,22 +111,9 @@ impl LemraConfig {
                     })
             })
             .transpose()?;
-        let cache = cache.map_or(Ok(CacheMode::default()), str::parse)?;
-        let cache_cap = cache_cap
-            .map(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| NetflowError::InvalidArc {
-                        reason: format!("{CACHE_CAP_ENV}=`{v}` is not a positive entry count"),
-                    })
-            })
-            .transpose()?;
         Ok(Self {
             backend,
             threads,
-            cache,
-            cache_cap: cache_cap.unwrap_or(Self::default().cache_cap),
             ..Self::default()
         })
     }
@@ -256,13 +190,10 @@ mod tests {
 
     #[test]
     fn from_vars_parses_each_knob() {
-        let cfg =
-            LemraConfig::from_vars(Some("auto"), Some("3"), Some("exact"), Some("7")).unwrap();
+        let cfg = LemraConfig::from_vars(Some("auto"), Some("3")).unwrap();
         assert_eq!(cfg.backend, Backend::Auto);
         assert_eq!(cfg.threads, Some(3));
-        assert_eq!(cfg.cache, CacheMode::Exact);
-        assert_eq!(cfg.cache_cap, 7);
-        let unset = LemraConfig::from_vars(None, None, None, None).unwrap();
+        let unset = LemraConfig::from_vars(None, None).unwrap();
         assert_eq!(unset, LemraConfig::default());
     }
 
@@ -270,7 +201,7 @@ mod tests {
     fn unknown_backend_is_an_error_listing_valid_names() {
         // Typos and the names of removed backends are rejected alike.
         for bad in ["cost_scalng", "simplex", "cycle", "scaling"] {
-            let err = LemraConfig::from_vars(Some(bad), None, None, None).unwrap_err();
+            let err = LemraConfig::from_vars(Some(bad), None).unwrap_err();
             let msg = err.to_string();
             assert!(
                 msg.contains(&format!("`{bad}`")),
@@ -283,35 +214,17 @@ mod tests {
     }
 
     #[test]
-    fn cache_mode_parses_strictly_and_rejects_typos() {
-        assert_eq!("off".parse::<CacheMode>().unwrap(), CacheMode::Off);
-        assert_eq!("exact".parse::<CacheMode>().unwrap(), CacheMode::Exact);
-        // Anything but `off` and `exact`, `warm` included, fails like a typo.
-        for bad in ["warm", "on", "1", "Exact", "exatc", ""] {
-            let err = bad.parse::<CacheMode>().unwrap_err().to_string();
-            assert!(err.contains(CACHE_ENV), "names the variable: {err}");
-            assert!(err.contains("off or exact"), "lists the modes: {err}");
-        }
-        assert!(
-            LemraConfig::from_vars(None, None, Some("warm"), None).is_err(),
-            "a typo'd {CACHE_ENV} must fail loudly"
-        );
-        assert!(LemraConfig::from_vars(None, None, None, Some("0")).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, Some("many")).is_err());
-    }
-
-    #[test]
     fn cost_scaling_backend_parses_from_env_vars() {
-        let cfg = LemraConfig::from_vars(Some("cost_scaling"), None, None, None).unwrap();
+        let cfg = LemraConfig::from_vars(Some("cost_scaling"), None).unwrap();
         assert_eq!(cfg.backend, Backend::CostScaling);
-        let dashed = LemraConfig::from_vars(Some("cost-scaling"), None, None, None).unwrap();
+        let dashed = LemraConfig::from_vars(Some("cost-scaling"), None).unwrap();
         assert_eq!(dashed.backend, Backend::CostScaling);
     }
 
     #[test]
     fn malformed_numeric_knobs_are_errors() {
-        assert!(LemraConfig::from_vars(None, Some("zero"), None, None).is_err());
-        assert!(LemraConfig::from_vars(None, Some("0"), None, None).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, Some("-1")).is_err());
+        assert!(LemraConfig::from_vars(None, Some("zero")).is_err());
+        assert!(LemraConfig::from_vars(None, Some("0")).is_err());
+        assert!(LemraConfig::from_vars(None, Some("-1")).is_err());
     }
 }

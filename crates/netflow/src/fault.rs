@@ -15,7 +15,10 @@
 //! degradation path the plan exists to test. An unqualified fault targets
 //! only the first attempt (`attempt == 0`) of its solve; a
 //! backend-qualified fault (`kind@index:backend`) targets whichever attempt
-//! runs that backend.
+//! runs that backend. The qualifier must name an attempt the fallback chain
+//! can run — `reopt`, `ssp` or `cost_scaling` (`auto` always resolves to a
+//! concrete backend first) — or a request (`req<id>`, below); anything else
+//! is rejected rather than planned as a fault that can never fire.
 //!
 //! Injection happens inside [`ResilientSolver`]'s per-attempt
 //! `catch_unwind` region, so an injected panic exercises the genuine
@@ -46,8 +49,13 @@ use std::sync::{Mutex, OnceLock};
 /// Environment variable holding the fault specification
 /// (`kind@target[:qualifier]`, comma-separated; kinds: `panic`, `budget`,
 /// `overflow`, `conn`; target: solve index, request id for `conn`, or the
-/// wildcard `solve`; qualifier: backend name, `cache` or `req<id>`).
+/// wildcard `solve`; qualifier: `reopt`, `ssp`, `cost_scaling` or
+/// `req<id>`).
 pub const FAULT_ENV: &str = "LEMRA_FAULT";
+
+/// Every attempt name the resilience layer's fallback chain can run: the
+/// warm reoptimizer and each concrete backend.
+const ATTEMPT_NAMES: [&str; 3] = ["reopt", "ssp", "cost_scaling"];
 
 /// The kind of failure an injected fault simulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,9 +91,9 @@ impl FaultKind {
 struct Fault {
     kind: FaultKind,
     at: Option<u64>,
-    /// Restrict to attempts running this backend (or the `cache` /
-    /// `req<id>` conventions); `None` hits the first attempt of the solve
-    /// regardless of backend.
+    /// Restrict to attempts running this backend (or, as `req<id>`, to one
+    /// request); `None` hits the first attempt of the solve regardless of
+    /// backend.
     backend: Option<String>,
     fired: bool,
 }
@@ -186,6 +194,10 @@ impl FaultPlan {
     /// attempt runs the backend named `backend`.
     #[must_use]
     pub fn fail_backend_at(mut self, kind: FaultKind, at: u64, backend: &str) -> Self {
+        debug_assert!(
+            ATTEMPT_NAMES.contains(&backend),
+            "no attempt is named `{backend}`"
+        );
         self.faults.push(Fault {
             kind,
             at: Some(at),
@@ -260,9 +272,7 @@ pub fn ensure_env_plan() {
 /// [`FaultKind::Conn`] (connection kills produce no solver incident). The
 /// admin endpoint reports this so CI can assert *zero non-injected
 /// incidents*: under solve-path faults (a solve index or `solve` wildcard),
-/// total incidents must equal this count exactly. A `cache` fault counts
-/// here but records no incident, because the cache-hit replay contains its
-/// own panic and solves as a miss.
+/// total incidents must equal this count exactly.
 pub fn injected_fault_count() -> u64 {
     let guard = ACTIVE.lock().expect("fault plan lock poisoned");
     guard.as_ref().map_or(0, |plan| {
@@ -325,6 +335,14 @@ impl std::str::FromStr for FaultPlan {
                             ),
                         });
                     }
+                } else if !ATTEMPT_NAMES.contains(&b) {
+                    return Err(NetflowError::InvalidArc {
+                        reason: format!(
+                            "invalid fault spec `{part}`: no solve attempt is named \
+                             `{b}` (qualifiers: {}, or req<id>)",
+                            ATTEMPT_NAMES.join(", ")
+                        ),
+                    });
                 }
             }
             if kind == FaultKind::Conn && (at.is_none() || backend.is_some()) {
@@ -344,30 +362,6 @@ impl std::str::FromStr for FaultPlan {
         }
         Ok(plan)
     }
-}
-
-/// Injection point inside a cache-hit replay, selected by the backend-name
-/// convention `cache` (e.g. `LEMRA_FAULT=panic@0:cache`). The allocation
-/// cache consults it when it replays an exact entry, and the fault fires
-/// on the first replay after installation. The solve index in the spec is
-/// ignored, because replays never reach the resilience layer's solve
-/// counter. Fires once, like every fault; the caller is expected to
-/// contain the panic and fall back to a cold solve.
-pub fn maybe_inject_cache() -> bool {
-    let mut guard = ACTIVE.lock().expect("fault plan lock poisoned");
-    let Some(plan) = guard.as_mut() else {
-        return false;
-    };
-    for fault in &mut plan.faults {
-        if fault.fired || fault.kind != FaultKind::Panic {
-            continue;
-        }
-        if fault.backend.as_deref() == Some("cache") {
-            fault.fired = true;
-            return true;
-        }
-    }
-    false
 }
 
 /// Consults the active plan for a connection fault targeting `request`
@@ -558,16 +552,22 @@ mod tests {
     }
 
     #[test]
-    fn cache_faults_match_the_cache_qualifier_and_fire_once() {
-        let _serial = serial();
-        let plan: FaultPlan = "panic@0:cache".parse().unwrap();
-        plan.install();
-        assert!(maybe_inject_cache());
-        assert!(!maybe_inject_cache());
-        // Index-targeted and backend-targeted faults never hit the replay.
-        let plan: FaultPlan = "panic@0".parse().unwrap();
-        plan.install();
-        assert!(!maybe_inject_cache());
-        FaultPlan::clear();
+    fn qualifiers_that_name_no_attempt_are_rejected() {
+        // `cache` names the retired replay path, `auto` always resolves to
+        // a concrete backend before its attempt runs, and `ssq` is a typo:
+        // each would plan a fault that never fires.
+        for spec in ["panic@0:cache", "panic@0:auto", "panic@0:ssq"] {
+            let err = spec.parse::<FaultPlan>().unwrap_err().to_string();
+            assert!(err.contains(spec), "names the spec: {err}");
+            for name in ["reopt", "ssp", "cost_scaling", "req<id>"] {
+                assert!(err.contains(name), "lists `{name}`: {err}");
+            }
+        }
+        for spec in ["panic@0:reopt", "budget@1:ssp", "overflow@2:cost_scaling"] {
+            assert!(spec.parse::<FaultPlan>().is_ok(), "{spec}");
+        }
+        for backend in crate::Backend::ALL {
+            assert!(ATTEMPT_NAMES.contains(&backend.name()), "{backend}");
+        }
     }
 }

@@ -27,8 +27,6 @@
 //! only in a few arc costs, capacities or the flow value — [`Reoptimizer`]
 //! retains the optimal residual graph and potentials between calls and
 //! repairs optimality from the deltas instead of re-solving from scratch.
-//! [`instance_key`] folds a built network, in arc creation order, into the
-//! [`Fingerprint`] that keys `lemra-core`'s cross-request allocation cache.
 //!
 //! # Solver performance
 //!
@@ -86,7 +84,6 @@
 #![warn(missing_docs)]
 
 mod budget;
-mod canon;
 mod config;
 mod cost_scaling;
 mod dinic;
@@ -101,20 +98,18 @@ mod resilience;
 mod solution;
 mod solver;
 mod ssp;
+mod stamp;
 mod workspace;
 
 pub use budget::SolveBudget;
-pub use canon::{instance_key, Fingerprint};
-pub use config::{
-    CacheMode, LemraConfig, ParSolve, BACKEND_ENV, CACHE_CAP_ENV, CACHE_ENV, THREADS_ENV,
-};
+pub use config::{LemraConfig, ParSolve, BACKEND_ENV, THREADS_ENV};
 pub use cost_scaling::{min_cost_flow_cost_scaling, min_cost_flow_cost_scaling_with};
 pub use dinic::max_flow;
 pub use dot::to_dot;
 #[cfg(feature = "fault-inject")]
 pub use fault::{
-    ensure_env_plan, injected_conn_count, injected_fault_count, maybe_inject_cache,
-    maybe_inject_conn, FaultKind, FaultPlan, RequestScope, FAULT_ENV,
+    ensure_env_plan, injected_conn_count, injected_fault_count, maybe_inject_conn, FaultKind,
+    FaultPlan, RequestScope, FAULT_ENV,
 };
 pub use graph::{Arc, ArcId, FlowNetwork, NodeId};
 pub use reopt::Reoptimizer;

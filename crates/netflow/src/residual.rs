@@ -38,8 +38,8 @@
 //! leave invariant, so sink-side shortest-path rounds read partner
 //! capacities without growing [`Slot`] or chasing `slot_of`.
 
-use crate::canon::CacheStamp;
 use crate::graph::{FlowNetwork, NodeId};
+use crate::stamp::CacheStamp;
 
 /// One directed edge of the residual graph as staged by
 /// [`Residual::add_edge`]; live capacities move into the CSR slot arrays at

@@ -24,9 +24,9 @@
 //! the standard excess/deficit transformation; see
 //! [`min_cost_flow`] for the contract.
 
-use crate::canon::CacheStamp;
 use crate::graph::{FlowNetwork, NodeId};
 use crate::residual::{idx, Residual};
+use crate::stamp::CacheStamp;
 use crate::workspace::{with_thread_workspace, NodeState, SolverWorkspace, INF, NO_PRED};
 use crate::{FlowSolution, NetflowError};
 

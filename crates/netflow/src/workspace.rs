@@ -14,9 +14,9 @@
 //! increment instead of an O(V) fill.
 
 use crate::budget::SolveBudget;
-use crate::canon::CacheStamp;
 use crate::radix::RadixHeap;
 use crate::residual::Residual;
+use crate::stamp::CacheStamp;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 

@@ -8,9 +8,9 @@
 //! Flags override the corresponding environment variables
 //! (`LEMRA_LISTEN`, `LEMRA_ADMIN`, `LEMRA_QUEUE_DEPTH`,
 //! `LEMRA_REQ_TIMEOUT_MS`, `LEMRA_MAX_PAYLOAD`); the solver-side knobs
-//! (`LEMRA_BACKEND`, `LEMRA_THREADS`, `LEMRA_CACHE`, `LEMRA_FAULT`, …)
-//! are read by the pipeline as usual. `--timings` prints the shared
-//! pipeline/cache stats block, always collected, to stderr on exit.
+//! (`LEMRA_BACKEND`, `LEMRA_THREADS`, and `LEMRA_FAULT` in fault-inject
+//! builds) are read by the pipeline as usual. `--timings` prints the
+//! shared pipeline stats block, always collected, to stderr on exit.
 //!
 //! SIGTERM and SIGINT begin a graceful drain: the listener stops
 //! accepting, new frames are refused with `shutting_down`, every admitted

@@ -10,7 +10,7 @@
 //! With `-` as the file, the spec is read from standard input. `--backend`
 //! selects the min-cost-flow solver (`ssp`, `cost_scaling`, `auto`; also
 //! settable via `LEMRA_BACKEND`); `--timings` prints the per-stage pipeline
-//! timings, solver counters and cache counters to stderr.
+//! timings and solver counters to stderr.
 
 use lemra::core::{
     allocate, render_allocation, storage_plan, AllocationProblem, AllocationReport, GraphStyle,
