@@ -39,7 +39,7 @@
 
 use crate::costs::CostCalculator;
 use crate::problem::{AllocationProblem, GraphStyle};
-use crate::segment::{SegmentId, Segmentation};
+use crate::segment::{Segment, SegmentId, Segmentation};
 use crate::CoreError;
 use lemra_energy::MicroEnergy;
 use lemra_ir::{DensityProfile, Tick, TickRange};
@@ -169,6 +169,9 @@ struct BuildArena {
     var_of: Vec<u32>,
     by_start: Vec<u32>,
     by_end: Vec<u32>,
+    /// Start ticks of the register-carried first segments, sorted, for the
+    /// bipartite census.
+    carried_starts: Vec<Tick>,
     /// [`refresh`]'s per-arc raw costs, by arc index.
     raw_cost: Vec<i64>,
 }
@@ -183,6 +186,7 @@ impl BuildArena {
         self.var_of.clear();
         self.by_start.clear();
         self.by_end.clear();
+        self.carried_starts.clear();
         self.raw_cost.clear();
     }
 }
@@ -291,9 +295,9 @@ fn window_end(regions: &[TickRange], from: Tick) -> Tick {
 }
 
 /// The gate quantity: Σ over reads of the writes starting inside their
-/// region window, i.e. the candidate pairs the bipartite census walks
-/// before it drops same-variable and register-carried targets — an upper
-/// bound on the bipartite hand-off count that needs only two binary
+/// region window, i.e. the candidate pairs the bipartite emission loop
+/// walks before it drops same-variable and register-carried targets — an
+/// upper bound on the bipartite hand-off count that needs only two binary
 /// searches of `by_start` per read, O(n log n). It depends on the
 /// segmentation and the regions alone, never on costs.
 fn window_pairs(arena: &BuildArena, regions: &[TickRange]) -> usize {
@@ -312,6 +316,49 @@ fn window_pairs(arena: &BuildArena, regions: &[TickRange]) -> usize {
             hi.saturating_sub(lo)
         })
         .sum()
+}
+
+/// Number of ticks in the sorted `ticks` that fall in `from..=last`.
+fn count_within<T>(ticks: &[T], tick: impl Fn(&T) -> Tick, from: Tick, last: Tick) -> usize {
+    let hi = ticks.partition_point(|t| tick(t) <= last);
+    hi.saturating_sub(ticks.partition_point(|t| tick(t) < from))
+}
+
+/// The bipartite form's hand-off count: the `pairs` [`window_pairs`]
+/// counted, less each read's window targets the emission loop skips — the
+/// segments of the read's own variable and the register-carried first
+/// segments. No target is both: a window opens at its read's end, after
+/// the start of its variable's first segment. Each count comes from binary
+/// searches, over the variable's segments (in lifetime order, so by start)
+/// and over the sorted starts of the carried segments: O(n log n), where
+/// walking the pairs is O(E).
+fn bipartite_census(
+    arena: &mut BuildArena,
+    segmentation: &Segmentation,
+    regions: &[TickRange],
+    pairs: usize,
+) -> usize {
+    arena.carried_starts.clear();
+    let carried = arena.register_carried_first.iter();
+    arena.carried_starts.extend(
+        arena
+            .starts
+            .iter()
+            .zip(carried)
+            .filter_map(|(&start, &c)| c.then_some(start)),
+    );
+    arena.carried_starts.sort_unstable();
+    let excluded: usize = segmentation
+        .iter()
+        .map(|(id, from)| {
+            let from_end = arena.ends[id.index()];
+            let last = window_end(regions, from_end);
+            let own = segmentation.segments_of(from.var);
+            count_within(own, Segment::start, from_end, last)
+                + count_within(&arena.carried_starts, |&t| t, from_end, last)
+        })
+        .sum();
+    pairs.saturating_sub(excluded)
 }
 
 /// One step of [`walk_time_lines`].
@@ -412,9 +459,8 @@ fn build_with_regions_in(
     //
     // The hand-off double loop visits every admitted segment pair;
     // everything that depends on one endpoint only is computed once per
-    // segment here, so both the census and the emission loop below are left
-    // with an O(1) window test per candidate (plus, in the emission loop,
-    // the pair-specific Hamming transition term).
+    // segment here, so the emission loop below is left with an O(1) window
+    // test and the pair-specific Hamming transition term per candidate.
     arena.clear();
     let mut chain_count = 0usize;
     for (_, seg) in segmentation.iter() {
@@ -453,32 +499,15 @@ fn build_with_regions_in(
             .expect("the time-line form needs hand-off costs that split per endpoint"),
     };
 
-    // Census of the hand-off windows: the same candidate walk as the
-    // emission loop, minus the cost terms — cheap enough that running it
-    // twice costs far less than letting the arc arena double its way up.
+    // Census of the hand-off structure: the bipartite count follows from the
+    // window pairs by binary search, the time-line form walks its chains;
+    // either is cheap enough that counting first costs far less than
+    // letting the arc arena double its way up.
     let (mut handoff_count, mut exit_count, mut enter_count) = (0usize, 0usize, 0usize);
     let (mut tick_count, mut window_count) = (0usize, 0usize);
     match form {
         NetworkForm::Bipartite => {
-            for from_idx in 0..n {
-                let from_end = arena.ends[from_idx];
-                let last = window_end(regions, from_end);
-                let lo = arena
-                    .by_start
-                    .partition_point(|&i| arena.starts[i as usize] < from_end);
-                for &to_idx in &arena.by_start[lo..] {
-                    if arena.starts[to_idx as usize] > last {
-                        break;
-                    }
-                    let to = to_idx as usize;
-                    if arena.var_of[to] == arena.var_of[from_idx]
-                        || arena.register_carried_first[to]
-                    {
-                        continue;
-                    }
-                    handoff_count += 1;
-                }
-            }
+            handoff_count = bipartite_census(arena, segmentation, regions, pairs);
         }
         NetworkForm::TimeLine => {
             walk_time_lines(arena, regions, |hook| {
@@ -640,7 +669,14 @@ fn build_with_regions_in(
 
     // Unused registers flow straight through.
     let bypass = net.add_arc(s, t, registers, 0)?;
-    debug_assert_eq!(net.arc_count(), arc_total, "arc census out of sync");
+    if net.arc_count() != arc_total {
+        return Err(CoreError::Internal {
+            reason: format!(
+                "arc census counted {arc_total} arcs, emission added {}",
+                net.arc_count()
+            ),
+        });
+    }
 
     // Chain and hand-off arcs get the tie-break discount: among equal-cost
     // optima, prefer the maximally-chained one (fewest registers touched).
@@ -831,6 +867,17 @@ fn gcd(a: i64, b: i64) -> i64 {
     }
 }
 
+/// The inverse of an odd `d` modulo 2^64: Newton's iteration doubles the
+/// correct low bits per step, from the three that `d·d ≡ 1 (mod 8)` gives.
+fn odd_inverse(d: i64) -> i64 {
+    debug_assert_eq!(d & 1, 1);
+    let mut x = d;
+    for _ in 0..5 {
+        x = x.wrapping_mul(2i64.wrapping_sub(d.wrapping_mul(x)));
+    }
+    x
+}
+
 /// Makes the min-cost flow optimum (generically) unique: every arc cost is
 /// divided by the costs' common quantum (their gcd — energy deltas are
 /// heavily quantised, so this is typically worth ~11 bits of headroom),
@@ -851,6 +898,15 @@ fn gcd(a: i64, b: i64) -> i64 {
 /// depends only on the network, so all solvers see the same costs for a
 /// problem.
 ///
+/// The arcs are read once and written once. The read pass folds the gcd
+/// only where a cost differs from its predecessor and is not already a
+/// multiple of it, and sums `Σ cap·|c|` and `Σ cap` in `u128`; one division
+/// by the unit, which divides every cost, then equals the per-arc
+/// saturating fold `Σ cap·|c/unit|`. The weights are hashed in the loop
+/// that sums `Σ cap·|w|`. The write pass divides each cost exactly by the
+/// unit: an arithmetic shift by its power of two, then a multiply by its
+/// odd part's inverse modulo 2^64.
+///
 /// `cached` may carry a previous application's `(bits, weights)` over the
 /// same topology: when the freshly-chosen resolution matches, the weight
 /// vector is reused instead of re-hashed — bit-identical by construction,
@@ -860,15 +916,27 @@ fn apply_tie_break(
     preferred: &[bool],
     cached: Option<(u32, Vec<i64>)>,
 ) -> (i64, i64, Vec<i64>, u32) {
-    let unit = net.arcs().fold(0i64, |g, (_, arc)| gcd(g, arc.cost)).max(1);
+    // Capacities are non-negative (the network rejects anything below an
+    // arc's lower bound), so the `u128` sums never wrap: a term is below
+    // 2^126 and the magnitude sum saturates.
+    let weighed = |capacity: i64, value: i64| capacity as u128 * u128::from(value.unsigned_abs());
+    let (mut unit, mut previous) = (0i64, 0i64);
+    let (mut magnitude, mut cap_total) = (0u128, 0u128);
+    for (_, arc) in net.arcs() {
+        let cost = arc.cost;
+        if cost != previous && (unit == 0 || cost % unit != 0) {
+            unit = gcd(unit, cost);
+        }
+        previous = cost;
+        magnitude = magnitude.saturating_add(weighed(arc.capacity, cost));
+        cap_total += arc.capacity as u128;
+    }
+    let unit = unit.max(1);
+    let clamp = |v: u128| i64::try_from(v).unwrap_or(i64::MAX);
     // Σ cap·|c/unit| ≥ any flow's |cost| total, in quanta.
-    let cost_magnitude = net.arcs().fold(0i64, |m, (_, arc)| {
-        m.saturating_add(arc.capacity.saturating_mul((arc.cost / unit).abs()))
-    });
+    let cost_magnitude = clamp(magnitude / unit as u128);
+    let cap_total = clamp(cap_total);
     let headroom = i64::MAX / 8;
-    let cap_total = net
-        .arcs()
-        .fold(0i64, |t, (_, arc)| t.saturating_add(arc.capacity));
     // Pick the widest weight resolution whose *bound* fits — `cap_total·2^b`
     // over-estimates Σ cap·|w| by at most 2×, and using the bound keeps the
     // selection a cheap O(1)-per-candidate scan instead of an O(arcs) pass
@@ -882,27 +950,34 @@ fn apply_tie_break(
     }) else {
         return (1, 1, Vec::new(), 0);
     };
+    // Σ cap·|w| ≥ any |Σ Δf·w| over flow pairs.
+    let mut weight_total = 0u128;
     let weights: Vec<i64> = match cached {
         Some((cached_bits, weights)) if cached_bits == bits && weights.len() == net.arc_count() => {
-            debug_assert!(weights
-                .iter()
-                .enumerate()
-                .all(|(a, &w)| w == tie_weight(a, bits, preferred[a])));
+            for ((id, arc), &w) in net.arcs().zip(&weights) {
+                debug_assert_eq!(w, tie_weight(id.index(), bits, preferred[id.index()]));
+                weight_total += weighed(arc.capacity, w);
+            }
             weights
         }
-        _ => (0..net.arc_count())
-            .map(|a| tie_weight(a, bits, preferred[a]))
+        _ => net
+            .arcs()
+            .map(|(id, arc)| {
+                let w = tie_weight(id.index(), bits, preferred[id.index()]);
+                weight_total += weighed(arc.capacity, w);
+                w
+            })
             .collect(),
     };
-    // Σ cap·|w| ≥ any |Σ Δf·w| over flow pairs.
-    let weight_total = net.arcs().fold(0i64, |t, (id, arc)| {
-        t.saturating_add(arc.capacity.saturating_mul(weights[id.index()].abs()))
-    });
-    let scale = weight_total.saturating_add(1);
+    let scale = clamp(weight_total).saturating_add(1);
     // In place, one version bump: no staging buffer of (arc, cost) pairs —
     // on a 4k-variable network that intermediate was several MB of churn
     // per build and per sweep point.
-    net.map_costs(|id, arc| (arc.cost / unit) * scale + weights[id.index()]);
+    let shift = unit.trailing_zeros();
+    let inverse = odd_inverse(unit >> shift);
+    net.map_costs(|id, arc| {
+        (arc.cost >> shift).wrapping_mul(inverse) * scale + weights[id.index()]
+    });
     (scale, unit, weights, bits)
 }
 
@@ -1533,6 +1608,177 @@ mod tests {
                     crate::AllocationReport::new(&p, &t).static_energy,
                 );
                 proptest::prop_assert!((eb - et).abs() <= 1e-9 * eb.abs().max(1.0), "{} vs {}", eb, et);
+            }
+        }
+    }
+
+    /// The multi-pass encoding [`apply_tie_break`] replaced, kept as the
+    /// reference it must match bit for bit: a gcd fold, saturating folds of
+    /// `Σ cap·|c/unit|`, `Σ cap` and `Σ cap·|w|`, and a division per arc.
+    fn apply_tie_break_reference(
+        net: &mut FlowNetwork,
+        preferred: &[bool],
+        cached: Option<(u32, Vec<i64>)>,
+    ) -> (i64, i64, Vec<i64>, u32) {
+        let unit = net.arcs().fold(0i64, |g, (_, arc)| gcd(g, arc.cost)).max(1);
+        let cost_magnitude = net.arcs().fold(0i64, |m, (_, arc)| {
+            m.saturating_add(arc.capacity.saturating_mul((arc.cost / unit).abs()))
+        });
+        let headroom = i64::MAX / 8;
+        let cap_total = net
+            .arcs()
+            .fold(0i64, |t, (_, arc)| t.saturating_add(arc.capacity));
+        let Some(bits) = (1..=24u32).rev().find(|&bits| {
+            let bound = cap_total.saturating_mul(1i64 << bits);
+            cost_magnitude
+                .checked_mul(bound.saturating_add(1))
+                .and_then(|v| v.checked_add(bound))
+                .is_some_and(|total| total < headroom)
+        }) else {
+            return (1, 1, Vec::new(), 0);
+        };
+        let weights: Vec<i64> = match cached {
+            Some((cached_bits, weights))
+                if cached_bits == bits && weights.len() == net.arc_count() =>
+            {
+                weights
+            }
+            _ => (0..net.arc_count())
+                .map(|a| tie_weight(a, bits, preferred[a]))
+                .collect(),
+        };
+        let weight_total = net.arcs().fold(0i64, |t, (id, arc)| {
+            t.saturating_add(arc.capacity.saturating_mul(weights[id.index()].abs()))
+        });
+        let scale = weight_total.saturating_add(1);
+        net.map_costs(|id, arc| (arc.cost / unit) * scale + weights[id.index()]);
+        (scale, unit, weights, bits)
+    }
+
+    /// Arcs as `(capacity, cost, preferred)` over two nodes: the encoding
+    /// reads nothing else.
+    fn network_of(arcs: &[(i64, i64, bool)]) -> FlowNetwork {
+        let mut net = FlowNetwork::new();
+        let (a, b) = (net.add_node(), net.add_node());
+        for &(capacity, cost, _) in arcs {
+            net.add_arc(a, b, capacity, cost).unwrap();
+        }
+        net
+    }
+
+    /// Applies both encodings to `arcs` and asserts they agree on
+    /// `(scale, unit, bits, weights)` and on every encoded cost. Returns
+    /// the weights for a cached follow-up.
+    fn assert_encodings_agree(
+        arcs: &[(i64, i64, bool)],
+        cached: Option<(u32, Vec<i64>)>,
+    ) -> (u32, Vec<i64>) {
+        let preferred: Vec<bool> = arcs.iter().map(|a| a.2).collect();
+        let (mut fast, mut reference) = (network_of(arcs), network_of(arcs));
+        let got = apply_tie_break(&mut fast, &preferred, cached.clone());
+        let want = apply_tie_break_reference(&mut reference, &preferred, cached);
+        assert_eq!(got, want);
+        let costs = |net: &FlowNetwork| net.arcs().map(|(_, a)| a.cost).collect::<Vec<_>>();
+        assert_eq!(costs(&fast), costs(&reference));
+        (got.3, got.2)
+    }
+
+    /// Random arc lists for the encoding: costs are multiples of a unit
+    /// that is 1, a power of two, odd, or both mixed, with zero, negative
+    /// and positive multipliers up to a per-case magnitude of up to 2^45,
+    /// so the chosen resolution ranges from 24 bits down to none at all.
+    fn random_arcs() -> impl proptest::prelude::Strategy<Value = Vec<(i64, i64, bool)>> {
+        use proptest::prelude::Strategy;
+        let unit = (0u32..4, 1u32..20, 0i64..1 << 16).prop_map(|(kind, shift, odd)| {
+            let odd = 2 * odd + 1;
+            match kind {
+                0 => 1,
+                1 => 1i64 << shift,
+                2 => odd,
+                _ => odd << shift.min(12),
+            }
+        });
+        (unit, 0u32..46, 0u32..4, 1usize..60).prop_flat_map(|(unit, width, caps, n)| {
+            // Keep every cost, scaled or not, inside i64.
+            let width = width.min(61 - unit.ilog2());
+            let multiplier = (0u32..4, -(1i64 << width)..=(1i64 << width)).prop_map(|(kind, m)| {
+                if kind == 0 {
+                    0
+                } else {
+                    m
+                }
+            });
+            let capacity = (0u32..8, 0i64..4, 0i64..1 << 20).prop_map(move |(kind, small, big)| {
+                if kind == 0 && caps > 1 {
+                    big
+                } else {
+                    small
+                }
+            });
+            proptest::collection::vec((capacity, multiplier, proptest::bool::ANY), n..n + 1)
+                .prop_map(move |arcs| {
+                    arcs.into_iter()
+                        .map(|(cap, m, preferred)| (cap, m * unit, preferred))
+                        .collect()
+                })
+        })
+    }
+
+    proptest::proptest! {
+        /// The one-pass encoding equals the multi-pass reference bit for
+        /// bit — scale, unit, resolution, every weight and every encoded
+        /// cost — fresh and through the cached-weights path: a refresh
+        /// whose costs keep the resolution (negated costs keep every
+        /// magnitude) reuses the weights, and one whose costs move it
+        /// re-hashes them.
+        #[test]
+        fn tie_break_matches_the_multi_pass_reference(
+            arcs in random_arcs(),
+            others in random_arcs(),
+        ) {
+            let cached = assert_encodings_agree(&arcs, None);
+            let negated: Vec<_> = arcs.iter().map(|&(cap, c, p)| (cap, -c, p)).collect();
+            let (bits, _) = assert_encodings_agree(&negated, Some(cached.clone()));
+            proptest::prop_assert_eq!(bits, cached.0);
+            let moved: Vec<_> = arcs
+                .iter()
+                .zip(others.iter().cycle())
+                .map(|(&(cap, _, p), &(_, c, _))| (cap, c, p))
+                .collect();
+            assert_encodings_agree(&moved, Some(cached));
+        }
+
+        /// The bipartite census equals the hand-off arcs the emission loop
+        /// adds and an all-pairs count of the targets it admits, under both
+        /// graph styles, with access periods splitting lifetimes and
+        /// register-carried first segments excluded as targets.
+        #[test]
+        fn bipartite_census_matches_emission(seed in proptest::prelude::any::<u64>()) {
+            let Some(p) = random_instance(seed) else { return Ok(()); };
+            for style in [GraphStyle::Regions, GraphStyle::AllPairs] {
+                let p = p.clone().with_style(style);
+                let segs = Segmentation::new(&p.lifetimes, &p.split);
+                let regions = profile_regions(&p, &segs);
+                let mut arena = BuildArena::default();
+                let built = build_with_regions_in(
+                    &p, &segs, &regions, Some(NetworkForm::Bipartite), &mut arena,
+                ).unwrap();
+                let census = bipartite_census(&mut arena, &segs, &regions, built.window_pairs);
+                let carried = |to: &crate::segment::Segment| {
+                    to.is_first && p.carried_in_register.contains(&to.var)
+                };
+                let admitted = segs
+                    .iter()
+                    .flat_map(|(_, from)| segs.iter().map(move |(_, to)| (from, to)))
+                    .filter(|(from, to)| {
+                        to.start() >= from.end()
+                            && to.start() <= window_end(&regions, from.end())
+                            && to.var != from.var
+                            && !carried(to)
+                    })
+                    .count();
+                proptest::prop_assert_eq!(census, built.handoff_of.len());
+                proptest::prop_assert_eq!(census, admitted);
             }
         }
     }

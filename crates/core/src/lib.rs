@@ -133,6 +133,12 @@ pub enum CoreError {
         /// Human-readable description of the problem.
         reason: String,
     },
+    /// An internal consistency check failed: a bug in the pipeline, not a
+    /// property of the problem.
+    Internal {
+        /// Human-readable description of the broken invariant.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -157,6 +163,7 @@ impl std::fmt::Display for CoreError {
                 write!(f, "invalid allocation: {reason}")
             }
             CoreError::BadChain { reason } => write!(f, "bad block chain: {reason}"),
+            CoreError::Internal { reason } => write!(f, "internal error: {reason}"),
         }
     }
 }

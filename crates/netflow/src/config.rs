@@ -78,15 +78,19 @@ static CONFIG: OnceLock<LemraConfig> = OnceLock::new();
 
 impl LemraConfig {
     /// Builds a configuration from the environment ([`BACKEND_ENV`],
-    /// [`THREADS_ENV`]); unset variables fall back to the defaults.
+    /// [`THREADS_ENV`]); unset variables fall back to the defaults. With
+    /// the `fault-inject` feature it also loads the `LEMRA_FAULT` plan.
     ///
     /// # Errors
     ///
     /// [`NetflowError::InvalidArc`] naming the offending variable and the
     /// accepted values when one is set but malformed — a typo'd
     /// `LEMRA_BACKEND` must fail loudly, not silently run a different
-    /// solver than the one the measurement was labelled with.
+    /// solver than the one the measurement was labelled with, and a typo'd
+    /// `LEMRA_FAULT` must not run fault-free.
     pub fn from_env() -> Result<Self, NetflowError> {
+        #[cfg(feature = "fault-inject")]
+        crate::fault::FaultPlan::ensure_env_plan()?;
         Self::from_vars(
             std::env::var(BACKEND_ENV).ok().as_deref(),
             std::env::var(THREADS_ENV).ok().as_deref(),

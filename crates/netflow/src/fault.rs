@@ -7,7 +7,9 @@
 //! * the [`FAULT_ENV`] (`LEMRA_FAULT`) environment variable — e.g.
 //!   `LEMRA_FAULT=panic@5` makes the 6th [`ResilientSolver`] solve panic in
 //!   its primary attempt; `budget@3,overflow@7:ssp` combines faults and can
-//!   pin one to a named backend;
+//!   pin one to a named backend. A value that does not parse is an error
+//!   naming the variable, from [`LemraConfig::from_env`] and from every
+//!   solve, never a fault-free run;
 //! * programmatic [`FaultPlan::install`] for tests.
 //!
 //! Faults fire **once**: after a fault trips at its solve index, the
@@ -41,6 +43,7 @@
 //!   never reach the solver injection points.
 //!
 //! [`ResilientSolver`]: crate::ResilientSolver
+//! [`LemraConfig::from_env`]: crate::LemraConfig::from_env
 
 use crate::NetflowError;
 use std::cell::Cell;
@@ -169,7 +172,9 @@ pub struct FaultPlan {
 }
 
 static ACTIVE: Mutex<Option<FaultPlan>> = Mutex::new(None);
-static ENV_LOADED: OnceLock<()> = OnceLock::new();
+/// The outcome of loading [`FAULT_ENV`], kept so every later call reports
+/// the same verdict.
+static ENV_LOADED: OnceLock<Result<(), NetflowError>> = OnceLock::new();
 
 impl FaultPlan {
     /// An empty plan (injects nothing).
@@ -246,26 +251,50 @@ impl FaultPlan {
         *ACTIVE.lock().expect("fault plan lock poisoned") = None;
     }
 
-    /// Parses and installs the plan in [`FAULT_ENV`], if set. Called once
-    /// per process by the resilience layer; explicit [`Self::install`]
-    /// calls override it.
-    pub(crate) fn ensure_env_plan() {
-        ENV_LOADED.get_or_init(|| {
-            if let Ok(spec) = std::env::var(FAULT_ENV) {
-                match spec.parse::<FaultPlan>() {
-                    Ok(plan) => plan.install(),
-                    Err(e) => eprintln!("ignoring invalid {FAULT_ENV}: {e}"),
-                }
+    /// Parses and installs the plan in [`FAULT_ENV`], if set. Runs once
+    /// per process, from [`LemraConfig::from_env`](crate::LemraConfig::from_env)
+    /// or the resilience layer's first solve, whichever comes first;
+    /// explicit [`Self::install`] calls override the plan.
+    ///
+    /// # Errors
+    ///
+    /// [`NetflowError::InvalidArc`] naming [`FAULT_ENV`] when its value does
+    /// not parse, on this and every later call: a mistyped spec must not
+    /// run fault-free.
+    pub(crate) fn ensure_env_plan() -> Result<(), NetflowError> {
+        ENV_LOADED
+            .get_or_init(|| match std::env::var(FAULT_ENV) {
+                Ok(spec) => Self::from_env_value(&spec).map(|plan| plan.install()),
+                Err(_) => Ok(()),
+            })
+            .clone()
+    }
+
+    /// Parses `spec` as the value of [`FAULT_ENV`], naming the variable in
+    /// the error.
+    fn from_env_value(spec: &str) -> Result<FaultPlan, NetflowError> {
+        spec.parse().map_err(|e| {
+            let reason = match e {
+                NetflowError::InvalidArc { reason } => reason,
+                other => other.to_string(),
+            };
+            NetflowError::InvalidArc {
+                reason: format!("{FAULT_ENV}=`{spec}`: {reason}"),
             }
-        });
+        })
     }
 }
 
 /// Loads the [`FAULT_ENV`] plan if none was installed yet. The server
 /// calls this on startup so `conn@…` faults work even before the first
 /// solve touches the resilience layer (which otherwise triggers the load).
-pub fn ensure_env_plan() {
-    FaultPlan::ensure_env_plan();
+///
+/// # Errors
+///
+/// [`NetflowError::InvalidArc`] naming [`FAULT_ENV`] when its value does
+/// not parse.
+pub fn ensure_env_plan() -> Result<(), NetflowError> {
+    FaultPlan::ensure_env_plan()
 }
 
 /// Faults from the active plan that have fired, excluding
@@ -549,6 +578,21 @@ mod tests {
         assert_eq!(injected_conn_count(), 1);
         assert_eq!(injected_fault_count(), 0);
         FaultPlan::clear();
+    }
+
+    #[test]
+    fn an_unparsable_env_value_is_an_error_naming_the_variable() {
+        let err = FaultPlan::from_env_value("panic@0:ssq").unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("LEMRA_FAULT=`panic@0:ssq`"), "{message}");
+        assert!(
+            message.contains("no solve attempt is named `ssq`"),
+            "{message}"
+        );
+        assert_eq!(
+            FaultPlan::from_env_value("panic@0:ssp").unwrap(),
+            FaultPlan::new().fail_backend_at(FaultKind::Panic, 0, "ssp")
+        );
     }
 
     #[test]

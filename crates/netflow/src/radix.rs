@@ -14,6 +14,37 @@
 //! emptied and its entries redistributed strictly downwards (each key agrees
 //! with the new minimum on every bit above the bucket's own, so its new
 //! bucket index is smaller — the classic amortised-O(bits) argument).
+//!
+//! # Stale entries
+//!
+//! A Dijkstra round pushes a new entry on every label improvement and
+//! leaves the superseded one behind. [`RadixHeap::pop`] takes the caller's
+//! liveness test (in the solvers: the entry's key still equals its node's
+//! label in the current round) and, whenever it drains a bucket, drops the
+//! entries that fail it and redistributes only the rest around their
+//! minimum. A dead entry stays dead — labels only fall within a round — so
+//! it would only have been moved down again and skipped when it surfaced.
+//!
+//! This changes no live pop, ties included:
+//!
+//! * every entry of key `k` sits in bucket `f(last, k)`, the bucket of the
+//!   highest bit in which `k` differs from `last`, whichever of the old or
+//!   the new minimum became `last`: the new one is the minimum of the same
+//!   bucket's live entries, and a key in a higher bucket differs from both
+//!   at that bucket's bit and agrees with both above it;
+//! * so all entries of one key share a bucket, in push order (pushes
+//!   append, redistribution and `retain` keep relative order), until the
+//!   drain that makes `k` the minimum moves them to bucket 0 as a stack
+//!   that later pushes of `k` extend;
+//! * the callers push only after a live pop, so between the last live pop
+//!   below `k` and that drain nothing is pushed, dropping or keeping the
+//!   dead entries alike.
+//!
+//! The live pops therefore come out in exactly the order the unfiltered
+//! heap would give, and the labels, tight-arc lists, walks and settled
+//! counts built from them are unchanged. Every entry a pop returns is live:
+//! it was live when it reached bucket 0, and nothing can supersede a label
+//! equal to the floor.
 
 /// A monotone priority queue over `(key, value)` pairs with non-negative
 /// `i64` keys.
@@ -84,31 +115,41 @@ impl RadixHeap {
         self.len += 1;
     }
 
-    /// Removes and returns a pair with the minimum key.
-    pub fn pop(&mut self) -> Option<(i64, u32)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.buckets[0].is_empty() {
+    /// Removes and returns a pair with the minimum key among the entries
+    /// `live(key, value)` accepts. Entries it rejects are dropped when
+    /// their bucket is drained; `live` must never accept an entry it once
+    /// rejected (see the [module documentation](self)).
+    pub fn pop(&mut self, live: impl Fn(i64, u32) -> bool) -> Option<(i64, u32)> {
+        while self.buckets[0].is_empty() {
+            if self.len == 0 {
+                return None;
+            }
             let b = self.occupied.trailing_zeros() as usize;
             debug_assert!(b < BUCKETS, "len > 0 implies a non-empty bucket");
-            let min = self.buckets[b]
-                .iter()
-                .map(|&(k, _)| k)
-                .min()
-                .expect("bucket b is non-empty");
-            self.last = min;
             // Take the bucket out to appease the borrow checker, but put it
             // back afterwards so its capacity survives for later rounds —
             // dropping it here would make every redistribution free and then
             // re-grow the same buffer.
             let mut drained = std::mem::take(&mut self.buckets[b]);
             self.occupied &= !(1u128 << b);
-            for &(k, v) in &drained {
-                let nb = Self::bucket_index(min, k);
-                debug_assert!(nb < b, "redistribution must move entries down");
-                self.buckets[nb].push((k, v));
-                self.occupied |= 1 << nb;
+            let before = drained.len();
+            let mut min = i64::MAX;
+            drained.retain(|&(k, v)| {
+                let keep = live(k, v);
+                if keep {
+                    min = min.min(k);
+                }
+                keep
+            });
+            self.len -= before - drained.len();
+            if !drained.is_empty() {
+                self.last = min;
+                for &(k, v) in &drained {
+                    let nb = Self::bucket_index(min, k);
+                    debug_assert!(nb < b, "redistribution must move entries down");
+                    self.buckets[nb].push((k, v));
+                    self.occupied |= 1 << nb;
+                }
             }
             drained.clear();
             self.buckets[b] = drained;
@@ -125,6 +166,14 @@ impl RadixHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The liveness test that keeps every entry: the heap as it was before
+    /// it dropped stale entries, and the reference the proptest compares
+    /// against.
+    fn all(_: i64, _: u32) -> bool {
+        true
+    }
 
     #[test]
     fn pops_in_sorted_order() {
@@ -133,11 +182,11 @@ mod tests {
             h.push(k, i as u32);
         }
         let mut keys = Vec::new();
-        while let Some((k, _)) = h.pop() {
+        while let Some((k, _)) = h.pop(all) {
             keys.push(k);
         }
         assert_eq!(keys, vec![0, 3, 3, 5, 8, 9, 17]);
-        assert!(h.pop().is_none());
+        assert!(h.pop(all).is_none());
     }
 
     #[test]
@@ -145,13 +194,13 @@ mod tests {
         let mut h = RadixHeap::default();
         h.push(2, 0);
         h.push(7, 1);
-        assert_eq!(h.pop(), Some((2, 0)));
+        assert_eq!(h.pop(all), Some((2, 0)));
         // New keys at or above the popped key are fine.
         h.push(2, 2);
         h.push(1 << 40, 3);
-        assert_eq!(h.pop().unwrap().0, 2);
-        assert_eq!(h.pop().unwrap().0, 7);
-        assert_eq!(h.pop().unwrap().0, 1 << 40);
+        assert_eq!(h.pop(all).unwrap().0, 2);
+        assert_eq!(h.pop(all).unwrap().0, 7);
+        assert_eq!(h.pop(all).unwrap().0, 1 << 40);
         assert!(h.is_empty());
     }
 
@@ -159,11 +208,11 @@ mod tests {
     fn reset_restores_floor() {
         let mut h = RadixHeap::default();
         h.push(10, 0);
-        assert_eq!(h.pop(), Some((10, 0)));
+        assert_eq!(h.pop(all), Some((10, 0)));
         h.reset();
         // After reset, small keys are legal again.
         h.push(1, 1);
-        assert_eq!(h.pop(), Some((1, 1)));
+        assert_eq!(h.pop(all), Some((1, 1)));
     }
 
     #[test]
@@ -172,7 +221,7 @@ mod tests {
         for v in 0..100 {
             h.push(42, v);
         }
-        let mut seen: Vec<u32> = std::iter::from_fn(|| h.pop().map(|(_, v)| v)).collect();
+        let mut seen: Vec<u32> = std::iter::from_fn(|| h.pop(all).map(|(_, v)| v)).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..100).collect::<Vec<_>>());
     }
@@ -187,7 +236,105 @@ mod tests {
         let mut sorted = keys;
         sorted.sort_unstable();
         for &want in &sorted {
-            assert_eq!(h.pop().unwrap().0, want);
+            assert_eq!(h.pop(all).unwrap().0, want);
+        }
+    }
+
+    #[test]
+    fn dead_entries_are_dropped_and_never_returned() {
+        let mut h = RadixHeap::default();
+        h.push(0, 9);
+        assert_eq!(h.pop(all), Some((0, 9)));
+        // Value 1 is superseded twice, value 2 once; both dead entries sit
+        // below the live minimum of their bucket.
+        for (k, v) in [(40, 1), (33, 2), (36, 1), (35, 1), (50, 2), (34, 3)] {
+            h.push(k, v);
+        }
+        let label = |v: u32| [0, 35, 33, 34][v as usize];
+        let live = |k: i64, v: u32| label(v) == k;
+        assert_eq!(h.pop(live), Some((33, 2)));
+        assert_eq!(h.pop(live), Some((34, 3)));
+        assert_eq!(h.pop(live), Some((35, 1)));
+        assert_eq!(h.pop(live), None);
+        assert!(h.is_empty());
+    }
+
+    /// A Dijkstra run over `adj` from the first `sources` nodes at key 0,
+    /// relaxing a node only when it pops at its label, like the solvers'
+    /// rounds. Returns every pair the heap popped, in order, with whether
+    /// it was live (key equal to the node's label) when it popped.
+    fn dijkstra_pops(
+        adj: &[Vec<(usize, i64)>],
+        sources: usize,
+        drop_dead: bool,
+    ) -> Vec<(i64, u32, bool)> {
+        let mut dist = vec![i64::MAX; adj.len()];
+        let mut h = RadixHeap::default();
+        for (u, d) in dist.iter_mut().enumerate().take(sources) {
+            *d = 0;
+            h.push(0, u as u32);
+        }
+        let mut pops = Vec::new();
+        loop {
+            let popped = if drop_dead {
+                h.pop(|k, v| dist[v as usize] == k)
+            } else {
+                h.pop(all)
+            };
+            let Some((d, u)) = popped else {
+                break;
+            };
+            let live = dist[u as usize] == d;
+            pops.push((d, u, live));
+            if !live {
+                continue;
+            }
+            for &(v, w) in &adj[u as usize] {
+                if d + w < dist[v] {
+                    dist[v] = d + w;
+                    h.push(d + w, v as u32);
+                }
+            }
+        }
+        pops
+    }
+
+    /// Random digraphs whose arc lengths mix zero (ties), small values and
+    /// values near 2^20 and 2^44, so keys spread over many buckets and
+    /// labels are superseded often.
+    fn random_graph() -> impl Strategy<Value = (Vec<Vec<(usize, i64)>>, usize)> {
+        (2usize..40).prop_flat_map(|n| {
+            let arc = (0..n, 0..n, 0u32..4, 0i64..8);
+            (proptest::collection::vec(arc, 0..6 * n), 1..n.min(4) + 1).prop_map(
+                move |(arcs, sources)| {
+                    let mut adj = vec![Vec::new(); n];
+                    for (u, v, kind, small) in arcs {
+                        let w = match kind {
+                            0 => 0,
+                            1 => small,
+                            2 => (small + 1) << 20,
+                            _ => (small + 1) << 44,
+                        };
+                        adj[u].push((v, w));
+                    }
+                    (adj, sources)
+                },
+            )
+        })
+    }
+
+    proptest! {
+        /// Dropping dead entries changes no live pop: the heap that drops
+        /// them returns exactly the live subsequence of what the heap that
+        /// keeps them returns, ties in the same order, and every pair it
+        /// returns is live.
+        #[test]
+        fn pop_returns_the_live_subsequence_of_the_unfiltered_heap(graph in random_graph()) {
+            let (adj, sources) = graph;
+            let kept = dijkstra_pops(&adj, sources, false);
+            let dropped = dijkstra_pops(&adj, sources, true);
+            let live: Vec<_> = kept.iter().copied().filter(|p| p.2).collect();
+            prop_assert_eq!(&dropped, &live);
         }
     }
 }

@@ -638,11 +638,9 @@ impl State {
     /// the first settled deficit node. Returns `(node, distance)`, or `None`
     /// if no deficit is reachable.
     fn drain_round(&mut self) -> Option<(usize, i64)> {
-        while let Some((d, u)) = self.ws.heap.pop() {
+        while let Some((d, u)) = self.ws.pop_frontier() {
             let u = u as usize;
-            if d > self.ws.dist_of(u) {
-                continue;
-            }
+            debug_assert_eq!(d, self.ws.dist_of(u), "the frontier pops live labels only");
             self.ws.settled_nodes += 1;
             if self.excess[u] < 0 {
                 return Some((u, d));

@@ -229,7 +229,7 @@ impl ResilientSolver {
         ws: &mut SolverWorkspace,
     ) -> Result<FlowSolution, NetflowError> {
         #[cfg(feature = "fault-inject")]
-        crate::fault::FaultPlan::ensure_env_plan();
+        crate::fault::FaultPlan::ensure_env_plan()?;
 
         let solve_index = self.solve_index;
         self.solve_index += 1;

@@ -576,14 +576,12 @@ pub(crate) fn dijkstra_settle(res: &Residual, s: usize, t: usize, ws: &mut Solve
     ws.pred_head[s] = NO_PRED;
     ws.heap.push(0, s as u32);
     let mut dist_t = INF;
-    while let Some((d, u)) = ws.heap.pop() {
+    while let Some((d, u)) = ws.pop_frontier() {
         if d > dist_t {
             break;
         }
         let u = u as usize;
-        if d > ws.dist_of(u) {
-            continue;
-        }
+        debug_assert_eq!(d, ws.dist_of(u), "the frontier pops live labels only");
         ws.settled_nodes += 1;
         if u == t {
             dist_t = d;
@@ -672,14 +670,12 @@ pub(crate) fn dijkstra_settle_to_sink(
     ws.pred_head[t] = NO_PRED;
     ws.heap.push(0, t as u32);
     let mut dist_s = INF;
-    while let Some((d, v)) = ws.heap.pop() {
+    while let Some((d, v)) = ws.pop_frontier() {
         if d > dist_s {
             break;
         }
         let v = v as usize;
-        if d > ws.dist_of(v) {
-            continue;
-        }
+        debug_assert_eq!(d, ws.dist_of(v), "the frontier pops live labels only");
         ws.settled_nodes += 1;
         if v == s {
             dist_s = d;

@@ -360,6 +360,18 @@ impl SolverWorkspace {
         }
     }
 
+    /// Pops the Dijkstra frontier's next entry whose key is still its
+    /// node's label in this round, dropping superseded entries as the heap
+    /// drains their buckets (see [`RadixHeap::pop`]).
+    #[inline]
+    pub(crate) fn pop_frontier(&mut self) -> Option<(i64, u32)> {
+        let (node, epoch) = (&self.node, self.epoch);
+        self.heap.pop(|key, v| {
+            let st = node[v as usize];
+            st.stamp == epoch && st.dist == key
+        })
+    }
+
     /// Sets the distance label of `v` for this round.
     #[inline]
     pub(crate) fn set_dist(&mut self, v: usize, d: i64) {

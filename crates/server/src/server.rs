@@ -127,7 +127,8 @@ impl Server {
     /// I/O errors binding either listener.
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
         #[cfg(feature = "fault-inject")]
-        lemra_netflow::ensure_env_plan();
+        lemra_netflow::ensure_env_plan()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
 
         let listener = TcpListener::bind(&cfg.listen)?;
         let admin_listener = TcpListener::bind(&cfg.admin)?;
